@@ -11,19 +11,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .syntax import Goal, format_goal
+
 # arity of each rule: how many subderivations it must carry
 RULE_CHILDREN = {1: 1, 2: 1, 3: 1, 4: 0, 5: 0, 6: 2, 7: 1, 8: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationNode:
+    """One rule application: the goal it concluded and its subderivations.
+
+    label is the clause name for rule 1 and the parameter for rule 2.
+    Goals are immutable, so the conclusion text is formatted only when
+    it is read and is the same whenever that happens.
+    """
+
     rule: int
-    conclusion: str
+    goal: Goal
     children: tuple
+    label: str | None = None
 
     def __post_init__(self):
         if self.rule not in RULE_CHILDREN:
             raise ValueError(f"unknown rule number {self.rule}")
+
+    @property
+    def conclusion(self) -> str:
+        if self.rule == 1:
+            return f"ex(({self.label} body); P, {format_goal(self.goal)})"
+        if self.rule == 2:
+            return f"ex(forall {self.label}; P, {format_goal(self.goal)})"
+        return f"ex(P, {format_goal(self.goal)}, P')"
 
 
 def validate_shape(node: DerivationNode) -> None:
@@ -37,9 +55,12 @@ def validate_shape(node: DerivationNode) -> None:
         validate_shape(child)
 
 
-def format_tree(node: DerivationNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    lines = [f"{pad}[rule {node.rule}] {node.conclusion}"]
-    for child in node.children:
-        lines.append(format_tree(child, indent + 1))
+def format_tree(node: DerivationNode) -> str:
+    """One line per node, depth first, indented two spaces per level."""
+    lines = []
+    stack = [(node, 0)]
+    while stack:
+        item, depth = stack.pop()
+        lines.append(f"{'  ' * depth}[rule {item.rule}] {item.conclusion}")
+        stack.extend((child, depth + 1) for child in reversed(item.children))
     return "\n".join(lines)

@@ -37,7 +37,6 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
-    format_goal,
     subst_goal,
 )
 from .terms import (
@@ -268,10 +267,6 @@ def eval_store_value(store, subst, expr):
 
 # --- the solver ---------------------------------------------------------------
 
-def _concl(goal) -> str:
-    return f"ex(P, {format_goal(goal)}, P')"
-
-
 class Solver:
     """Depth-first search; solve() yields one DerivationNode per solution.
 
@@ -315,7 +310,7 @@ class Solver:
         self._tick(6, goal)
         for left in self.solve(goal.first, depth + 1):
             for right in self.solve(goal.second, depth + 1):
-                yield DerivationNode(6, _concl(goal), (left, right))
+                yield DerivationNode(6, goal, (left, right))
 
     def _solve_compare(self, goal, depth):
         self._tick(4, goal)
@@ -323,7 +318,7 @@ class Solver:
         mark = st.mark()
         try:
             if self._condition_holds(goal):
-                yield DerivationNode(4, _concl(goal), ())
+                yield DerivationNode(4, goal, ())
         finally:
             st.undo_to(mark)
 
@@ -366,7 +361,7 @@ class Solver:
         mark = st.mark()
         try:
             st.set_store(goal.target, value)
-            yield DerivationNode(5, _concl(goal), ())
+            yield DerivationNode(5, goal, ())
         finally:
             st.undo_to(mark)
 
@@ -380,7 +375,7 @@ class Solver:
         st.choices.append((goal.var, fresh))
         try:
             for child in self.solve(body, depth + 1):
-                yield DerivationNode(7, _concl(goal), (child,))
+                yield DerivationNode(7, goal, (child,))
         finally:
             st.choices.pop()
 
@@ -393,7 +388,7 @@ class Solver:
             st.choices.append((goal.var, element))
             try:
                 for child in self.solve(body, depth + 1):
-                    yield DerivationNode(8, _concl(goal), (child,))
+                    yield DerivationNode(8, goal, (child,))
             finally:
                 st.choices.pop()
 
@@ -433,14 +428,10 @@ class Solver:
                         self.on_rule(2, goal)
                     self.on_rule(1, goal)
                 for child in self.solve(body, depth + 1):
-                    node = DerivationNode(
-                        1, f"ex(({clause.name} body); P, {format_goal(goal)})", (child,)
-                    )
+                    node = DerivationNode(1, goal, (child,), clause.name)
                     for param in reversed(clause.params):
-                        node = DerivationNode(
-                            2, f"ex(forall {param}; P, {format_goal(goal)})", (node,)
-                        )
-                    yield DerivationNode(3, _concl(goal), (node,))
+                        node = DerivationNode(2, goal, (node,), param)
+                    yield DerivationNode(3, goal, (node,))
             finally:
                 st.undo_to(mark)
 

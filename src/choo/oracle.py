@@ -38,7 +38,6 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
-    format_goal,
 )
 from .terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
 
@@ -339,15 +338,14 @@ class _Enumerator:
     def exec_goal(self, store, witnesses, goal, height):
         if height > self.bounds.max_height:
             raise OutOfBounds("derivation height")
-        concl = f"ex(P, {format_goal(goal)}, P')"
         match goal:
             case Seq(first, second):
                 for s1, w1, n1 in self.exec_goal(store, witnesses, first, height + 1):
                     for s2, w2, n2 in self.exec_goal(s1, w1, second, height + 1):
-                        yield s2, w2, DerivationNode(6, concl, (n1, n2))
+                        yield s2, w2, DerivationNode(6, goal, (n1, n2))
             case Compare():
                 if self._holds(store, goal):
-                    yield store, witnesses, DerivationNode(4, concl, ())
+                    yield store, witnesses, DerivationNode(4, goal, ())
             case Assign(target, expr):
                 value = self._term_value(store, expr)
                 if value is not _FAIL:
@@ -355,7 +353,7 @@ class _Enumerator:
                         raise OracleRunError("assigned value is not ground")
                     updated = dict(store)
                     updated[target] = value
-                    yield updated, witnesses, DerivationNode(5, concl, ())
+                    yield updated, witnesses, DerivationNode(5, goal, ())
             case Choose(var, body):
                 pins = []
                 self._pins(body, var, pins)
@@ -369,13 +367,13 @@ class _Enumerator:
                     grounded = _subst_goal(body, var, value)
                     staged = witnesses + ((var, value),)
                     for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
-                        yield s, w, DerivationNode(7, concl, (n,))
+                        yield s, w, DerivationNode(7, goal, (n,))
             case BoundedChoose(var, cset, body):
                 for value in self._set_members(cset):
                     grounded = _subst_goal(body, var, value)
                     staged = witnesses + ((var, value),)
                     for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
-                        yield s, w, DerivationNode(8, concl, (n,))
+                        yield s, w, DerivationNode(8, goal, (n,))
             case Call(name, args):
                 matching = [
                     c for c in self.clauses
@@ -388,10 +386,10 @@ class _Enumerator:
                     for param, arg in zip(clause.params, args):
                         body = _subst_goal(body, param, arg)
                     for s, w, n in self.exec_goal(store, witnesses, body, height + 1):
-                        node = DerivationNode(1, f"ex(({clause.name} body); P, {concl})", (n,))
+                        node = DerivationNode(1, goal, (n,), clause.name)
                         for param in reversed(clause.params):
-                            node = DerivationNode(2, f"ex(forall {param}; P, {concl})", (node,))
-                        yield s, w, DerivationNode(3, concl, (node,))
+                            node = DerivationNode(2, goal, (node,), param)
+                        yield s, w, DerivationNode(3, goal, (node,))
             case _:
                 raise TypeError(f"not a goal: {goal!r}")
 

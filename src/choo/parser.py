@@ -75,7 +75,7 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # "ident", "int", "keyword", "eof", or the punctuation itself
     text: str
@@ -243,11 +243,15 @@ class _Parser:
     # --- goals ---
 
     def goal(self, scope):
-        first = self.prim(scope)
-        if self.peek().kind == ";":
+        # a loop over ";", not recursion: flat programs are long chains
+        prims = [self.prim(scope)]
+        while self.peek().kind == ";":
             self.advance()
-            return Seq(first, self.goal(scope))
-        return first
+            prims.append(self.prim(scope))
+        goal = prims.pop()
+        while prims:
+            goal = Seq(prims.pop(), goal)
+        return goal
 
     def prim(self, scope):
         self._enter()

@@ -17,26 +17,26 @@ from .terms import Atom, Compound, Int, Term, Var
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     """Read of a store variable by name."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunCall:
     """Built-in function application; name is fib or fact."""
 
@@ -44,7 +44,7 @@ class FunCall:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermLit:
     """A term in expression position: a logic variable, atom in a
     compound, or a whole compound term."""
@@ -57,13 +57,13 @@ Expr = IntLit | VarRef | BinOp | FunCall | TermLit
 
 # --- goals -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     name: str
     args: tuple  # tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compare:
     """A condition; op is one of == != < <= > >=.
 
@@ -76,19 +76,19 @@ class Compare:
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq:
     first: "Goal"
     second: "Goal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Choose:
     """choose(x) G: pick any term for x such that G succeeds."""
 
@@ -96,7 +96,7 @@ class Choose:
     body: "Goal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedChoose:
     """choose(x in S) G: pick an element of S such that G succeeds."""
 
@@ -110,7 +110,7 @@ Goal = Call | Compare | Assign | Seq | Choose | BoundedChoose
 
 # --- choice sets -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Range:
     """Integer range lo..hi, both ends inclusive; empty when lo > hi."""
 
@@ -118,7 +118,7 @@ class Range:
     hi: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enum:
     elements: tuple  # tuple[Term, ...] in written order, duplicates kept
 
@@ -128,14 +128,14 @@ ChoiceSet = Range | Enum
 
 # --- programs --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     name: str
     params: tuple  # tuple[str, ...], pairwise distinct
     body: Goal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceProgram:
     clauses: tuple  # tuple[Clause, ...] in source order
     main: Goal
@@ -293,10 +293,14 @@ def format_goal(goal: Goal) -> str:
     if isinstance(goal, Assign):
         return f"{goal.target} = {format_expr(goal.expr)}"
     if isinstance(goal, Seq):
-        left = format_goal(goal.first)
-        if isinstance(goal.first, Seq):
-            left = f"({left})"
-        return f"{left}; {format_goal(goal.second)}"
+        # walk the right spine in a loop: flat programs are long chains
+        parts = []
+        while isinstance(goal, Seq):
+            left = format_goal(goal.first)
+            parts.append(f"({left})" if isinstance(goal.first, Seq) else left)
+            goal = goal.second
+        parts.append(format_goal(goal))
+        return "; ".join(parts)
     if isinstance(goal, Choose):
         return f"choose({goal.var}) {_format_choose_body(goal.body)}"
     if isinstance(goal, BoundedChoose):

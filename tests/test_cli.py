@@ -1,7 +1,13 @@
 """The choo command: subcommands, output format, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import choo
 from choo import EquivalenceReport, parse_program
 from choo.cli import main
 
@@ -204,6 +210,30 @@ def test_parse_rejects_bad_programs(program_file, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error at ")
+
+
+def fresh_choo(*argv):
+    """choo in a new interpreter, so it starts with the default recursion limit."""
+    src = str(Path(choo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "choo.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_parse_round_trips_a_long_flat_program(program_file):
+    body = "; ".join(f"s = {i}" for i in range(10_000))
+    proc = fresh_choo("parse", program_file(f"main {{ {body} }}"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"main {{\n  {body}\n}}\n"
+
+
+def test_parse_still_rejects_deep_nesting(program_file):
+    source = "main { " + "(" * 600 + "1 == 1" + ")" * 600 + " }"
+    proc = fresh_choo("parse", program_file(source))
+    assert proc.returncode == 2
+    assert "nesting too deep" in proc.stderr
 
 
 # --- oracle-check ----------------------------------------------------------------------

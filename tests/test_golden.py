@@ -1,8 +1,13 @@
 """Frozen end-to-end outputs: each program's stdout/stderr is pinned to a file.
 
+For every case that exits 0, the stderr of `--trace=full` and of
+`--trace=rules` is pinned too, in <name>.full and <name>.rules.
+
 Regenerate an expectation only when the change in behavior is deliberate:
 
     python -m choo.cli run tests/golden/<name>.choo <args> > tests/golden/<name>.out
+    python -m choo.cli run tests/golden/<name>.choo <args> --trace=full 2> tests/golden/<name>.full
+    python -m choo.cli run tests/golden/<name>.choo <args> --trace=rules 2> tests/golden/<name>.rules
 """
 
 from pathlib import Path
@@ -55,6 +60,20 @@ def test_golden(name, args, status, capsys):
     assert main(argv) == status
     second = capsys.readouterr()
     assert (second.out, second.err) == (first.out, first.err)
+
+
+SOLVED = [c for c in CASES if c[2] == 0]
+
+
+@pytest.mark.parametrize("mode", ["full", "rules"])
+@pytest.mark.parametrize("name,args,status", SOLVED, ids=[c[0] for c in SOLVED])
+def test_golden_trace(name, args, status, mode, capsys):
+    code = main(["run", str(GOLDEN / f"{name}.choo"), *args, f"--trace={mode}"])
+    got = capsys.readouterr()
+    assert code == status
+    # tracing writes to stderr only, so stdout stays the untraced golden
+    assert got.out == expected(name, ".out")
+    assert got.err == (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
 
 
 def test_the_suite_exercises_every_exit_status():

@@ -17,6 +17,7 @@ from choo import (
     execute,
     parse_goal,
     parse_program,
+    run,
 )
 from choo.derivation import validate_shape
 from choo.gen import GenConfig, gen_program, shrink
@@ -108,6 +109,27 @@ def test_pin_on_a_closed_expression_is_in_bounds():
     assert goal_solutions("choose(x) x == fib(10)") == {
         ((("x", Int(34)),), frozenset())
     }
+
+
+def test_engine_and_oracle_conclude_a_call_alike():
+    program = parse_program("p(x) { x == 3 } main { p(3) }")
+    [(_, engine)] = list(run(program))
+    _, [oracle] = enumerate_solutions(program)
+
+    def call_chain(node):
+        # rules 3, 2 and 1 conclude the call itself; the body below
+        # differs, since only the engine renames x to a fresh variable
+        chain = []
+        while node.rule in (3, 2, 1):
+            chain.append((node.rule, node.conclusion))
+            (node,) = node.children
+        return chain
+
+    assert call_chain(engine) == call_chain(oracle) == [
+        (3, "ex(P, p(3), P')"),
+        (2, "ex(forall x; P, p(3))"),
+        (1, "ex((p body); P, p(3))"),
+    ]
 
 
 def test_deep_derivations_are_out_of_bounds():
