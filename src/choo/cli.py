@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from pathlib import Path
 
 from .derivation import format_tree
@@ -50,36 +49,6 @@ def _read_program(path: str):
         return None
 
 
-def _search_stack_call(fn, max_depth: int):
-    """Run fn, on a worker thread with an enlarged stack for deep searches.
-
-    One interpreter frame per search level adds up; the main thread's
-    stack cannot be grown after the fact, so deep budgets get a thread
-    sized to the job.
-    """
-    if max_depth <= 2000:
-        return fn()
-    outcome = {}
-
-    def work():
-        try:
-            outcome["value"] = fn()
-        except BaseException as err:  # re-raised on the calling thread
-            outcome["error"] = err
-
-    old_size = threading.stack_size()
-    threading.stack_size(min(1024 * 1024 * 1024, max(64 * 1024 * 1024, max_depth * 16384)))
-    try:
-        worker = threading.Thread(target=work, name="search")
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old_size)
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 def _cmd_run(args) -> int:
     program = _read_program(args.file)
     if program is None:
@@ -96,8 +65,8 @@ def _cmd_run(args) -> int:
             f"[rule {rule}] {format_goal(goal)}", file=sys.stderr
         )
 
-    def search() -> int:
-        count = 0
+    count = 0
+    try:
         for outcome, node in run(program, budget=budget, on_rule=on_rule):
             if args.all_solutions and count:
                 print("---")
@@ -107,23 +76,15 @@ def _cmd_run(args) -> int:
             count += 1
             if not args.all_solutions:
                 return 0
-        if args.all_solutions:
-            print(f"solutions: {count}")
-        return 0 if count else 1
-
-    try:
-        return _search_stack_call(search, budget.max_depth)
     except BudgetExhausted as err:
         print(f"budget exhausted: maximum {err.what} reached", file=sys.stderr)
         return 3
     except EvalError as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
-    except RecursionError:
-        # only reachable with budgets beyond what the platform stack can
-        # host; the depth budget normally fires long before this
-        print("runtime error: search too deep for the interpreter stack", file=sys.stderr)
-        return 3
+    if args.all_solutions:
+        print(f"solutions: {count}")
+    return 0 if count else 1
 
 
 def _cmd_parse(args) -> int:

@@ -46,13 +46,15 @@ class DerivationNode:
 
 def validate_shape(node: DerivationNode) -> None:
     """Raise ValueError if any node carries the wrong number of children."""
-    expected = RULE_CHILDREN[node.rule]
-    if len(node.children) != expected:
-        raise ValueError(
-            f"rule {node.rule} node has {len(node.children)} children, wants {expected}"
-        )
-    for child in node.children:
-        validate_shape(child)
+    stack = [node]  # a loop: derivations are as tall as the search was deep
+    while stack:
+        node = stack.pop()
+        expected = RULE_CHILDREN[node.rule]
+        if len(node.children) != expected:
+            raise ValueError(
+                f"rule {node.rule} node has {len(node.children)} children, wants {expected}"
+            )
+        stack.extend(node.children)
 
 
 def format_tree(node: DerivationNode) -> str:

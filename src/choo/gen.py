@@ -29,6 +29,7 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
+    seq_of,
     subst_goal,
 )
 from .terms import Atom, Compound, Int, Var
@@ -47,14 +48,6 @@ _STORE_NAMES = ("s", "t", "u")
 _LOGIC_NAMES = ("x", "y", "z", "w", "k")
 _FUNCTORS = ("f", "g", "pair")
 _CLAUSE_NAMES = ("p", "q", "r")
-
-
-def seq_of(stmts):
-    """Right-fold statements into a Seq spine."""
-    goal = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        goal = Seq(s, goal)
-    return goal
 
 
 class _Gen:

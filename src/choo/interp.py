@@ -17,7 +17,6 @@ raise EvalError and abort the search.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -223,13 +222,17 @@ def eval_int(store, subst, expr) -> int | None:
             raise EvalError(f"unbound variable '{t.name}' used in arithmetic")
         raise EvalError(f"{format_term(t)} is not an integer")
     if isinstance(expr, BinOp):
+        # walk a left-nested chain such as 1 + 2 + 3 in a loop
+        outer = None
+        while isinstance(expr.left, BinOp):
+            outer, expr = (expr, outer), expr.left
         a = eval_int(store, subst, expr.left)
-        if a is None:
-            return None
-        b = eval_int(store, subst, expr.right)
-        if b is None:
-            return None
-        return _arith(expr.op, a, b)
+        while True:
+            b = None if a is None else eval_int(store, subst, expr.right)
+            a = None if b is None else _arith(expr.op, a, b)
+            if a is None or outer is None:
+                return a
+            expr, outer = outer
     if isinstance(expr, FunCall):
         n = eval_int(store, subst, expr.arg)
         if n is None:
@@ -270,9 +273,11 @@ def eval_store_value(store, subst, expr):
 class Solver:
     """Depth-first search; solve() yields one DerivationNode per solution.
 
-    Between solutions, and after exhaustion, the state is back to what
-    the caller saw: every case undoes its own effects in a finally
-    block, so abandoning the iterator mid-stream is also safe.
+    One loop runs the search, so depth costs memory, not interpreter
+    stack. As in Warren's abstract machine, bounded chooses and calls
+    push choice points that save what backtracking restores. After
+    exhaustion, abandonment or an exception, the state is back to what
+    the caller saw.
     """
 
     def __init__(self, state: ProgramState, budget: SearchBudget | None = None, on_rule=None):
@@ -288,39 +293,112 @@ class Solver:
         if self.on_rule is not None:
             self.on_rule(rule, goal)
 
-    def solve(self, goal, depth: int = 1) -> Iterator[DerivationNode]:
-        if depth > self.budget.max_depth:
-            raise BudgetExhausted("depth")
-        if isinstance(goal, Seq):
-            yield from self._solve_seq(goal, depth)
-        elif isinstance(goal, Compare):
-            yield from self._solve_compare(goal, depth)
-        elif isinstance(goal, Assign):
-            yield from self._solve_assign(goal, depth)
-        elif isinstance(goal, Choose):
-            yield from self._solve_choose(goal, depth)
-        elif isinstance(goal, BoundedChoose):
-            yield from self._solve_bounded(goal, depth)
-        elif isinstance(goal, Call):
-            yield from self._solve_call(goal, depth)
-        else:
-            raise TypeError(f"not a goal: {goal!r}")
-
-    def _solve_seq(self, goal, depth):
-        self._tick(6, goal)
-        for left in self.solve(goal.first, depth + 1):
-            for right in self.solve(goal.second, depth + 1):
-                yield DerivationNode(6, goal, (left, right))
-
-    def _solve_compare(self, goal, depth):
-        self._tick(4, goal)
+    def solve(self, goal) -> Iterator[DerivationNode]:
         st = self.state
-        mark = st.mark()
+        tick = self._tick
+        max_depth = self.budget.max_depth
+        base_mark, base_choices = st.mark(), len(st.choices)
+        # frames (rule, goal, depth, next): rule 0 proves goal; 3, 6, 7, 8
+        # build that node from the top of nodes (rule 3 holds the clause)
+        frames, nodes = (0, goal, 1, None), None
+        points = []  # (alternatives, goal, depth, frames, nodes, trail mark, len(choices))
         try:
-            if self._condition_holds(goal):
-                yield DerivationNode(4, goal, ())
+            while True:
+                if frames is None:
+                    yield nodes[0]
+                else:
+                    rule, goal, depth, frames = frames
+                    if rule:
+                        child, nodes = nodes
+                        if rule == 6:
+                            left, nodes = nodes
+                            node = DerivationNode(6, goal, (left, child))
+                        elif rule == 3:
+                            node = DerivationNode(1, goal, (child,), depth.name)
+                            for param in reversed(depth.params):
+                                node = DerivationNode(2, goal, (node,), param)
+                            node = DerivationNode(3, goal, (node,))
+                        else:
+                            node = DerivationNode(rule, goal, (child,))
+                        nodes = (node, nodes)
+                        continue
+                    if depth > max_depth:
+                        raise BudgetExhausted("depth")
+                    if isinstance(goal, Seq):
+                        tick(6, goal)
+                        frames = (0, goal.first, depth + 1,
+                                  (0, goal.second, depth + 1, (6, goal, None, frames)))
+                        continue
+                    if isinstance(goal, Compare):
+                        tick(4, goal)
+                        if self._condition_holds(goal):
+                            nodes = (DerivationNode(4, goal, ()), nodes)
+                            continue
+                    elif isinstance(goal, Assign):
+                        tick(5, goal)
+                        value = eval_store_value(st.store, st.subst, goal.expr)
+                        if value is not None:
+                            st.set_store(goal.target, value)
+                            nodes = (DerivationNode(5, goal, ()), nodes)
+                            continue
+                    elif isinstance(goal, Choose):
+                        # a fresh variable, for unification to bind; if
+                        # nothing does, the witness is UNCONSTRAINED
+                        tick(7, goal)
+                        fresh = st.fresh_var()
+                        st.choices.append((goal.var, fresh))
+                        frames = (0, subst_goal(goal.body, goal.var, fresh), depth + 1,
+                                  (7, goal, None, frames))
+                        continue
+                    elif isinstance(goal, BoundedChoose):
+                        tick(8, goal)
+                        points.append((iter(self._set_elements(goal.cset)), goal, depth,
+                                       frames, nodes, st.mark(), len(st.choices)))
+                    elif isinstance(goal, Call):
+                        tick(3, goal)
+                        matching = [
+                            c for c in st.clauses
+                            if c.name == goal.name and len(c.params) == len(goal.args)
+                        ]
+                        if not matching:
+                            raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
+                        points.append((iter(matching), goal, depth,
+                                       frames, nodes, st.mark(), len(st.choices)))
+                    else:
+                        raise TypeError(f"not a goal: {goal!r}")
+                # backtrack into the newest choice point with an alternative left
+                while points:
+                    alternatives, goal, depth, frames, nodes, mark, n_choices = points[-1]
+                    st.undo_to(mark)
+                    del st.choices[n_choices:]
+                    alternative = next(alternatives, None)
+                    if alternative is None:
+                        points.pop()
+                    elif isinstance(goal, BoundedChoose):
+                        tick(8, goal)
+                        body = subst_goal(goal.body, goal.var, alternative)
+                        st.choices.append((goal.var, alternative))
+                        frames = (0, body, depth + 1, (8, goal, None, frames))
+                        break
+                    else:
+                        tick(3, goal)
+                        subst, body = st.subst, alternative.body
+                        for param, arg in zip(alternative.params, goal.args):
+                            fresh = st.fresh_var()
+                            subst = unify(fresh, arg, subst)  # fresh var: cannot fail
+                            body = subst_goal(body, param, fresh)
+                        st.set_subst(subst)
+                        if self.on_rule is not None:
+                            for _ in alternative.params:
+                                self.on_rule(2, goal)
+                            self.on_rule(1, goal)
+                        frames = (0, body, depth + 1, (3, goal, alternative, frames))
+                        break
+                else:
+                    return
         finally:
-            st.undo_to(mark)
+            st.undo_to(base_mark)
+            del st.choices[base_choices:]
 
     def _condition_holds(self, goal) -> bool:
         st = self.state
@@ -352,46 +430,6 @@ class Solver:
             return a > b
         return a >= b
 
-    def _solve_assign(self, goal, depth):
-        self._tick(5, goal)
-        st = self.state
-        value = eval_store_value(st.store, st.subst, goal.expr)
-        if value is None:
-            return
-        mark = st.mark()
-        try:
-            st.set_store(goal.target, value)
-            yield DerivationNode(5, goal, ())
-        finally:
-            st.undo_to(mark)
-
-    def _solve_choose(self, goal, depth):
-        # pick a fresh variable and let unification discover its value;
-        # if nothing ever binds it, the witness reports UNCONSTRAINED
-        self._tick(7, goal)
-        st = self.state
-        fresh = st.fresh_var()
-        body = subst_goal(goal.body, goal.var, fresh)
-        st.choices.append((goal.var, fresh))
-        try:
-            for child in self.solve(body, depth + 1):
-                yield DerivationNode(7, goal, (child,))
-        finally:
-            st.choices.pop()
-
-    def _solve_bounded(self, goal, depth):
-        self._tick(8, goal)
-        st = self.state
-        for element in self._set_elements(goal.cset):
-            self._tick(8, goal)
-            body = subst_goal(goal.body, goal.var, element)
-            st.choices.append((goal.var, element))
-            try:
-                for child in self.solve(body, depth + 1):
-                    yield DerivationNode(8, goal, (child,))
-            finally:
-                st.choices.pop()
-
     def _set_elements(self, cset):
         if isinstance(cset, Range):
             return (Int(i) for i in range(cset.lo, cset.hi + 1))
@@ -403,52 +441,12 @@ class Solver:
                 resolved.append(r)
         return resolved
 
-    def _solve_call(self, goal, depth):
-        self._tick(3, goal)
-        st = self.state
-        matching = [
-            c for c in st.clauses
-            if c.name == goal.name and len(c.params) == len(goal.args)
-        ]
-        if not matching:
-            raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
-        for clause in matching:
-            self._tick(3, goal)
-            mark = st.mark()
-            try:
-                subst = st.subst
-                body = clause.body
-                for param, arg in zip(clause.params, goal.args):
-                    fresh = st.fresh_var()
-                    subst = unify(fresh, arg, subst)  # fresh var: cannot fail
-                    body = subst_goal(body, param, fresh)
-                st.set_subst(subst)
-                if self.on_rule is not None:
-                    for _ in clause.params:
-                        self.on_rule(2, goal)
-                    self.on_rule(1, goal)
-                for child in self.solve(body, depth + 1):
-                    node = DerivationNode(1, goal, (child,), clause.name)
-                    for param in reversed(clause.params):
-                        node = DerivationNode(2, goal, (node,), param)
-                    yield DerivationNode(3, goal, (node,))
-            finally:
-                st.undo_to(mark)
-
 
 # --- entry points --------------------------------------------------------------
 
 def _witness_value(subst, term):
     resolved = apply(subst, term)
     return UNCONSTRAINED if isinstance(resolved, Var) else resolved
-
-
-def _ensure_recursion_headroom(budget: SearchBudget):
-    # each search level holds a solve frame plus its case's generator
-    # frame, so the interpreter limit must run well ahead of max_depth
-    need = 3 * budget.max_depth + 10_000
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
 
 
 def run(program, goal=None, budget: SearchBudget | None = None, on_rule=None):
@@ -464,8 +462,6 @@ def run(program, goal=None, budget: SearchBudget | None = None, on_rule=None):
         clauses = tuple(program)
         if goal is None:
             raise ValueError("a goal is required when passing bare clauses")
-    budget = budget or SearchBudget()
-    _ensure_recursion_headroom(budget)
     state = ProgramState(clauses)
     solver = Solver(state, budget, on_rule)
     for node in solver.solve(goal):

@@ -12,8 +12,8 @@ structurally, so the candidate set covers all successes, and re-running
 the body per candidate keeps the answer sound. Programs without a pin
 are rejected as out of bounds rather than guessed at.
 
-Shared with the engine: the AST and term datatypes and the derivation
-node type. Nothing else; substitution, arithmetic, builtins, set
+Shared with the engine: the AST and term datatypes, seq_of, and the
+derivation node type. Nothing else; substitution, arithmetic, builtins, set
 enumeration, and deduplication are all rebuilt here, differently.
 """
 
@@ -38,6 +38,7 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
+    seq_of,
 )
 from .terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
 
@@ -65,13 +66,23 @@ _FAIL = object()  # expression evaluation failed (unset store read)
 # --- ground term utilities ---
 
 def _ground(term) -> bool:
-    match term:
-        case Var():
-            return False
-        case Compound(_, args):
-            return all(_ground(a) for a in args)
-        case _:
-            return True
+    pending = [term]
+    while pending:
+        match pending.pop():
+            case Var():
+                return False
+            case Compound(_, args):
+                pending.extend(args)
+    return True
+
+
+def _left_spine(expr) -> list:
+    """BinOps down the left of a chain such as 1 + 2 + 3, outermost first."""
+    spine = []
+    while isinstance(expr, BinOp):
+        spine.append(expr)
+        expr = expr.left
+    return spine
 
 
 def _closed(expr) -> bool:
@@ -79,12 +90,14 @@ def _closed(expr) -> bool:
     match expr:
         case IntLit():
             return True
-        case VarRef():
-            return False
+        case BinOp():
+            spine = _left_spine(expr)
+            for node in spine:  # no generator: one frame per level of nesting
+                if not _closed(node.right):
+                    return False
+            return _closed(spine[-1].left)
         case TermLit(t):
             return _ground(t)
-        case BinOp(_, left, right):
-            return _closed(left) and _closed(right)
         case FunCall(_, arg):
             return _closed(arg)
     return False
@@ -95,7 +108,10 @@ def _subst_term(term, name, value):
         case Var(n):
             return value if n == name else term
         case Compound(functor, args):
-            return Compound(functor, tuple(_subst_term(a, name, value) for a in args))
+            replaced = []  # no generator: one frame per level of nesting
+            for a in args:
+                replaced.append(_subst_term(a, name, value))
+            return Compound(functor, tuple(replaced))
         case _:
             return term
 
@@ -104,8 +120,12 @@ def _subst_expr(expr, name, value):
     match expr:
         case TermLit(t):
             return TermLit(_subst_term(t, name, value))
-        case BinOp(op, left, right):
-            return BinOp(op, _subst_expr(left, name, value), _subst_expr(right, name, value))
+        case BinOp():
+            spine = _left_spine(expr)
+            expr = _subst_expr(spine[-1].left, name, value)
+            for node in reversed(spine):
+                expr = BinOp(node.op, expr, _subst_expr(node.right, name, value))
+            return expr
         case FunCall(f, arg):
             return FunCall(f, _subst_expr(arg, name, value))
         case _:
@@ -113,6 +133,12 @@ def _subst_expr(expr, name, value):
 
 
 def _subst_goal(goal, name, value):
+    if isinstance(goal, Seq):  # the right spine of a ; chain, in a loop
+        goals = []
+        while isinstance(goal, Seq):
+            goals.append(_subst_goal(goal.first, name, value))
+            goal = goal.second
+        return seq_of([*goals, _subst_goal(goal, name, value)])
     match goal:
         case Call(proc, args):
             return Call(proc, tuple(_subst_term(a, name, value) for a in args))
@@ -120,8 +146,6 @@ def _subst_goal(goal, name, value):
             return Compare(op, _subst_expr(lhs, name, value), _subst_expr(rhs, name, value))
         case Assign(target, expr):
             return Assign(target, _subst_expr(expr, name, value))
-        case Seq(first, second):
-            return Seq(_subst_goal(first, name, value), _subst_goal(second, name, value))
         case Choose(var, body):
             if var == name:
                 return goal
@@ -182,23 +206,26 @@ class _Enumerator:
                 if isinstance(t, Var):
                     raise OracleRunError(f"unbound '{t.name}' in arithmetic")
                 raise OracleRunError("non-integer term in arithmetic")
-            case BinOp(op, left, right):
-                a = self._eval(store, left)
-                b = self._eval(store, right)
-                if a is _FAIL or b is _FAIL:
-                    return _FAIL
-                if op == "+":
-                    return _checked(a + b)
-                if op == "-":
-                    return _checked(a - b)
-                if op == "*":
-                    return _checked(a * b)
-                if b == 0:
-                    raise OracleRunError("division by zero")
-                q, r = divmod(a, b)
-                if r != 0 and (a < 0) != (b < 0):
-                    q += 1
-                return _checked(q)
+            case BinOp():
+                # both sides are evaluated before a failed read short-cuts
+                spine = _left_spine(expr)
+                a = self._eval(store, spine[-1].left)
+                for node in reversed(spine):
+                    op, b = node.op, self._eval(store, node.right)
+                    if a is _FAIL or b is _FAIL:
+                        a = _FAIL
+                    elif op == "+":
+                        a = _checked(a + b)
+                    elif op == "-":
+                        a = _checked(a - b)
+                    elif op == "*":
+                        a = _checked(a * b)
+                    elif b == 0:
+                        raise OracleRunError("division by zero")
+                    else:
+                        q, r = divmod(a, b)
+                        a = _checked(q + 1 if r != 0 and (a < 0) != (b < 0) else q)
+                return a
             case FunCall(name, arg):
                 n = self._eval(store, arg)
                 if n is _FAIL:
@@ -299,6 +326,9 @@ class _Enumerator:
         return None
 
     def _pins(self, goal, name, out):
+        while isinstance(goal, Seq):  # the right spine of a ; chain, in a loop
+            self._pins(goal.first, name, out)
+            goal = goal.second
         match goal:
             case Compare("==", lhs, rhs):
                 for a, b in ((lhs, rhs), (rhs, lhs)):
@@ -307,9 +337,6 @@ class _Enumerator:
                         continue
                     if isinstance(a, TermLit):
                         self._match_pins(a.term, ground, name, out)
-            case Seq(first, second):
-                self._pins(first, name, out)
-                self._pins(second, name, out)
             case Choose(var, body):
                 if var != name:
                     self._pins(body, name, out)

@@ -50,10 +50,10 @@ from .syntax import (
     FunCall,
     IntLit,
     Range,
-    Seq,
     SourceProgram,
     TermLit,
     VarRef,
+    seq_of,
 )
 from .terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
 
@@ -248,10 +248,7 @@ class _Parser:
         while self.peek().kind == ";":
             self.advance()
             prims.append(self.prim(scope))
-        goal = prims.pop()
-        while prims:
-            goal = Seq(prims.pop(), goal)
-        return goal
+        return seq_of(prims)
 
     def prim(self, scope):
         self._enter()

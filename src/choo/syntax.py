@@ -141,13 +141,24 @@ class SourceProgram:
     main: Goal
 
 
+def seq_of(goals):
+    """Right-fold goals into a Seq spine."""
+    goal = goals[-1]
+    for g in reversed(goals[:-1]):
+        goal = Seq(g, goal)
+    return goal
+
+
 # --- substitution of a bound name by a term --------------------------------
 
 def subst_term(term: Term, name: str, repl: Term) -> Term:
     if isinstance(term, Var):
         return repl if term.name == name else term
     if isinstance(term, Compound):
-        return Compound(term.functor, tuple(subst_term(a, name, repl) for a in term.args))
+        args = []  # a loop, not a generator: one frame per level of nesting
+        for a in term.args:
+            args.append(subst_term(a, name, repl))
+        return Compound(term.functor, tuple(args))
     return term
 
 
@@ -155,7 +166,15 @@ def subst_expr(expr: Expr, name: str, repl: Term) -> Expr:
     if isinstance(expr, TermLit):
         return TermLit(subst_term(expr.term, name, repl))
     if isinstance(expr, BinOp):
-        return BinOp(expr.op, subst_expr(expr.left, name, repl), subst_expr(expr.right, name, repl))
+        # walk a left-nested chain such as 1 + 2 + 3 in a loop
+        outer = None
+        while isinstance(expr.left, BinOp):
+            outer, expr = (expr, outer), expr.left
+        expr = BinOp(expr.op, subst_expr(expr.left, name, repl), subst_expr(expr.right, name, repl))
+        while outer is not None:
+            node, outer = outer
+            expr = BinOp(node.op, expr, subst_expr(node.right, name, repl))
+        return expr
     if isinstance(expr, FunCall):
         return FunCall(expr.name, subst_expr(expr.arg, name, repl))
     # IntLit and VarRef carry no logic variables
@@ -182,7 +201,16 @@ def subst_goal(goal: Goal, name: str, repl: Term) -> Goal:
     if isinstance(goal, Assign):
         return Assign(goal.target, subst_expr(goal.expr, name, repl))
     if isinstance(goal, Seq):
-        return Seq(subst_goal(goal.first, name, repl), subst_goal(goal.second, name, repl))
+        # walk the right spine in a loop: flat bodies are long chains
+        firsts = None
+        while isinstance(goal, Seq):
+            firsts = (subst_goal(goal.first, name, repl), firsts)
+            goal = goal.second
+        goal = subst_goal(goal, name, repl)
+        while firsts is not None:
+            first, firsts = firsts
+            goal = Seq(first, goal)
+        return goal
     if isinstance(goal, Choose):
         if goal.var == name:
             return goal
@@ -265,10 +293,18 @@ def format_expr(expr: Expr, _min_prec: int = 0) -> str:
     if isinstance(expr, FunCall):
         return f"{expr.name}({format_expr(expr.arg)})"
     if isinstance(expr, BinOp):
-        p = _PREC[expr.op]
-        # left child may share the precedence (left associative); the
-        # right child needs parens at equal precedence to keep its shape
-        text = f"{format_expr(expr.left, p)} {expr.op} {format_expr(expr.right, p + 1)}"
+        # a left-nested chain is walked in a loop, innermost first; a left
+        # child may share the precedence, a right one needs parens then
+        outer = None
+        while isinstance(expr, BinOp):
+            outer, expr = (expr, outer), expr.left
+        text, p = format_expr(expr), 3  # no operator binds tighter than a leaf
+        while outer is not None:
+            expr, outer = outer
+            if p < _PREC[expr.op]:
+                text = f"({text})"
+            p = _PREC[expr.op]
+            text = f"{text} {expr.op} {format_expr(expr.right, p + 1)}"
         return f"({text})" if p < _min_prec else text
     raise TypeError(f"not an expression: {expr!r}")
 

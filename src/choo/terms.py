@@ -38,7 +38,7 @@ class Int:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compound:
     functor: str
     args: tuple
@@ -46,6 +46,26 @@ class Compound:
     def __post_init__(self):
         if not self.args:
             raise ValueError("compound term needs at least one argument")
+
+    # equality and hashing by loops: terms nest as deep as a recursion
+    # builds them, past the interpreter's recursion limit
+
+    def __eq__(self, other):
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if type(a) is not type(b):
+                return False
+            if type(a) is Compound:
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return False
+                pairs.extend(zip(a.args, b.args))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(format_term(self))
 
 
 Term = Var | Atom | Int | Compound
@@ -98,11 +118,14 @@ EMPTY_SUBST = Subst()
 
 def occurs(var: Var, term: Term, subst: Subst = EMPTY_SUBST) -> bool:
     """True if var appears in term once bindings in subst are resolved."""
-    term = subst.walk(term)
-    if isinstance(term, Var):
-        return term.name == var.name
-    if isinstance(term, Compound):
-        return any(occurs(var, a, subst) for a in term.args)
+    stack = [term]
+    while stack:
+        t = subst.walk(stack.pop())
+        if isinstance(t, Var):
+            if t.name == var.name:
+                return True
+        elif isinstance(t, Compound):
+            stack.extend(t.args)
     return False
 
 
@@ -141,33 +164,42 @@ def unify(t1: Term, t2: Term, subst: Subst = EMPTY_SUBST) -> Subst | None:
 def apply(subst: Subst, term: Term) -> Term:
     """Resolve term under subst all the way down."""
     term = subst.walk(term)
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(apply(subst, a) for a in term.args))
-    return term
+    if not isinstance(term, Compound):
+        return term
+    done, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Compound):
+            stack.append((t,))  # rebuilt once its arguments are resolved
+            stack.extend(subst.walk(a) for a in reversed(t.args))
+        elif isinstance(t, tuple):
+            n = len(t[0].args)
+            done[-n:] = [Compound(t[0].functor, tuple(done[-n:]))]
+        else:
+            done.append(t)
+    return done[0]
 
 
 def free_vars(term: Term, subst: Subst = EMPTY_SUBST) -> set:
     """Variables still unbound in term after resolving through subst."""
-    out = set()
-
-    def go(t):
-        t = subst.walk(t)
+    out, stack = set(), [term]
+    while stack:
+        t = subst.walk(stack.pop())
         if isinstance(t, Var):
             out.add(t)
         elif isinstance(t, Compound):
-            for a in t.args:
-                go(a)
-
-    go(term)
+            stack.extend(t.args)
     return out
 
 
 def is_ground(term: Term, subst: Subst = EMPTY_SUBST) -> bool:
-    term = subst.walk(term)
-    if isinstance(term, Var):
-        return False
-    if isinstance(term, Compound):
-        return all(is_ground(a, subst) for a in term.args)
+    stack = [term]
+    while stack:
+        t = subst.walk(stack.pop())
+        if isinstance(t, Var):
+            return False
+        if isinstance(t, Compound):
+            stack.extend(t.args)
     return True
 
 
@@ -178,12 +210,20 @@ def format_term(term: Term) -> str:
     spaces. Variables print as their name; the caller decides how to
     show unbound results.
     """
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Atom):
-        return term.name
-    if isinstance(term, Int):
-        return str(term.value)
-    if isinstance(term, Compound):
-        return f"{term.functor}({','.join(format_term(a) for a in term.args)})"
-    raise TypeError(f"not a term: {term!r}")
+    parts, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):  # punctuation queued between arguments
+            parts.append(t)
+        elif isinstance(t, (Var, Atom)):
+            parts.append(t.name)
+        elif isinstance(t, Int):
+            parts.append(str(t.value))
+        elif isinstance(t, Compound):
+            stack.append(")")
+            for a in reversed(t.args):
+                stack += (a, ",")
+            stack[-1] = f"{t.functor}("  # in place of a comma before the first
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(parts)

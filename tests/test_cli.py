@@ -1,5 +1,6 @@
 """The choo command: subcommands, output format, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -234,6 +235,140 @@ def test_parse_still_rejects_deep_nesting(program_file):
     proc = fresh_choo("parse", program_file(source))
     assert proc.returncode == 2
     assert "nesting too deep" in proc.stderr
+
+
+# --- deep and long searches in one fresh interpreter ------------------------------------
+
+# Runs cli.main on each (argv, source) in order inside one new interpreter
+# and reports, per call, what it printed and what the interpreter looked
+# like afterwards. parse calls also report whether the printed program
+# parses back to the same tree; that check walks both trees in a loop,
+# because dataclass == recurses once per level of a 3000-term sum.
+_DRIVER = """
+import contextlib, dataclasses, io, json, sys, threading
+from choo.cli import main
+from choo.parser import parse_program
+
+def same_tree(a, b):
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, tuple):
+            if len(x) != len(y):
+                return False
+            pairs.extend(zip(x, y))
+        elif dataclasses.is_dataclass(x):
+            pairs.extend((getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
+        elif x != y:
+            return False
+    return True
+
+limit = sys.getrecursionlimit()
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    entry = {
+        "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+        "state": [sys.getrecursionlimit() == limit, threading.stack_size(), threading.active_count()],
+    }
+    if argv[0] == "parse" and code == 0:
+        with open(argv[1], encoding="utf-8") as f:
+            program = parse_program(f.read())
+        entry["round_trip"] = same_tree(parse_program(out.getvalue()), program)
+    report.append(entry)
+print(json.dumps(report))
+"""
+
+
+def _peano(k):
+    return "s(" * k + "z" + ")" * k
+
+
+def _chain(n, first):
+    """first; s1 = s0 + 1; ...; s{n-1} = s{n-2} + 1, and the store it leaves."""
+    stmts = [f"s0 = {first}"] + [f"s{i} = s{i - 1} + 1" for i in range(1, n)]
+    return "; ".join(stmts), lambda s0: {f"s{i}": str(s0 + i) for i in range(n)}
+
+
+def _store_line(store):
+    return "store: {" + ", ".join(f"{k} = {v}" for k, v in sorted(store.items())) + "}\n"
+
+
+def _deep_cases():
+    """(name, source, {command: (exit code, stdout, stderr)}) for each probe."""
+    too_tall = (3, "", "out of oracle bounds: derivation height\n")
+    chain, chain_store = _chain(3000, "x")
+    peano_witnesses = [("x", _peano(300))]
+    for k in range(300, 0, -1):
+        peano_witnesses += [("p", k - 1), ("y", _peano(k - 1))]
+    peano_witnesses += [("y", _peano(k)) for k in range(299, -1, -1)]
+    term = _peano(450)
+    return [
+        ("down", "down(n) { n == 0 }\n"
+                 "down(n) { n > 0; choose(m) (m == n - 1; down(m)) }\n"
+                 "main { down(1500) }",
+         {"run": (0, "".join(f"m = {k}\n" for k in range(1499, -1, -1)) + "store: {}\n", ""),
+          "oracle-check": too_tall}),
+        ("peano", "mk(n, x) { n == 0; x == z }\n"
+                  "mk(n, x) { n > 0; choose(p) choose(y) (p == n - 1; x == s(y); mk(p, y)) }\n"
+                  "nat(x) { x == z }\n"
+                  "nat(x) { choose(y) (x == s(y); nat(y)) }\n"
+                  "main { choose(x) (mk(300, x); nat(x)) }",
+         {"run": (0, "".join(f"{n} = {v}\n" for n, v in peano_witnesses) + "store: {}\n", ""),
+          "oracle-check": (3, "", "out of oracle bounds: choose(x) has no ground pin\n")}),
+        ("chain_bounded", f"main {{ choose(x in {{1, 2}}) ({chain}; x == 2) }}",
+         {"run": (0, "x = 2\n" + _store_line(chain_store(2)), ""), "oracle-check": too_tall}),
+        ("chain_clause", f"p(x) {{ {chain}; x == 1 }}\nmain {{ p(1) }}",
+         {"run": (0, _store_line(chain_store(1)), ""), "oracle-check": too_tall}),
+        ("chain_unbounded", f"main {{ choose(x) (x == 5; {chain}) }}",
+         {"run": (0, "x = 5\n" + _store_line(chain_store(5)), ""), "oracle-check": too_tall}),
+        ("sum_bounded", "main { choose(x in {1, 2}) s = x" + " + 1" * 2999 + " }",
+         {"run": (0, "x = 1\nstore: {s = 3000}\n", ""),
+          "oracle-check": (0, "match: 2 solutions\n", ""), "parse": None}),
+        ("term_element", f"main {{ choose(x in {{a, {term}}}) x == {term} }}",
+         {"run": (0, f"x = {term}\nstore: {{}}\n", ""),
+          "oracle-check": (0, "match: 1 solutions\n", ""), "parse": None}),
+        ("nested_chooses", "main { " + "".join(f"choose(x{i} in {{{i}}}) " for i in range(480))
+         + "x0 == 0 }",
+         {"run": (0, "".join(f"x{i} = {i}\n" for i in range(480)) + "store: {}\n", ""),
+          "oracle-check": too_tall}),
+        ("sum", "main { s = 1" + " + 1" * 2999 + " }", {"parse": None}),
+        ("term330", f"main {{ choose(x) x == {_peano(330)} }}", {"parse": None}),
+        ("term490", f"main {{ choose(x) x == {_peano(490)} }}", {"parse": None}),
+    ]
+
+
+def test_deep_and_long_searches_leave_the_interpreter_as_it_was(tmp_path):
+    cases = _deep_cases()
+    for name, source, _ in cases:
+        (tmp_path / f"{name}.choo").write_text(source, encoding="utf-8")
+    # parse first, so that it starts from the interpreter's defaults too
+    calls, expected = [], []
+    for command in ("parse", "run", "oracle-check"):
+        for name, _, outcomes in cases:
+            if command in outcomes:
+                calls.append([command, str(tmp_path / f"{name}.choo")])
+                expected.append((name, command, outcomes[command]))
+    src = str(Path(choo.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRIVER, json.dumps(calls)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=600,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    for (name, command, outcome), entry in zip(expected, report, strict=True):
+        where = f"{command} {name}"
+        # nothing leaks into the rest of the process: recursion limit
+        # unchanged, default thread stack size, no thread left behind
+        assert entry["state"] == [True, 0, 1], where
+        if outcome is None:  # parse: the printed program reads back as the same tree
+            assert (entry["code"], entry["stderr"], entry["round_trip"]) == (0, "", True), where
+        else:
+            assert (entry["code"], entry["stdout"], entry["stderr"]) == outcome, where
 
 
 # --- oracle-check ----------------------------------------------------------------------

@@ -460,6 +460,29 @@ def test_abandoning_the_stream_restores_state():
     assert state.snapshot() == before
 
 
+@pytest.mark.parametrize("source, budget, error, what", [
+    ("main { s = 1; choose(x in {1, 2}) (t = x; q(x)) }", None, UndefinedProcedure, None),
+    ("p(x) { s = x; t = 2; choose(y) y == x; u = x / 0 } main { choose(z in {1..3}) p(z) }",
+     None, EvalError, None),
+    ("main { s = 1; choose(x in {1..100}) (t = x; x > 200) }",
+     SearchBudget(max_steps=40), BudgetExhausted, "steps"),
+    ("down(n) { s = n; choose(m) (m == n - 1; down(m)) } main { down(5) }",
+     SearchBudget(max_depth=12), BudgetExhausted, "depth"),
+])
+def test_a_search_that_raises_leaves_no_trace(source, budget, error, what):
+    program = parse_program(source)
+    state = ProgramState(program.clauses)
+    # the caller's own writes and choices must survive the search
+    state.set_store("before", Int(7))
+    state.choices.append(("outer", Int(1)))
+    before = state.snapshot()
+    with pytest.raises(error) as err:
+        for _ in Solver(state, budget).solve(program.main):
+            pass
+    assert getattr(err.value, "what", None) == what
+    assert state.snapshot() == before
+
+
 def test_outcome_stores_hold_only_ground_terms():
     from choo.terms import is_ground
 

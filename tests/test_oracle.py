@@ -6,21 +6,27 @@ import pytest
 
 from choo import (
     Atom,
+    BoundedChoose,
+    BudgetExhausted,
+    Choose,
     EquivalenceReport,
     EvalError,
     Int,
     OracleBounds,
     OracleRunError,
     OutOfBounds,
+    Seq,
     check_equivalence,
     enumerate_solutions,
     execute,
+    format_program,
     parse_goal,
     parse_program,
     run,
 )
 from choo.derivation import validate_shape
 from choo.gen import GenConfig, gen_program, shrink
+from choo.oracle import _Enumerator
 
 
 def goal_solutions(source, scope=(), bounds=None):
@@ -204,6 +210,69 @@ def test_random_programs_agree_with_the_engine():
         assert report.matched, report.describe()
         checked += 1
     assert checked == 120
+
+
+def _has_unbounded_choose(program):
+    goals = [program.main, *(c.body for c in program.clauses)]
+    while goals:
+        goal = goals.pop()
+        if isinstance(goal, Choose):
+            return True
+        if isinstance(goal, Seq):
+            goals += (goal.first, goal.second)
+        elif isinstance(goal, BoundedChoose):
+            goals.append(goal.body)
+    return False
+
+
+def _ordered_streams(program):
+    """Engine and oracle solutions in the order found, repeats kept.
+
+    A runtime error ends a stream with a marker, so both sides must
+    reach it after the same solutions.
+    """
+    streams = []
+    for solutions in (
+        lambda: ((o.witnesses, o.store) for o in execute(program)),
+        lambda: ((w, s) for s, w, _ in
+                 _Enumerator(program.clauses, OracleBounds()).exec_goal({}, (), program.main, 1)),
+    ):
+        stream = []
+        try:
+            stream.extend(solutions())
+        except (EvalError, OracleRunError):
+            stream.append("runtime error")
+        streams.append(stream)
+    return streams
+
+
+def test_random_programs_stream_solutions_in_the_oracles_order():
+    # check_equivalence compares sets; this compares the sequences, so a
+    # solution found twice, or found out of order, shows up here
+    rng = random.Random(5004)
+    compared = 0
+    for _ in range(3000):
+        program = gen_program(rng)
+        if _has_unbounded_choose(program):
+            continue
+        try:
+            engine, oracle = _ordered_streams(program)
+        except (OutOfBounds, BudgetExhausted):
+            continue
+        assert engine == oracle, format_program(program)
+        compared += 1
+    assert compared >= 300
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("p(x) { x == 1 } p(x) { x == 1 } main { p(1) }", [((), {}), ((), {})]),
+    ("p(x) { x == 1 } p(x) { x > 0 } p(x) { s = x } main { choose(y in {1, 2}) p(y) }",
+     [((("y", Int(1)),), {}), ((("y", Int(1)),), {}), ((("y", Int(1)),), {"s": Int(1)}),
+      ((("y", Int(2)),), {}), ((("y", Int(2)),), {"s": Int(2)})]),
+])
+def test_duplicate_solutions_stream_alike(source, expected):
+    engine, oracle = _ordered_streams(parse_program(source))
+    assert engine == oracle == expected
 
 
 def test_straightline_programs_agree_with_the_engine():
