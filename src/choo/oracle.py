@@ -104,16 +104,25 @@ def _closed(expr) -> bool:
 
 
 def _subst_term(term, name, value):
-    match term:
-        case Var(n):
-            return value if n == name else term
-        case Compound(functor, args):
-            replaced = []  # no generator: one frame per level of nesting
-            for a in args:
-                replaced.append(_subst_term(a, name, value))
-            return Compound(functor, tuple(replaced))
-        case _:
-            return term
+    if not isinstance(term, Compound):
+        return value if isinstance(term, Var) and term.name == name else term
+    # every subterm in breadth-first order, rebuilt last to first so that
+    # arguments come before their parents: substituted values nest
+    # deeper than source terms, past the interpreter's recursion limit
+    order = [term]
+    for t in order:
+        if isinstance(t, Compound):
+            order.extend(t.args)
+    new = {}
+    for t in reversed(order):
+        match t:
+            case Var(n) if n == name:
+                new[id(t)] = value
+            case Compound(functor, args):
+                new[id(t)] = Compound(functor, tuple(new[id(a)] for a in args))
+            case _:
+                new[id(t)] = t
+    return new[id(term)]
 
 
 def _subst_expr(expr, name, value):
@@ -295,21 +304,17 @@ class _Enumerator:
 
     def _match_pins(self, pattern, ground, name, out):
         # positions where the pattern holds the variable name directly
-        # must equal the ground side's subterm at the same position
-        match pattern:
-            case Var(n):
-                if n == name:
-                    out.append(ground)
-            case Compound(functor, args):
-                if (
-                    isinstance(ground, Compound)
-                    and ground.functor == functor
-                    and len(ground.args) == len(args)
-                ):
-                    for p, g in zip(args, ground.args):
-                        self._match_pins(p, g, name, out)
-            case _:
-                pass
+        # must equal the ground side's subterm at the same position;
+        # left to right, from a stack, as both sides may nest deep
+        pending = [(pattern, ground)]
+        while pending:
+            match pending.pop():
+                case Var(n), g:
+                    if n == name:
+                        out.append(g)
+                case Compound(functor, args), Compound() as g:
+                    if g.functor == functor and len(g.args) == len(args):
+                        pending.extend(reversed(tuple(zip(args, g.args))))
 
     def _pin_side(self, expr):
         """Ground term an operand denotes independently of program state."""

@@ -154,12 +154,30 @@ def seq_of(goals):
 def subst_term(term: Term, name: str, repl: Term) -> Term:
     if isinstance(term, Var):
         return repl if term.name == name else term
-    if isinstance(term, Compound):
-        args = []  # a loop, not a generator: one frame per level of nesting
-        for a in term.args:
-            args.append(subst_term(a, name, repl))
+    if not isinstance(term, Compound):
+        return term
+    args = []  # the common case first: no compound among the arguments
+    for a in term.args:
+        if isinstance(a, Compound):
+            break
+        args.append(repl if isinstance(a, Var) and a.name == name else a)
+    else:
         return Compound(term.functor, tuple(args))
-    return term
+    # rebuilt bottom-up from an explicit stack, as terms.apply does: a
+    # bounded choose puts terms built at run time into goals, and those
+    # nest past the interpreter's recursion limit
+    done, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:  # a compound whose arguments are all done
+            n = len(t[0].args)
+            done[-n:] = [Compound(t[0].functor, tuple(done[-n:]))]
+        elif isinstance(t, Compound):
+            stack.append((t,))
+            stack.extend(reversed(t.args))
+        else:
+            done.append(repl if isinstance(t, Var) and t.name == name else t)
+    return done[0]
 
 
 def subst_expr(expr: Expr, name: str, repl: Term) -> Expr:

@@ -47,7 +47,7 @@ class Compound:
         if not self.args:
             raise ValueError("compound term needs at least one argument")
 
-    # equality and hashing by loops: terms nest as deep as a recursion
+    # equality, hashing and repr by loops: terms nest as deep as a recursion
     # builds them, past the interpreter's recursion limit
 
     def __eq__(self, other):
@@ -66,6 +66,9 @@ class Compound:
 
     def __hash__(self):
         return hash(format_term(self))
+
+    def __repr__(self):  # the dataclass format
+        return _render(self, repr, "Compound(functor={!r}, args=(", ", ", (",))", "))"))
 
 
 Term = Var | Atom | Int | Compound
@@ -210,20 +213,35 @@ def format_term(term: Term) -> str:
     spaces. Variables print as their name; the caller decides how to
     show unbound results.
     """
+    if not isinstance(term, Compound):
+        return _leaf_text(term)
+    return _render(term, _leaf_text, "{}(", ",", (")", ")"))
+
+
+def _leaf_text(t) -> str:
+    if isinstance(t, (Var, Atom)):
+        return t.name
+    if isinstance(t, Int):
+        return str(t.value)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _render(term, leaf, head, sep, tails) -> str:
+    """Join the text of term in one pass over an explicit stack.
+
+    head is a format string for a compound's functor; tails closes a
+    compound of one argument and of more.
+    """
     parts, stack = [], [term]
     while stack:
         t = stack.pop()
         if isinstance(t, str):  # punctuation queued between arguments
             parts.append(t)
-        elif isinstance(t, (Var, Atom)):
-            parts.append(t.name)
-        elif isinstance(t, Int):
-            parts.append(str(t.value))
         elif isinstance(t, Compound):
-            stack.append(")")
+            stack.append(tails[len(t.args) > 1])
             for a in reversed(t.args):
-                stack += (a, ",")
-            stack[-1] = f"{t.functor}("  # in place of a comma before the first
+                stack += (a, sep)
+            stack[-1] = head.format(t.functor)  # in place of a separator before the first
         else:
-            raise TypeError(f"not a term: {t!r}")
+            parts.append(leaf(t))
     return "".join(parts)

@@ -307,6 +307,19 @@ def _deep_cases():
         peano_witnesses += [("p", k - 1), ("y", _peano(k - 1))]
     peano_witnesses += [("y", _peano(k)) for k in range(299, -1, -1)]
     term = _peano(450)
+    # mk10 builds s^1000(z) ten levels a call; the bounded choose then puts
+    # that run-time term into goal syntax, which the nested choose walks
+    mk10 = ("mk(n, x) { n == 0; x == z }\n"
+            "mk(n, x) { n > 0; choose(p) choose(y) "
+            "(p == n - 1; x == " + _peano(10).replace("z", "y") + "; mk(p, y)) }\n")
+    mk10_witnesses = [("x", _peano(1000))]
+    for k in range(100, 0, -1):
+        mk10_witnesses += [("p", k - 1), ("y", _peano(10 * (k - 1)))]
+    mk10_witnesses += [("z", _peano(1000)), ("w", 1)]
+    # three 400-deep elements, each wrapping the one before: 1200 deep
+    # once substituted, and the oracle matches its pin through all of it
+    f400 = lambda inner: "f(" * 400 + inner + ")" * 400  # noqa: E731
+    stacked = [("a", f400("z")), ("b", f400(f400("z"))), ("c", f400(f400(f400("z")))), ("y", "q")]
     return [
         ("down", "down(n) { n == 0 }\n"
                  "down(n) { n > 0; choose(m) (m == n - 1; down(m)) }\n"
@@ -336,6 +349,15 @@ def _deep_cases():
          + "x0 == 0 }",
          {"run": (0, "".join(f"x{i} = {i}\n" for i in range(480)) + "store: {}\n", ""),
           "oracle-check": too_tall}),
+        ("runtime_term_element", mk10 + "main { choose(x) (mk(100, x); "
+                                         "choose(z in {x}) choose(w) (w == 1; z == x)) }",
+         {"run": (0, "".join(f"{n} = {v}\n" for n, v in mk10_witnesses) + "store: {}\n", ""),
+          "oracle-check": (3, "", "out of oracle bounds: choose(x) has no ground pin\n")}),
+        ("stacked_elements", f"main {{ choose(a in {{{f400('z')}}}) "
+                             f"choose(b in {{{f400('a')}}}) choose(c in {{{f400('b')}}}) "
+                             "choose(y) (g(c, y) == g(c, q); c == c) }",
+         {"run": (0, "".join(f"{n} = {v}\n" for n, v in stacked) + "store: {}\n", ""),
+          "oracle-check": (0, "match: 1 solutions\n", "")}),
         ("sum", "main { s = 1" + " + 1" * 2999 + " }", {"parse": None}),
         ("term330", f"main {{ choose(x) x == {_peano(330)} }}", {"parse": None}),
         ("term490", f"main {{ choose(x) x == {_peano(490)} }}", {"parse": None}),

@@ -9,6 +9,7 @@ from choo import (
     BoundedChoose,
     BudgetExhausted,
     Choose,
+    Compound,
     EquivalenceReport,
     EvalError,
     Int,
@@ -196,6 +197,26 @@ def test_report_text_names_both_sides_on_mismatch():
     assert text.startswith("mismatch")
     assert "engine only" in text
     assert "oracle only" not in text
+
+
+def test_report_text_shows_witnesses_nested_past_the_recursion_limit():
+    # a per-level repr gives out near 400 levels at the default limit
+    deep = Atom("z")
+    for _ in range(450):
+        deep = Compound("s", (deep,))
+    report = EquivalenceReport(
+        matched=False,
+        reason="solution sets differ",
+        engine_solutions=frozenset({((("x", deep),), frozenset())}),
+        oracle_solutions=frozenset({((("x", Atom("z")),), frozenset())}),
+    )
+    deep_repr = "Compound(functor='s', args=(" * 450 + "Atom(name='z')" + ",))" * 450
+    assert report.describe().splitlines() == [
+        "mismatch:",
+        "  solution sets differ",
+        f"  engine only: ((('x', {deep_repr}),), frozenset())",
+        "  oracle only: ((('x', Atom(name='z')),), frozenset())",
+    ]
 
 
 def test_random_programs_agree_with_the_engine():
