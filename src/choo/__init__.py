@@ -48,7 +48,6 @@ from .syntax import (
     VarRef,
     format_goal,
     format_program,
-    free_vars_goal,
     subst_goal,
 )
 from .terms import (

@@ -41,14 +41,14 @@ from .syntax import (
 from .terms import (
     INT64_MAX,
     INT64_MIN,
-    EMPTY_SUBST,
     Int,
+    Subst,
     Var,
     apply,
     format_term,
     free_vars,
     is_ground,
-    unify,
+    unify_in_place,
 )
 
 
@@ -109,16 +109,16 @@ _MISSING = object()
 class ProgramState:
     """Mutable search state with an undo trail.
 
-    The trail records the previous value of every store slot and every
-    substitution update; undo_to(mark) rolls back to any earlier point.
-    Substitutions are immutable, so restoring one is holding the old
-    reference.
+    The store, the substitution and the choices are written in place.
+    Every write the search makes leaves one trail entry, (container,
+    key, previous value or _MISSING), so undo_to(mark) rolls all three
+    back to any earlier point the same way.
     """
 
     def __init__(self, clauses=()):
         self.clauses = tuple(clauses)
         self.store = {}
-        self.subst = EMPTY_SUBST
+        self.subst = Subst()
         self.trail = []
         self.choices = []  # [(source name, chosen term)], innermost last
         self._fresh = 0
@@ -131,27 +131,34 @@ class ProgramState:
         return len(self.trail)
 
     def set_store(self, name, value):
-        self.trail.append(("store", name, self.store.get(name, _MISSING)))
+        self.trail.append((self.store, name, self.store.get(name, _MISSING)))
         self.store[name] = value
 
-    def set_subst(self, subst):
-        self.trail.append(("subst", self.subst, None))
-        self.subst = subst
+    def unify(self, t1, t2) -> bool:
+        """Bind logic variables so that t1 and t2 are equal, if they can be."""
+        bound = unify_in_place(t1, t2, self.subst)
+        if bound is None:
+            return False
+        for name in bound:
+            self.trail.append((self.subst, name, _MISSING))
+        return True
+
+    def choose(self, name, term):
+        self.trail.append((self.choices, len(self.choices), _MISSING))
+        self.choices.append((name, term))
 
     def undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            kind, a, b = self.trail.pop()
-            if kind == "store":
-                if b is _MISSING:
-                    self.store.pop(a, None)
-                else:
-                    self.store[a] = b
+        trail = self.trail
+        while len(trail) > mark:
+            container, key, previous = trail.pop()
+            if previous is _MISSING:
+                del container[key]
             else:
-                self.subst = a
+                container[key] = previous
 
     def snapshot(self):
         """Observable state, for checking that failed searches change nothing."""
-        return (dict(self.store), self.subst, len(self.trail), list(self.choices))
+        return (dict(self.store), dict(self.subst), len(self.trail), list(self.choices))
 
 
 # --- expression evaluation ---------------------------------------------------
@@ -297,11 +304,11 @@ class Solver:
         st = self.state
         tick = self._tick
         max_depth = self.budget.max_depth
-        base_mark, base_choices = st.mark(), len(st.choices)
+        base_mark = st.mark()
         # frames (rule, goal, depth, next): rule 0 proves goal; 3, 6, 7, 8
         # build that node from the top of nodes (rule 3 holds the clause)
         frames, nodes = (0, goal, 1, None), None
-        points = []  # (alternatives, goal, depth, frames, nodes, trail mark, len(choices))
+        points = []  # (alternatives, goal, depth, frames, nodes, trail mark)
         try:
             while True:
                 if frames is None:
@@ -346,14 +353,14 @@ class Solver:
                         # nothing does, the witness is UNCONSTRAINED
                         tick(7, goal)
                         fresh = st.fresh_var()
-                        st.choices.append((goal.var, fresh))
+                        st.choose(goal.var, fresh)
                         frames = (0, subst_goal(goal.body, goal.var, fresh), depth + 1,
                                   (7, goal, None, frames))
                         continue
                     elif isinstance(goal, BoundedChoose):
                         tick(8, goal)
                         points.append((iter(self._set_elements(goal.cset)), goal, depth,
-                                       frames, nodes, st.mark(), len(st.choices)))
+                                       frames, nodes, st.mark()))
                     elif isinstance(goal, Call):
                         tick(3, goal)
                         matching = [
@@ -363,31 +370,29 @@ class Solver:
                         if not matching:
                             raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
                         points.append((iter(matching), goal, depth,
-                                       frames, nodes, st.mark(), len(st.choices)))
+                                       frames, nodes, st.mark()))
                     else:
                         raise TypeError(f"not a goal: {goal!r}")
                 # backtrack into the newest choice point with an alternative left
                 while points:
-                    alternatives, goal, depth, frames, nodes, mark, n_choices = points[-1]
+                    alternatives, goal, depth, frames, nodes, mark = points[-1]
                     st.undo_to(mark)
-                    del st.choices[n_choices:]
                     alternative = next(alternatives, None)
                     if alternative is None:
                         points.pop()
                     elif isinstance(goal, BoundedChoose):
                         tick(8, goal)
                         body = subst_goal(goal.body, goal.var, alternative)
-                        st.choices.append((goal.var, alternative))
+                        st.choose(goal.var, alternative)
                         frames = (0, body, depth + 1, (8, goal, None, frames))
                         break
                     else:
                         tick(3, goal)
-                        subst, body = st.subst, alternative.body
+                        body = alternative.body
                         for param, arg in zip(alternative.params, goal.args):
                             fresh = st.fresh_var()
-                            subst = unify(fresh, arg, subst)  # fresh var: cannot fail
+                            st.unify(fresh, arg)  # fresh var: cannot fail
                             body = subst_goal(body, param, fresh)
-                        st.set_subst(subst)
                         if self.on_rule is not None:
                             for _ in alternative.params:
                                 self.on_rule(2, goal)
@@ -398,7 +403,6 @@ class Solver:
                     return
         finally:
             st.undo_to(base_mark)
-            del st.choices[base_choices:]
 
     def _condition_holds(self, goal) -> bool:
         st = self.state
@@ -409,11 +413,7 @@ class Solver:
             rhs = eval_operand(st.store, st.subst, goal.rhs)
             if rhs is None:
                 return False
-            unified = unify(lhs, rhs, st.subst)
-            if unified is None:
-                return False
-            st.set_subst(unified)
-            return True
+            return st.unify(lhs, rhs)
         a = eval_int(st.store, st.subst, goal.lhs)
         if a is None:
             return False

@@ -19,6 +19,7 @@ enumeration, and deduplication are all rebuilt here, differently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -434,6 +435,15 @@ def enumerate_solutions(program, goal=None, bounds: OracleBounds | None = None):
     program is outside the oracle's reach and OracleRunError on runtime
     faults.
     """
+    solutions, derivations = set(), []
+    for solution, node in _solutions(program, goal, bounds):
+        solutions.add(solution)
+        derivations.append(node)
+    return solutions, derivations
+
+
+def _solutions(program, goal=None, bounds=None):
+    """(solution, derivation) pairs in enumeration order, repeats included."""
     if isinstance(program, SourceProgram):
         clauses = program.clauses
         goal = program.main if goal is None else goal
@@ -442,12 +452,8 @@ def enumerate_solutions(program, goal=None, bounds: OracleBounds | None = None):
         if goal is None:
             raise ValueError("a goal is required when passing bare clauses")
     enum = _Enumerator(clauses, bounds or OracleBounds())
-    solutions = set()
-    derivations = []
     for store, witnesses, node in enum.exec_goal({}, (), goal, 1):
-        solutions.add((witnesses, frozenset(store.items())))
-        derivations.append(node)
-    return solutions, derivations
+        yield (witnesses, frozenset(store.items())), node
 
 
 # --- differential comparison ---
@@ -457,22 +463,22 @@ class EquivalenceReport:
     matched: bool
     excluded: bool = False
     reason: str = ""
-    engine_solutions: frozenset = field(default_factory=frozenset)
-    oracle_solutions: frozenset = field(default_factory=frozenset)
+    # each side's solutions with how often they came up; a set counts each once
+    engine_solutions: Counter = field(default_factory=Counter)
+    oracle_solutions: Counter = field(default_factory=Counter)
 
     def describe(self) -> str:
         if self.excluded:
             return f"excluded: {self.reason}"
+        engine, oracle = Counter(self.engine_solutions), Counter(self.oracle_solutions)
         if self.matched:
-            return f"match: {len(self.engine_solutions)} solutions"
+            return f"match: {engine.total()} solutions"
         lines = ["mismatch:"]
-        only_e = self.engine_solutions - self.oracle_solutions
-        only_o = self.oracle_solutions - self.engine_solutions
         if self.reason:
             lines.append(f"  {self.reason}")
-        for sol in sorted(only_e, key=repr):
+        for sol in sorted((engine - oracle).elements(), key=repr):
             lines.append(f"  engine only: {sol!r}")
-        for sol in sorted(only_o, key=repr):
+        for sol in sorted((oracle - engine).elements(), key=repr):
             lines.append(f"  oracle only: {sol!r}")
         return "\n".join(lines)
 
@@ -480,28 +486,27 @@ class EquivalenceReport:
 def check_equivalence(program, bounds: OracleBounds | None = None, budget=None) -> EquivalenceReport:
     """Compare engine solutions against oracle enumeration for one program.
 
-    Solution sets are compared without order; the engine's and oracle's
-    runtime faults both count as the same observable, and programs the
-    oracle cannot handle come back excluded, not failed.
+    Solutions are compared as multisets: order is ignored, repeats
+    count. The engine's and oracle's runtime faults both count as the
+    same observable, and programs the oracle cannot handle come back
+    excluded, not failed.
     """
     from .interp import BudgetExhausted, EvalError, SearchBudget, execute
 
     engine_tag = None
-    engine_solutions = set()
+    engine_solutions = Counter()
     try:
         for outcome in execute(program, budget=budget or SearchBudget()):
-            engine_solutions.add(
-                (outcome.witnesses, frozenset(outcome.store.items()))
-            )
+            engine_solutions[(outcome.witnesses, frozenset(outcome.store.items()))] += 1
     except EvalError:
         engine_tag = "runtime-error"
     except BudgetExhausted as e:
         return EquivalenceReport(False, excluded=True, reason=f"engine budget exhausted ({e.what})")
 
     oracle_tag = None
-    oracle_solutions = set()
+    oracle_solutions = Counter()
     try:
-        oracle_solutions, _ = enumerate_solutions(program, bounds=bounds)
+        oracle_solutions = Counter(solution for solution, _ in _solutions(program, bounds=bounds))
     except OutOfBounds as e:
         return EquivalenceReport(False, excluded=True, reason=str(e))
     except OracleRunError:
@@ -513,14 +518,8 @@ def check_equivalence(program, bounds: OracleBounds | None = None, budget=None) 
         return EquivalenceReport(
             False,
             reason=f"engine={engine_tag or 'solutions'} oracle={oracle_tag or 'solutions'}",
-            engine_solutions=frozenset(engine_solutions),
-            oracle_solutions=frozenset(oracle_solutions),
+            engine_solutions=engine_solutions,
+            oracle_solutions=oracle_solutions,
         )
-    if engine_solutions == oracle_solutions:
-        return EquivalenceReport(True, engine_solutions=frozenset(engine_solutions),
-                                 oracle_solutions=frozenset(oracle_solutions))
-    return EquivalenceReport(
-        False,
-        engine_solutions=frozenset(engine_solutions),
-        oracle_solutions=frozenset(oracle_solutions),
-    )
+    return EquivalenceReport(engine_solutions == oracle_solutions,
+                             engine_solutions=engine_solutions, oracle_solutions=oracle_solutions)

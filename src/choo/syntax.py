@@ -241,55 +241,6 @@ def subst_goal(goal: Goal, name: str, repl: Term) -> Goal:
     raise TypeError(f"not a goal: {goal!r}")
 
 
-# --- free logic variables ---------------------------------------------------
-
-def _term_vars(term: Term, out: set):
-    if isinstance(term, Var):
-        out.add(term.name)
-    elif isinstance(term, Compound):
-        for a in term.args:
-            _term_vars(a, out)
-
-
-def _expr_vars(expr: Expr, out: set):
-    if isinstance(expr, TermLit):
-        _term_vars(expr.term, out)
-    elif isinstance(expr, BinOp):
-        _expr_vars(expr.left, out)
-        _expr_vars(expr.right, out)
-    elif isinstance(expr, FunCall):
-        _expr_vars(expr.arg, out)
-
-
-def free_vars_goal(goal: Goal) -> set:
-    """Names of logic variables free in goal (binders subtracted)."""
-    if isinstance(goal, Call):
-        out = set()
-        for a in goal.args:
-            _term_vars(a, out)
-        return out
-    if isinstance(goal, Compare):
-        out = set()
-        _expr_vars(goal.lhs, out)
-        _expr_vars(goal.rhs, out)
-        return out
-    if isinstance(goal, Assign):
-        out = set()
-        _expr_vars(goal.expr, out)
-        return out
-    if isinstance(goal, Seq):
-        return free_vars_goal(goal.first) | free_vars_goal(goal.second)
-    if isinstance(goal, Choose):
-        return free_vars_goal(goal.body) - {goal.var}
-    if isinstance(goal, BoundedChoose):
-        out = set()
-        if isinstance(goal.cset, Enum):
-            for e in goal.cset.elements:
-                _term_vars(e, out)
-        return out | (free_vars_goal(goal.body) - {goal.var})
-    raise TypeError(f"not a goal: {goal!r}")
-
-
 # --- canonical surface form --------------------------------------------------
 #
 # Formatting inverts parsing: parse(format_goal(g)) rebuilds g exactly,

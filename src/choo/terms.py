@@ -74,45 +74,33 @@ class Compound:
 Term = Var | Atom | Int | Compound
 
 
-class Subst:
-    """An immutable map from variable names to terms.
+class Subst(dict):
+    """A map from variable names to terms.
 
-    ``bind`` returns a new substitution; existing ones are never
-    mutated, so the search engine can restore an old state by holding a
-    reference to it.
+    The search engine extends one substitution in place and undoes its
+    bindings from a trail. ``bind`` and ``unify`` leave the substitution
+    they are given unchanged and return an extended copy.
     """
 
-    __slots__ = ("_map",)
-
-    def __init__(self, bindings=None):
-        self._map = dict(bindings) if bindings else {}
+    __slots__ = ()
 
     def bind(self, name: str, term: Term) -> "Subst":
-        new = Subst()
-        new._map.update(self._map)
-        new._map[name] = term
-        return new
+        return Subst({**self, name: term})
 
     def walk(self, term: Term) -> Term:
         """Follow variable bindings until an unbound variable or non-variable."""
         while isinstance(term, Var):
-            bound = self._map.get(term.name)
+            bound = self.get(term.name)
             if bound is None:
                 return term
             term = bound
         return term
 
     def mapping(self) -> dict:
-        return dict(self._map)
-
-    def __len__(self):
-        return len(self._map)
-
-    def __eq__(self, other):
-        return isinstance(other, Subst) and self._map == other._map
+        return dict(self)
 
     def __repr__(self):
-        inner = ", ".join(f"{k} -> {format_term(v)}" for k, v in sorted(self._map.items()))
+        inner = ", ".join(f"{k} -> {format_term(v)}" for k, v in sorted(self.items()))
         return f"Subst({{{inner}}})"
 
 
@@ -135,33 +123,44 @@ def occurs(var: Var, term: Term, subst: Subst = EMPTY_SUBST) -> bool:
 def unify(t1: Term, t2: Term, subst: Subst = EMPTY_SUBST) -> Subst | None:
     """Most general unifier of t1 and t2 under subst, or None.
 
-    Failure is an ordinary outcome, not an error. The occurs check runs
-    against resolved terms, so the result stays acyclic and ``apply``
-    on it terminates.
+    Failure is an ordinary outcome, not an error. subst itself is left
+    as it was.
     """
-    stack = [(t1, t2)]
-    s = subst
+    s = Subst(subst)
+    return None if unify_in_place(t1, t2, s) is None else s
+
+
+def unify_in_place(t1: Term, t2: Term, subst: Subst) -> list | None:
+    """Extend subst with the most general unifier of t1 and t2.
+
+    Returns the names bound, or None with nothing bound. The occurs
+    check runs against resolved terms, so subst stays acyclic and
+    ``apply`` on it terminates.
+    """
+    bound, stack = [], [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = s.walk(a)
-        b = s.walk(b)
+        a = subst.walk(a)
+        b = subst.walk(b)
         if a == b:
             continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
         if isinstance(a, Var):
-            if occurs(a, b, s):
-                return None
-            s = s.bind(a.name, b)
-        elif isinstance(b, Var):
-            if occurs(b, a, s):
-                return None
-            s = s.bind(b.name, a)
-        elif isinstance(a, Compound) and isinstance(b, Compound):
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return None
+            if occurs(a, b, subst):
+                break
+            subst[a.name] = b
+            bound.append(a.name)
+        elif (isinstance(a, Compound) and isinstance(b, Compound)
+              and a.functor == b.functor and len(a.args) == len(b.args)):
             stack.extend(zip(a.args, b.args))
         else:
-            return None
-    return s
+            break
+    else:
+        return bound
+    for name in bound:
+        del subst[name]
+    return None
 
 
 def apply(subst: Subst, term: Term) -> Term:

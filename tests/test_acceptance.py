@@ -5,12 +5,14 @@ per criterion. Every criterion is exact — no tolerances anywhere.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import choo
 from choo import (
     Int,
     ProgramState,
@@ -27,6 +29,9 @@ from choo.terms import Var, is_ground
 from termgen import cyclic_pair, ground_term, random_term, unifiable_pair
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
+
+# the CLI subprocesses import the same choo as this test, installed or not
+CHOO_ENV = {**os.environ, "PYTHONPATH": str(Path(choo.__file__).resolve().parent.parent)}
 
 
 def _report(n, desc, ok, detail=""):
@@ -46,6 +51,7 @@ def _cli(source_or_path, *args, tmp_path=None):
         [sys.executable, "-m", "choo.cli", "run", str(path), *args],
         capture_output=True,
         text=True,
+        env=CHOO_ENV,
     )
 
 
@@ -212,6 +218,7 @@ def test_criterion_8_exit_status_and_determinism():
                 [sys.executable, "-m", "choo.cli", "run",
                  str(GOLDEN / f"{name}.choo"), *args],
                 capture_output=True,
+                env=CHOO_ENV,
             )
             results.append((name, proc.returncode, proc.stdout, proc.stderr))
         return results
@@ -226,6 +233,7 @@ def test_criterion_8_exit_status_and_determinism():
              str(GOLDEN / f"{name}.choo"), "--trace=rules", *args],
             capture_output=True,
             text=True,
+            env=CHOO_ENV,
         )
         for line in proc.stderr.splitlines():
             if line.startswith("[rule "):

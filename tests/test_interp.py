@@ -440,6 +440,7 @@ def test_failing_searches_leave_no_trace():
         "main { choose(x in {1..5}) x > 9 }",
         "p(x) { x == 1; s = 2 } main { p(2) }",
         "main { choose(x in {}) x == x }",
+        "main { choose(x) f(1, x) == f(2, 3) }",  # binds x, then fails
     ]
     for source in failing:
         program = parse_program(source)
@@ -481,6 +482,37 @@ def test_a_search_that_raises_leaves_no_trace(source, budget, error, what):
             pass
     assert getattr(err.value, "what", None) == what
     assert state.snapshot() == before
+
+
+def test_snapshot_copies_the_bindings():
+    # the search binds in place, so a snapshot holding the live map
+    # would compare equal to any later state of the same length
+    state = ProgramState()
+    assert state.unify(Var("X"), Int(1))
+    before = state.snapshot()
+    state.undo_to(0)
+    assert state.unify(Var("Y"), Int(1))
+    assert state.snapshot() != before
+
+
+def test_peak_memory_grows_about_linearly_with_recursion_depth():
+    # bindings are written in place and trailed; copying the whole
+    # substitution at every binding made this ratio about 3.8
+    import tracemalloc
+
+    def peak(n):
+        program = parse_program(
+            "down(n) { n == 0 } down(n) { n > 0; choose(m) (m == n - 1; down(m)) } "
+            f"main {{ down({n}) }}"
+        )
+        tracemalloc.start()
+        try:
+            next(execute(program))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1000) <= 2.8 * peak(500)
 
 
 def test_outcome_stores_hold_only_ground_terms():

@@ -1,6 +1,7 @@
 """Reference enumerator and the differential check against the engine."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -181,6 +182,20 @@ def test_unpinned_programs_are_excluded_not_failed():
     report = check_equivalence(parse_program("main { choose(x) x == x }"))
     assert report.excluded
     assert not report.matched
+
+
+def test_repeated_solutions_are_counted():
+    # two clauses derive the same solution: run --all prints two
+    report = check_equivalence(parse_program("p(x) { x == 1 } p(x) { x == 1 } main { p(1) }"))
+    assert report.matched
+    assert report.describe() == "match: 2 solutions"
+    once = ((), frozenset())
+    report = EquivalenceReport(
+        matched=False,
+        engine_solutions=Counter({once: 2}),
+        oracle_solutions=Counter({once: 1}),
+    )
+    assert report.describe() == "mismatch:\n  engine only: ((), frozenset())"
 
 
 def test_report_text_names_both_sides_on_mismatch():

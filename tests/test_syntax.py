@@ -7,6 +7,7 @@ from choo import (
     Atom,
     BinOp,
     BoundedChoose,
+    Call,
     Choose,
     Compare,
     Compound,
@@ -20,7 +21,6 @@ from choo import (
     Var,
     VarRef,
     format_goal,
-    free_vars_goal,
     subst_goal,
 )
 from choo.gen import gen_program
@@ -79,6 +79,53 @@ def test_subst_reaches_call_arguments_and_assignment_sources():
 
 
 # --- free variables ------------------------------------------------------------
+#
+# free_vars_goal is the reference the substitution properties below are
+# checked against; nothing in the interpreter needs it
+
+def _expr_vars(expr, out):
+    if isinstance(expr, TermLit):
+        _term_var_names(expr.term, out)
+    elif isinstance(expr, BinOp):
+        _expr_vars(expr.left, out)
+        _expr_vars(expr.right, out)
+    elif isinstance(expr, FunCall):
+        _expr_vars(expr.arg, out)
+
+
+def free_vars_goal(goal):
+    """Names of logic variables free in goal (binders subtracted)."""
+    out = set()
+    if isinstance(goal, Call):
+        for a in goal.args:
+            _term_var_names(a, out)
+        return out
+    if isinstance(goal, Compare):
+        _expr_vars(goal.lhs, out)
+        _expr_vars(goal.rhs, out)
+        return out
+    if isinstance(goal, Assign):
+        _expr_vars(goal.expr, out)
+        return out
+    if isinstance(goal, Seq):
+        return free_vars_goal(goal.first) | free_vars_goal(goal.second)
+    if isinstance(goal, Choose):
+        return free_vars_goal(goal.body) - {goal.var}
+    if isinstance(goal, BoundedChoose):
+        if isinstance(goal.cset, Enum):
+            for e in goal.cset.elements:
+                _term_var_names(e, out)
+        return out | (free_vars_goal(goal.body) - {goal.var})
+    raise TypeError(f"not a goal: {goal!r}")
+
+
+def _term_var_names(term, out):
+    if isinstance(term, Var):
+        out.add(term.name)
+    elif isinstance(term, Compound):
+        for a in term.args:
+            _term_var_names(a, out)
+
 
 def test_free_vars_subtracts_the_binder():
     g = Choose("x", Compare("==", lv("x"), lv("y")))
@@ -125,14 +172,6 @@ def _binder_shape(goal):
     if isinstance(goal, BoundedChoose):
         return ("bounded", _binder_shape(goal.body))
     return ()
-
-
-def _term_var_names(term, out):
-    if isinstance(term, Var):
-        out.add(term.name)
-    elif isinstance(term, Compound):
-        for a in term.args:
-            _term_var_names(a, out)
 
 
 def test_identity_substitution_changes_nothing():

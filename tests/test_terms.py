@@ -16,6 +16,7 @@ from choo import (
     occurs,
     unify,
 )
+from choo.terms import unify_in_place
 from termgen import cyclic_pair, ground_term, random_term, unifiable_pair
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -240,6 +241,34 @@ def test_unify_result_never_mentions_failure_partially():
     assert unify(f(X, Y), f(Int(2), Int(3)), s) is None
     assert apply(s, X) == Int(1)
     assert apply(s, Y) == Y
+
+
+def test_unify_never_changes_the_substitution_it_is_given():
+    # the engine unifies in place; the functional form works on a copy
+    given = EMPTY_SUBST.bind("X", f(Y))
+    pairs = [
+        (Z, Int(1)),  # success
+        (X, f(Int(2))),  # success through a binding
+        (f(X, Z), f(Int(3), Int(4))),  # binds Z, then fails
+        (f(Y, Z), f(g(X), Int(3))),  # binds Z, then fails the occurs check
+    ]
+    for t1, t2 in pairs:
+        for subst in (EMPTY_SUBST, given):
+            before = subst.mapping()
+            unify(t1, t2, subst)
+            assert subst.mapping() == before
+    rng = random.Random(1006)
+    for _ in range(300):
+        unify(random_term(rng), random_term(rng))
+    assert EMPTY_SUBST.mapping() == {}
+
+
+def test_unify_in_place_reports_its_bindings_or_binds_nothing():
+    s = Subst({"X": f(Y)})
+    assert unify_in_place(f(X, Z), f(Int(3), Int(4)), s) is None  # after binding Z
+    assert s == {"X": f(Y)}
+    assert sorted(unify_in_place(f(X, Z), f(f(Int(4)), Int(3)), s)) == ["Y", "Z"]
+    assert s == {"X": f(Y), "Y": Int(4), "Z": Int(3)}
 
 
 def test_compound_requires_arguments():
