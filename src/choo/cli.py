@@ -39,8 +39,8 @@ def _print_outcome(outcome):
 def _read_program(path: str):
     try:
         source = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"cannot read {path}: {err.strerror or err}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"cannot read {path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
         return None
     try:
         return parse_program(source)

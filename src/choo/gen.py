@@ -11,7 +11,6 @@ the store) are permitted since engine and oracle agree on them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .syntax import (
     Assign,
@@ -35,12 +34,10 @@ from .syntax import (
 from .terms import Atom, Compound, Int, Var
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    max_statements: int = 8  # per program
-    max_clauses: int = 3
-    max_set_size: int = 4
-    max_nesting: int = 3  # choose-in-choose depth
+_MAX_STATEMENTS = 8  # per program
+_MAX_CLAUSES = 3
+_MAX_SET_SIZE = 4
+_MAX_NESTING = 3  # choose-in-choose depth
 
 
 _ATOMS = ("a", "b", "tom", "bob", "red")
@@ -51,10 +48,9 @@ _CLAUSE_NAMES = ("p", "q", "r")
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.cfg = cfg
-        self.stmts_left = cfg.max_statements
+        self.stmts_left = _MAX_STATEMENTS
         self.assigned = set()  # store names assigned somewhere earlier in the walk
 
     # --- ground pieces ---
@@ -98,7 +94,7 @@ class _Gen:
     def stmt(self, scope, calls, nesting):
         self.stmts_left -= 1
         choices = ["assign", "assign", "eq_int", "eq_term", "order", "bounded"]
-        if nesting < self.cfg.max_nesting:
+        if nesting < _MAX_NESTING:
             choices += ["bounded", "unbounded"]
         if calls:
             choices.append("call")
@@ -135,15 +131,15 @@ class _Gen:
             lo = self.rng.randint(-3, 5)
             if self.rng.random() < 0.15:
                 return Range(lo, lo - self.rng.randint(1, 3))  # empty
-            return Range(lo, lo + self.rng.randint(0, self.cfg.max_set_size - 1))
-        n = self.rng.randint(0, self.cfg.max_set_size)
+            return Range(lo, lo + self.rng.randint(0, _MAX_SET_SIZE - 1))
+        n = self.rng.randint(0, _MAX_SET_SIZE)
         elements = []
         for _ in range(n):
             e = self.term(scope) if self.rng.random() < 0.25 else self.ground_term()
             elements.append(e)
             if elements and self.rng.random() < 0.2:
                 elements.append(self.rng.choice(elements))  # deliberate duplicate
-        return Enum(tuple(elements[: self.cfg.max_set_size + 1]))
+        return Enum(tuple(elements[: _MAX_SET_SIZE + 1]))
 
     def pick_var(self, scope):
         fresh = [n for n in _LOGIC_NAMES if n not in scope]
@@ -184,10 +180,9 @@ class _Gen:
         return seq_of(stmts)
 
 
-def gen_program(rng: random.Random, cfg: GenConfig | None = None) -> SourceProgram:
-    cfg = cfg or GenConfig()
-    g = _Gen(rng, cfg)
-    n_clauses = rng.randint(0, cfg.max_clauses)
+def gen_program(rng: random.Random) -> SourceProgram:
+    g = _Gen(rng)
+    n_clauses = rng.randint(0, _MAX_CLAUSES)
     signatures = []
     for i in range(n_clauses):
         name = f"{rng.choice(_CLAUSE_NAMES)}{i}"
@@ -251,6 +246,9 @@ def gen_straightline(rng: random.Random):
 
 # --- counterexample shrinking ---
 
+_MAX_ROUNDS = 200
+
+
 def _goal_size(goal) -> int:
     if isinstance(goal, Seq):
         return 1 + _goal_size(goal.first) + _goal_size(goal.second)
@@ -301,9 +299,7 @@ def _variants(p: SourceProgram):
             yield SourceProgram(updated, p.main)
 
 
-def shrink(
-    program: SourceProgram, still_bad, max_rounds: int = 200, rng=None
-) -> SourceProgram:
+def shrink(program: SourceProgram, still_bad, rng=None) -> SourceProgram:
     """Greedily minimize a program while still_bad(program) stays true.
 
     still_bad must be safe to call on ill-scoped variants; variants that
@@ -311,7 +307,7 @@ def shrink(
     candidate order so equal-size reductions tie-break reproducibly.
     """
     current = program
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         best = None
         candidates = list(_variants(current))
         if rng is not None:

@@ -434,10 +434,11 @@ class Solver:
         if isinstance(cset, Range):
             return (Int(i) for i in range(cset.lo, cset.hi + 1))
         # written order, structural duplicates dropped after resolving
-        resolved = []
+        resolved, seen = [], set()
         for e in cset.elements:
             r = apply(self.state.subst, e)
-            if r not in resolved:
+            if r not in seen:
+                seen.add(r)
                 resolved.append(r)
         return resolved
 

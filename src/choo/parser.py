@@ -36,6 +36,7 @@ error at parse time.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -83,63 +84,37 @@ class Token:
     col: int
 
 
-_TWO_CHAR = ("==", "!=", "<=", ">=", "..")
-_ONE_CHAR = set("(){};,=<>+-*/")
+# tried in order at each offset; the last alternative catches any other character
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|//[^\n]*"
+    r"|(?P<punct>==|!=|<=|>=|\.\.|[(){};,=<>+\-*/])"
+    r"|(?P<int>\d+)|(?P<word>[^\W\d_]\w*)|(?P<other>.)",
+    re.DOTALL,
+)
 
 
 def lex(source: str) -> list:
     tokens = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
+    line_start = 0  # offset of the current line's first character
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:  # blanks and comments
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            text = source[i:j]
-            tokens.append(Token("int", text, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() and c.islower():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "word" and text[0].isalpha() and text[0].islower():
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+        elif kind == "punct":
+            kind = text
+        elif kind != "int":
+            raise ParseError(line, col, f"unexpected character {text[0]!r}")
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -253,25 +228,20 @@ class _Parser:
     def prim(self, scope):
         self._enter()
         try:
-            tok = self.peek()
+            tok, nxt = self.peek(), self.peek(1)
             if tok.kind == "keyword" and tok.text == "choose":
                 return self._choose(scope)
-            if tok.kind == "ident":
-                nxt = self.peek(1)
-                if nxt.kind == "=":
-                    if tok.text in scope:
-                        raise ParseError(
-                            tok.line, tok.col,
-                            f"cannot assign to logic variable '{tok.text}'",
-                        )
-                    self.advance()
-                    self.advance()
-                    return Assign(tok.text, self.expr(scope))
-                if nxt.kind == "(":
-                    return self._call_or_cond(scope)
-                return self.cond(scope)
-            if tok.kind == "(":
-                return self._paren_goal_or_cond(scope)
+            if tok.kind == "ident" and nxt.kind == "=":
+                if tok.text in scope:
+                    raise ParseError(
+                        tok.line, tok.col,
+                        f"cannot assign to logic variable '{tok.text}'",
+                    )
+                self.advance()
+                self.advance()
+                return Assign(tok.text, self.expr(scope))
+            if tok.kind == "(" or (tok.kind == "ident" and nxt.kind == "("):
+                return self._goal_or_cond(scope)
             return self.cond(scope)
         finally:
             self._leave()
@@ -290,37 +260,25 @@ class _Parser:
         body = self.prim(scope | {var.text})
         return Choose(var.text, body)
 
-    def _call_or_cond(self, scope):
-        # IDENT "(" could open a call or a compound term inside a
-        # condition; commit to the call unless an operator follows.
+    def _goal_or_cond(self, scope):
+        # IDENT "(" opens a call or a compound operand, and "(" a goal or a
+        # parenthesised operand: commit to the goal unless an operator follows
         save = self.pos
-        name = self.advance()
-        self.advance()  # (
-        args = []
         try:
-            if self.peek().kind != ")":
-                args.append(self.term(scope))
-                while self.peek().kind == ",":
-                    self.advance()
+            tok = self.advance()
+            if tok.kind == "(":
+                goal = self.goal(scope)
+                self.expect(")", "')'")
+            else:
+                self.advance()  # (
+                args = []
+                if self.peek().kind != ")":
                     args.append(self.term(scope))
-            self.expect(")", "')' or ','")
-        except ParseError as call_err:
-            self.pos = save
-            try:
-                return self.cond(scope)
-            except ParseError as cond_err:
-                raise _farther(call_err, cond_err) from None
-        if self.peek().kind in _OPERATOR_KINDS:
-            self.pos = save
-            return self.cond(scope)
-        return Call(name.text, tuple(args))
-
-    def _paren_goal_or_cond(self, scope):
-        save = self.pos
-        self.advance()  # (
-        try:
-            inner = self.goal(scope)
-            self.expect(")", "')'")
+                    while self.peek().kind == ",":
+                        self.advance()
+                        args.append(self.term(scope))
+                self.expect(")", "')' or ','")
+                goal = Call(tok.text, tuple(args))
         except ParseError as goal_err:
             self.pos = save
             try:
@@ -330,7 +288,7 @@ class _Parser:
         if self.peek().kind in _OPERATOR_KINDS:
             self.pos = save
             return self.cond(scope)
-        return inner
+        return goal
 
     def cond(self, scope):
         lhs = self.expr(scope)

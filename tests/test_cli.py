@@ -112,12 +112,27 @@ def test_parse_errors_carry_position(program_file, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error at 1:12:")
+    # a digit that int() cannot read is an unexpected character, not a crash
+    path = program_file("main { s = \u00b2 }")
+    for command in ("run", "parse"):
+        assert invoke(capsys, [command, path]) == (
+            2, "", "parse error at 1:12: unexpected character '\u00b2'\n"
+        )
 
 
 def test_missing_file_is_reported(capsys, tmp_path):
     code, out, err = invoke(capsys, ["run", str(tmp_path / "absent.choo")])
     assert code == 2
     assert err.startswith("cannot read")
+
+
+def test_a_file_that_is_not_utf8_is_reported(capsys, tmp_path):
+    path = tmp_path / "latin1.choo"
+    path.write_bytes(b"main { s = 1 } // \xff\n")
+    code, out, err = invoke(capsys, ["run", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"cannot read {path}: ")
 
 
 def test_nonpositive_budgets_are_rejected(program_file, capsys):

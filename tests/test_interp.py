@@ -265,6 +265,23 @@ def test_bounded_enum_resolves_elements_before_deduplicating():
     assert outs[0].witnesses == (("x", Int(1)), ("y", Int(1)))
 
 
+def test_bounded_enum_deduplicates_in_linear_time(monkeypatch):
+    n = 2000
+    calls = 0
+    equal = Compound.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(Compound, "__eq__", counting_eq)
+    elements = ", ".join(f"f({i})" for i in range(n))
+    outs = goal_outcomes(f"choose(x in {{{elements}}}) x == f({n - 1})")
+    assert [o.witnesses for o in outs] == [(("x", Compound("f", (Int(n - 1),))),)]
+    assert calls <= 4 * n
+
+
 def test_bounded_range_runs_ascending():
     outs = goal_outcomes("choose(x in {1..3}) x == x")
     assert [o.witnesses for o in outs] == [

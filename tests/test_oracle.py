@@ -27,7 +27,7 @@ from choo import (
     run,
 )
 from choo.derivation import validate_shape
-from choo.gen import GenConfig, gen_program, shrink
+from choo.gen import gen_program, shrink
 from choo.oracle import _Enumerator
 
 

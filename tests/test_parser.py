@@ -162,6 +162,10 @@ def test_positions_are_tracked_across_lines():
         parse_program("main {\n  s = 3 +\n}")
     assert err.value.line == 3
     assert err.value.column == 1
+    with pytest.raises(ParseError) as err:
+        parse_program("main { s = 1 // note")
+    assert (err.value.line, err.value.column) == (1, 21)
+    assert err.value.message == "expected '}', found end of input"
 
 
 def test_assigning_to_a_choose_variable_is_rejected():
@@ -239,6 +243,14 @@ def test_parsing_never_crashes_on_fuzzed_input():
             parse_program(source)
         except ParseError:
             pass
+    # digits that int() cannot read, such as superscripts and circled digits
+    for c in map(chr, range(0x110000)):
+        if c.isdigit():
+            for source in (f"main {{ s = {c} }}", f"main {{ s = 1{c} }}"):
+                try:
+                    parse_program(source)
+                except ParseError:
+                    pass
 
 
 def test_fuzzed_variations_of_a_valid_program():
