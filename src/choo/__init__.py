@@ -28,6 +28,7 @@ from .oracle import (
     OutOfBounds,
     check_equivalence,
     enumerate_solutions,
+    subst_goal,
 )
 from .parser import ParseError, parse_goal, parse_program
 from .syntax import (
@@ -48,7 +49,6 @@ from .syntax import (
     VarRef,
     format_goal,
     format_program,
-    subst_goal,
 )
 from .terms import (
     Atom,

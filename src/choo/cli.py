@@ -61,8 +61,8 @@ def _cmd_run(args) -> int:
 
     on_rule = None
     if args.trace == "rules":
-        on_rule = lambda rule, goal: print(
-            f"[rule {rule}] {format_goal(goal)}", file=sys.stderr
+        on_rule = lambda rule, goal_env: print(
+            f"[rule {rule}] {format_goal(*goal_env)}", file=sys.stderr
         )
 
     count = 0

@@ -22,14 +22,16 @@ class DerivationNode:
     """One rule application: the goal it concluded and its subderivations.
 
     label is the clause name for rule 1 and the parameter for rule 2.
-    Goals are immutable, so the conclusion text is formatted only when
-    it is read and is the same whenever that happens.
+    env maps the goal's variables to the values the search gave them.
+    Neither changes after the node is made, so the conclusion text is
+    formatted only when it is read and is the same whenever that happens.
     """
 
     rule: int
     goal: Goal
     children: tuple
     label: str | None = None
+    env: dict | None = None
 
     def __post_init__(self):
         if self.rule not in RULE_CHILDREN:
@@ -38,10 +40,10 @@ class DerivationNode:
     @property
     def conclusion(self) -> str:
         if self.rule == 1:
-            return f"ex(({self.label} body); P, {format_goal(self.goal)})"
+            return f"ex(({self.label} body); P, {format_goal(self.goal, self.env)})"
         if self.rule == 2:
-            return f"ex(forall {self.label}; P, {format_goal(self.goal)})"
-        return f"ex(P, {format_goal(self.goal)}, P')"
+            return f"ex(forall {self.label}; P, {format_goal(self.goal, self.env)})"
+        return f"ex(P, {format_goal(self.goal, self.env)}, P')"
 
 
 def validate_shape(node: DerivationNode) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .oracle import subst_goal
 from .syntax import (
     Assign,
     BinOp,
@@ -29,7 +30,6 @@ from .syntax import (
     TermLit,
     VarRef,
     seq_of,
-    subst_goal,
 )
 from .terms import Atom, Compound, Int, Var
 

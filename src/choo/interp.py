@@ -17,7 +17,10 @@ raise EvalError and abort the search.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
+from types import MappingProxyType
 from typing import Iterator
 
 from .derivation import DerivationNode
@@ -28,7 +31,6 @@ from .syntax import (
     Call,
     Choose,
     Compare,
-    Enum,
     FunCall,
     IntLit,
     Range,
@@ -36,11 +38,11 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
-    subst_goal,
 )
 from .terms import (
     INT64_MAX,
     INT64_MIN,
+    Compound,
     Int,
     Subst,
     Var,
@@ -162,22 +164,23 @@ class ProgramState:
 
 
 # --- expression evaluation ---------------------------------------------------
+#
+# Expressions are evaluated where they stand in the source, with env
+# mapping the names of the binders around them to their values: a
+# choose extends env by one name, a call opens a fresh one for the clause
+# parameters, and an inner binder shadows an outer one of the same name.
 
-def _arith(op: str, a: int, b: int) -> int:
-    if op == "+":
-        r = a + b
-    elif op == "-":
-        r = a - b
-    elif op == "*":
-        r = a * b
-    else:
-        if b == 0:
-            raise EvalError("division by zero")
-        # truncate toward zero, unlike Python's floor division
-        r = -(-a // b) if (a < 0) != (b < 0) else a // b
-    if not (INT64_MIN <= r <= INT64_MAX):
-        raise EvalError("integer overflow")
-    return r
+def _divide(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("division by zero")
+    # truncate toward zero, unlike Python's floor division
+    return -(-a // b) if (a < 0) != (b < 0) else a // b
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_ORDER = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+          ">": operator.gt, ">=": operator.ge}
+_NO_ENV = MappingProxyType({})
 
 
 def fib(n: int) -> int:
@@ -203,76 +206,166 @@ def fact(n: int) -> int:
     return r
 
 
-def eval_int(store, subst, expr) -> int | None:
+def _instance(term, env):
+    """term with every variable env names replaced by its value, rebuilt
+    from an explicit stack: terms nest past the recursion limit."""
+    if not isinstance(term, Compound):
+        return env.get(term.name, term) if isinstance(term, Var) else term
+    done, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:  # a compound whose arguments are all done
+            n = len(t[0].args)
+            done[-n:] = [Compound(t[0].functor, tuple(done[-n:]))]
+        elif isinstance(t, Compound):
+            stack.append((t,))
+            stack.extend(reversed(t.args))
+        else:
+            done.append(env.get(t.name, t) if isinstance(t, Var) else t)
+    return done[0]
+
+
+def eval_int(store, subst, expr, env=_NO_ENV) -> int | None:
     """Ground integer value of expr, or None when a store read is unset.
 
     Raises EvalError when a subterm is an unbound logic variable or a
     non-integer: arithmetic has no way to proceed on those, whereas an
     unset store name is ordinary failure.
     """
-    if isinstance(expr, IntLit):
+    kind = type(expr)
+    if kind is IntLit:
         return expr.value
-    if isinstance(expr, VarRef):
-        value = store.get(expr.name)
-        if value is None:
-            return None
-        if not isinstance(value, Int):
-            raise EvalError(
-                f"store variable '{expr.name}' holds {format_term(value)}, not an integer"
-            )
-        return value.value
-    if isinstance(expr, TermLit):
-        t = apply(subst, expr.term)
+    if kind is TermLit:
+        t = expr.term
+        t = env.get(t.name, t) if type(t) is Var else _instance(t, env)
+        if type(t) is Int:
+            return t.value
+        t = apply(subst, t)
         if isinstance(t, Int):
             return t.value
         if isinstance(t, Var):
             raise EvalError(f"unbound variable '{t.name}' used in arithmetic")
         raise EvalError(f"{format_term(t)} is not an integer")
-    if isinstance(expr, BinOp):
-        # walk a left-nested chain such as 1 + 2 + 3 in a loop
-        outer = None
-        while isinstance(expr.left, BinOp):
-            outer, expr = (expr, outer), expr.left
-        a = eval_int(store, subst, expr.left)
-        while True:
-            b = None if a is None else eval_int(store, subst, expr.right)
-            a = None if b is None else _arith(expr.op, a, b)
-            if a is None or outer is None:
-                return a
-            expr, outer = outer
-    if isinstance(expr, FunCall):
-        n = eval_int(store, subst, expr.arg)
-        if n is None:
+    if kind is VarRef:
+        value = store.get(expr.name)
+        if value is None or type(value) is Int:
+            return value and value.value
+        raise EvalError(f"store variable '{expr.name}' holds {format_term(value)}, not an integer")
+    if kind is FunCall:
+        n = eval_int(store, subst, expr.arg, env)
+        return None if n is None else fib(n) if expr.name == "fib" else fact(n)
+    if kind is not BinOp:
+        raise TypeError(f"not an expression: {expr!r}")
+    # walk a left-nested chain such as 1 + 2 + 3 in a loop
+    outer = None
+    while type(expr.left) is BinOp:
+        outer, expr = (expr, outer), expr.left
+    a = eval_int(store, subst, expr.left, env)
+    while True:
+        if a is None or (b := eval_int(store, subst, expr.right, env)) is None:
             return None
-        return fib(n) if expr.name == "fib" else fact(n)
-    raise TypeError(f"not an expression: {expr!r}")
+        a = _ARITH[expr.op](a, b)
+        if not INT64_MIN <= a <= INT64_MAX:
+            raise EvalError("integer overflow")
+        if outer is None:
+            return a
+        expr, outer = outer
 
 
-def eval_operand(store, subst, expr):
+def eval_operand(store, subst, expr, env=_NO_ENV):
     """Term value of one side of ==, or None on failure.
 
     Logic variables may stay unbound here; unification decides what to
     do with them. Arithmetic subexpressions still need ground integers.
     """
-    if isinstance(expr, IntLit):
+    if type(expr) is IntLit:
         return Int(expr.value)
-    if isinstance(expr, VarRef):
+    if type(expr) is VarRef:
         return store.get(expr.name)
-    if isinstance(expr, TermLit):
-        return apply(subst, expr.term)
-    n = eval_int(store, subst, expr)
+    if type(expr) is TermLit:
+        return apply(subst, _instance(expr.term, env))
+    n = eval_int(store, subst, expr, env)
     return None if n is None else Int(n)
 
 
-def eval_store_value(store, subst, expr):
+def eval_store_value(store, subst, expr, env=_NO_ENV):
     """Value for an assignment: like an operand, but it must be ground."""
-    value = eval_operand(store, subst, expr)
-    if value is None:
-        return None
-    if not is_ground(value):
+    value = eval_operand(store, subst, expr, env)
+    if type(expr) is TermLit and value is not None and not is_ground(value):
         names = ", ".join(sorted(v.name for v in free_vars(value)))
         raise EvalError(f"assigned value is not ground (unbound: {names})")
     return value
+
+
+# --- compiling goals once ------------------------------------------------------
+#
+# Before the search starts, each clause body and the main goal become
+# code once: a tuple (rule, goal, parts...) per goal, with calls linked
+# to their clauses through a table built here, as the WAM selects
+# clauses from tables built at load time (Ait-Kaci, 1991).
+
+def _term_fn(term):
+    """f(env): the value of term in env."""
+    return partial(_instance, term) if free_vars(term) else lambda env: term
+
+
+def _elements_fn(cset):
+    """f(state, env): a choice set's elements in the order they are tried."""
+    if type(cset) is Range:
+        return lambda st, env: map(Int, range(cset.lo, cset.hi + 1))
+    values = [_term_fn(e) for e in cset.elements]
+
+    def elements(st, env):
+        # written order, structural duplicates dropped after resolving
+        resolved, seen = [], set()
+        for value in values:
+            r = apply(st.subst, value(env))
+            if r not in seen:
+                seen.add(r)
+                resolved.append(r)
+        return resolved
+    return elements
+
+
+def _compile(goal, table: dict):
+    """Code of goal; table maps (name, arity) to the [(clause, body
+    code)] a call tries. A `;` chain is walked in a loop, so recursion
+    follows only the nesting of parentheses and chooses."""
+    seqs = []
+    while type(goal) is Seq:
+        seqs.append((goal, _compile(goal.first, table)))
+        goal = goal.second
+    if type(goal) is Compare:
+        # == unifies when a side may be a term; between ground values it is ==
+        terms = (type(goal.lhs) in (VarRef, TermLit)) + (type(goal.rhs) in (VarRef, TermLit))
+        if goal.op != "==" or not terms:
+            code = (4, goal, eval_int, _ORDER[goal.op])
+        else:
+            unifies = TermLit in (type(goal.lhs), type(goal.rhs))
+            code = (4, goal, eval_operand, None if unifies else operator.eq)
+    elif type(goal) is Assign:
+        code = (5, goal)
+    elif type(goal) is Call:
+        code = (3, goal, [_term_fn(a) for a in goal.args], table.get((goal.name, len(goal.args))))
+    elif type(goal) is Choose:
+        code = (7, goal, _compile(goal.body, table))
+    elif type(goal) is BoundedChoose:
+        code = (8, goal, _elements_fn(goal.cset), _compile(goal.body, table))
+    else:
+        raise TypeError(f"not a goal: {goal!r}")
+    for seq, first in reversed(seqs):
+        code = (6, seq, first, code)
+    return code
+
+
+def _compile_program(clauses, goal):
+    """Code of goal, with every clause body compiled into the call table."""
+    table = {}
+    for clause in clauses:
+        table.setdefault((clause.name, len(clause.params)), [])
+    for clause in clauses:
+        table[clause.name, len(clause.params)].append((clause, _compile(clause.body, table)))
+    return _compile(goal, table)
 
 
 # --- the solver ---------------------------------------------------------------
@@ -291,156 +384,118 @@ class Solver:
         self.state = state
         self.budget = budget or SearchBudget()
         self.steps = 0
-        self.on_rule = on_rule  # trace hook: called with (rule, goal) per attempt
-
-    def _tick(self, rule: int, goal):
-        self.steps += 1
-        if self.steps > self.budget.max_steps:
-            raise BudgetExhausted("steps")
-        if self.on_rule is not None:
-            self.on_rule(rule, goal)
+        # trace hook, called per attempt with (rule, (goal, env));
+        # format_goal(goal, env) gives the goal's text
+        self.on_rule = on_rule
 
     def solve(self, goal) -> Iterator[DerivationNode]:
-        st = self.state
-        tick = self._tick
-        max_depth = self.budget.max_depth
+        st, on_rule, steps = self.state, self.on_rule, self.steps
+        max_depth, max_steps = self.budget.max_depth, self.budget.max_steps
         base_mark = st.mark()
-        # frames (rule, goal, depth, next): rule 0 proves goal; 3, 6, 7, 8
-        # build that node from the top of nodes (rule 3 holds the clause)
-        frames, nodes = (0, goal, 1, None), None
-        points = []  # (alternatives, goal, depth, frames, nodes, trail mark)
+        # frames [rule, code, env, depth, next]: rule 0 runs code in env;
+        # 3, 6, 7, 8 build its node from the top of nodes (rule 3 holds
+        # the clause in place of the depth)
+        frames, nodes = [0, _compile_program(st.clauses, goal), {}, 1, None], None
+        points = []  # [alternatives, next one, code, env, depth, frames, nodes, trail mark]
         try:
             while True:
                 if frames is None:
+                    self.steps = steps
                     yield nodes[0]
                 else:
-                    rule, goal, depth, frames = frames
+                    rule, code, env, depth, frames = frames
                     if rule:
                         child, nodes = nodes
+                        goal = code[1]
                         if rule == 6:
                             left, nodes = nodes
-                            node = DerivationNode(6, goal, (left, child))
+                            node = DerivationNode(6, goal, (left, child), None, env)
                         elif rule == 3:
-                            node = DerivationNode(1, goal, (child,), depth.name)
+                            node = DerivationNode(1, goal, (child,), depth.name, env)
                             for param in reversed(depth.params):
-                                node = DerivationNode(2, goal, (node,), param)
-                            node = DerivationNode(3, goal, (node,))
+                                node = DerivationNode(2, goal, (node,), param, env)
+                            node = DerivationNode(3, goal, (node,), None, env)
                         else:
-                            node = DerivationNode(rule, goal, (child,))
+                            node = DerivationNode(rule, goal, (child,), None, env)
                         nodes = (node, nodes)
                         continue
                     if depth > max_depth:
                         raise BudgetExhausted("depth")
-                    if isinstance(goal, Seq):
-                        tick(6, goal)
-                        frames = (0, goal.first, depth + 1,
-                                  (0, goal.second, depth + 1, (6, goal, None, frames)))
+                    rule, goal = code[0], code[1]
+                    steps += 1
+                    if steps > max_steps:
+                        raise BudgetExhausted("steps")
+                    if on_rule is not None:
+                        on_rule(rule, (goal, env))
+                    if rule == 6:
+                        frames = [0, code[2], env, depth + 1,
+                                  [0, code[3], env, depth + 1, [6, code, env, None, frames]]]
                         continue
-                    if isinstance(goal, Compare):
-                        tick(4, goal)
-                        if self._condition_holds(goal):
-                            nodes = (DerivationNode(4, goal, ()), nodes)
+                    if rule == 4:
+                        evaluate, compare = code[2], code[3]
+                        a = evaluate(st.store, st.subst, goal.lhs, env)
+                        b = None if a is None else evaluate(st.store, st.subst, goal.rhs, env)
+                        if b is not None and (st.unify(a, b) if compare is None else compare(a, b)):
+                            nodes = (DerivationNode(4, goal, (), None, env), nodes)
                             continue
-                    elif isinstance(goal, Assign):
-                        tick(5, goal)
-                        value = eval_store_value(st.store, st.subst, goal.expr)
+                    elif rule == 5:
+                        value = eval_store_value(st.store, st.subst, goal.expr, env)
                         if value is not None:
                             st.set_store(goal.target, value)
-                            nodes = (DerivationNode(5, goal, ()), nodes)
+                            nodes = (DerivationNode(5, goal, (), None, env), nodes)
                             continue
-                    elif isinstance(goal, Choose):
+                    elif rule == 7:
                         # a fresh variable, for unification to bind; if
                         # nothing does, the witness is UNCONSTRAINED
-                        tick(7, goal)
                         fresh = st.fresh_var()
                         st.choose(goal.var, fresh)
-                        frames = (0, subst_goal(goal.body, goal.var, fresh), depth + 1,
-                                  (7, goal, None, frames))
+                        frames = [0, code[2], {**env, goal.var: fresh}, depth + 1, [7, code, env, None, frames]]
                         continue
-                    elif isinstance(goal, BoundedChoose):
-                        tick(8, goal)
-                        points.append((iter(self._set_elements(goal.cset)), goal, depth,
-                                       frames, nodes, st.mark()))
-                    elif isinstance(goal, Call):
-                        tick(3, goal)
-                        matching = [
-                            c for c in st.clauses
-                            if c.name == goal.name and len(c.params) == len(goal.args)
-                        ]
-                        if not matching:
-                            raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
-                        points.append((iter(matching), goal, depth,
-                                       frames, nodes, st.mark()))
                     else:
-                        raise TypeError(f"not a goal: {goal!r}")
-                # backtrack into the newest choice point with an alternative left
+                        if rule == 3 and code[3] is None:
+                            raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
+                        alternatives = iter(code[2](st, env) if rule == 8 else code[3])
+                        first = next(alternatives, None)
+                        if first is not None:
+                            points.append([alternatives, first, code, env, depth,
+                                           frames, nodes, st.mark()])
+                # backtrack into the newest choice point; one whose last
+                # alternative is taken is dropped then, as WAM's trust does
                 while points:
-                    alternatives, goal, depth, frames, nodes, mark = points[-1]
+                    point = points[-1]
+                    alternatives, alternative, code, env, depth, frames, nodes, mark = point
                     st.undo_to(mark)
-                    alternative = next(alternatives, None)
-                    if alternative is None:
+                    point[1] = next(alternatives, None)
+                    if point[1] is None:
                         points.pop()
-                    elif isinstance(goal, BoundedChoose):
-                        tick(8, goal)
-                        body = subst_goal(goal.body, goal.var, alternative)
+                    rule, goal = code[0], code[1]
+                    steps += 1
+                    if steps > max_steps:
+                        raise BudgetExhausted("steps")
+                    if on_rule is not None:
+                        on_rule(rule, (goal, env))
+                    if rule == 8:
                         st.choose(goal.var, alternative)
-                        frames = (0, body, depth + 1, (8, goal, None, frames))
+                        frames = [0, code[3], {**env, goal.var: alternative}, depth + 1,
+                                  [8, code, env, None, frames]]
                         break
                     else:
-                        tick(3, goal)
-                        body = alternative.body
-                        for param, arg in zip(alternative.params, goal.args):
-                            fresh = st.fresh_var()
-                            st.unify(fresh, arg)  # fresh var: cannot fail
-                            body = subst_goal(body, param, fresh)
-                        if self.on_rule is not None:
-                            for _ in alternative.params:
-                                self.on_rule(2, goal)
-                            self.on_rule(1, goal)
-                        frames = (0, body, depth + 1, (3, goal, alternative, frames))
+                        clause, body = alternative
+                        params = {}
+                        for param, arg in zip(clause.params, code[2]):
+                            params[param] = st.fresh_var()
+                            st.unify(params[param], arg(env))  # fresh var: cannot fail
+                        if on_rule is not None:
+                            for _ in params:
+                                on_rule(2, (goal, env))
+                            on_rule(1, (goal, env))
+                        frames = [0, body, params, depth + 1, [3, code, env, clause, frames]]
                         break
                 else:
                     return
         finally:
+            self.steps = steps
             st.undo_to(base_mark)
-
-    def _condition_holds(self, goal) -> bool:
-        st = self.state
-        if goal.op == "==":
-            lhs = eval_operand(st.store, st.subst, goal.lhs)
-            if lhs is None:
-                return False
-            rhs = eval_operand(st.store, st.subst, goal.rhs)
-            if rhs is None:
-                return False
-            return st.unify(lhs, rhs)
-        a = eval_int(st.store, st.subst, goal.lhs)
-        if a is None:
-            return False
-        b = eval_int(st.store, st.subst, goal.rhs)
-        if b is None:
-            return False
-        if goal.op == "!=":
-            return a != b
-        if goal.op == "<":
-            return a < b
-        if goal.op == "<=":
-            return a <= b
-        if goal.op == ">":
-            return a > b
-        return a >= b
-
-    def _set_elements(self, cset):
-        if isinstance(cset, Range):
-            return (Int(i) for i in range(cset.lo, cset.hi + 1))
-        # written order, structural duplicates dropped after resolving
-        resolved, seen = [], set()
-        for e in cset.elements:
-            r = apply(self.state.subst, e)
-            if r not in seen:
-                seen.add(r)
-                resolved.append(r)
-        return resolved
 
 
 # --- entry points --------------------------------------------------------------

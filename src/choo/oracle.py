@@ -142,13 +142,20 @@ def _subst_expr(expr, name, value):
             return expr
 
 
-def _subst_goal(goal, name, value):
+def subst_goal(goal, name, value):
+    """Replace free occurrences of the logic variable name in goal.
+
+    Inner binders of the same name shadow: their bodies are left alone.
+    A bounded choose's set lies outside its own binder's scope, so the
+    set is substituted even when the binder shadows the name. The
+    shrinker in gen.py uses this too.
+    """
     if isinstance(goal, Seq):  # the right spine of a ; chain, in a loop
         goals = []
         while isinstance(goal, Seq):
-            goals.append(_subst_goal(goal.first, name, value))
+            goals.append(subst_goal(goal.first, name, value))
             goal = goal.second
-        return seq_of([*goals, _subst_goal(goal, name, value)])
+        return seq_of([*goals, subst_goal(goal, name, value)])
     match goal:
         case Call(proc, args):
             return Call(proc, tuple(_subst_term(a, name, value) for a in args))
@@ -159,13 +166,13 @@ def _subst_goal(goal, name, value):
         case Choose(var, body):
             if var == name:
                 return goal
-            return Choose(var, _subst_goal(body, name, value))
+            return Choose(var, subst_goal(body, name, value))
         case BoundedChoose(var, cset, body):
             if isinstance(cset, Enum):
                 cset = Enum(tuple(_subst_term(e, name, value) for e in cset.elements))
             if var == name:
                 return BoundedChoose(var, cset, body)
-            return BoundedChoose(var, cset, _subst_goal(body, name, value))
+            return BoundedChoose(var, cset, subst_goal(body, name, value))
     raise TypeError(f"not a goal: {goal!r}")
 
 
@@ -397,13 +404,13 @@ class _Enumerator:
                     if p not in candidates:
                         candidates.append(p)
                 for value in candidates:
-                    grounded = _subst_goal(body, var, value)
+                    grounded = subst_goal(body, var, value)
                     staged = witnesses + ((var, value),)
                     for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
                         yield s, w, DerivationNode(7, goal, (n,))
             case BoundedChoose(var, cset, body):
                 for value in self._set_members(cset):
-                    grounded = _subst_goal(body, var, value)
+                    grounded = subst_goal(body, var, value)
                     staged = witnesses + ((var, value),)
                     for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
                         yield s, w, DerivationNode(8, goal, (n,))
@@ -417,7 +424,7 @@ class _Enumerator:
                 for clause in matching:
                     body = clause.body
                     for param, arg in zip(clause.params, args):
-                        body = _subst_goal(body, param, arg)
+                        body = subst_goal(body, param, arg)
                     for s, w, n in self.exec_goal(store, witnesses, body, height + 1):
                         node = DerivationNode(1, goal, (n,), clause.name)
                         for param in reversed(clause.params):

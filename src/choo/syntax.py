@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Atom, Compound, Int, Term, Var
+from .terms import Term
 
 
 # --- expressions -----------------------------------------------------------
@@ -149,98 +149,6 @@ def seq_of(goals):
     return goal
 
 
-# --- substitution of a bound name by a term --------------------------------
-
-def subst_term(term: Term, name: str, repl: Term) -> Term:
-    if isinstance(term, Var):
-        return repl if term.name == name else term
-    if not isinstance(term, Compound):
-        return term
-    args = []  # the common case first: no compound among the arguments
-    for a in term.args:
-        if isinstance(a, Compound):
-            break
-        args.append(repl if isinstance(a, Var) and a.name == name else a)
-    else:
-        return Compound(term.functor, tuple(args))
-    # rebuilt bottom-up from an explicit stack, as terms.apply does: a
-    # bounded choose puts terms built at run time into goals, and those
-    # nest past the interpreter's recursion limit
-    done, stack = [], [term]
-    while stack:
-        t = stack.pop()
-        if type(t) is tuple:  # a compound whose arguments are all done
-            n = len(t[0].args)
-            done[-n:] = [Compound(t[0].functor, tuple(done[-n:]))]
-        elif isinstance(t, Compound):
-            stack.append((t,))
-            stack.extend(reversed(t.args))
-        else:
-            done.append(repl if isinstance(t, Var) and t.name == name else t)
-    return done[0]
-
-
-def subst_expr(expr: Expr, name: str, repl: Term) -> Expr:
-    if isinstance(expr, TermLit):
-        return TermLit(subst_term(expr.term, name, repl))
-    if isinstance(expr, BinOp):
-        # walk a left-nested chain such as 1 + 2 + 3 in a loop
-        outer = None
-        while isinstance(expr.left, BinOp):
-            outer, expr = (expr, outer), expr.left
-        expr = BinOp(expr.op, subst_expr(expr.left, name, repl), subst_expr(expr.right, name, repl))
-        while outer is not None:
-            node, outer = outer
-            expr = BinOp(node.op, expr, subst_expr(node.right, name, repl))
-        return expr
-    if isinstance(expr, FunCall):
-        return FunCall(expr.name, subst_expr(expr.arg, name, repl))
-    # IntLit and VarRef carry no logic variables
-    return expr
-
-
-def subst_set(cset: ChoiceSet, name: str, repl: Term) -> ChoiceSet:
-    if isinstance(cset, Enum):
-        return Enum(tuple(subst_term(e, name, repl) for e in cset.elements))
-    return cset
-
-
-def subst_goal(goal: Goal, name: str, repl: Term) -> Goal:
-    """Replace free occurrences of the logic variable name in goal.
-
-    Inner binders of the same name shadow: their bodies are left alone.
-    A bounded choose's set lies outside its own binder's scope, so the
-    set is substituted even when the binder shadows the name.
-    """
-    if isinstance(goal, Call):
-        return Call(goal.name, tuple(subst_term(a, name, repl) for a in goal.args))
-    if isinstance(goal, Compare):
-        return Compare(goal.op, subst_expr(goal.lhs, name, repl), subst_expr(goal.rhs, name, repl))
-    if isinstance(goal, Assign):
-        return Assign(goal.target, subst_expr(goal.expr, name, repl))
-    if isinstance(goal, Seq):
-        # walk the right spine in a loop: flat bodies are long chains
-        firsts = None
-        while isinstance(goal, Seq):
-            firsts = (subst_goal(goal.first, name, repl), firsts)
-            goal = goal.second
-        goal = subst_goal(goal, name, repl)
-        while firsts is not None:
-            first, firsts = firsts
-            goal = Seq(first, goal)
-        return goal
-    if isinstance(goal, Choose):
-        if goal.var == name:
-            return goal
-        return Choose(goal.var, subst_goal(goal.body, name, repl))
-    if isinstance(goal, BoundedChoose):
-        cset = subst_set(goal.cset, name, repl)
-        if goal.var == name:
-            return BoundedChoose(goal.var, cset, goal.body)
-        return BoundedChoose(goal.var, cset, subst_goal(goal.body, name, repl))
-    raise TypeError(f"not a goal: {goal!r}")
-
-
 # --- canonical surface form --------------------------------------------------
 #
 # Formatting inverts parsing: parse(format_goal(g)) rebuilds g exactly,
@@ -252,64 +160,71 @@ from .terms import format_term  # noqa: E402
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def format_expr(expr: Expr, _min_prec: int = 0) -> str:
+def format_expr(expr: Expr, env: dict | None = None, _min_prec: int = 0) -> str:
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, VarRef):
         return expr.name
     if isinstance(expr, TermLit):
-        return format_term(expr.term)
+        return format_term(expr.term, env)
     if isinstance(expr, FunCall):
-        return f"{expr.name}({format_expr(expr.arg)})"
+        return f"{expr.name}({format_expr(expr.arg, env)})"
     if isinstance(expr, BinOp):
         # a left-nested chain is walked in a loop, innermost first; a left
         # child may share the precedence, a right one needs parens then
         outer = None
         while isinstance(expr, BinOp):
             outer, expr = (expr, outer), expr.left
-        text, p = format_expr(expr), 3  # no operator binds tighter than a leaf
+        text, p = format_expr(expr, env), 3  # no operator binds tighter than a leaf
         while outer is not None:
             expr, outer = outer
             if p < _PREC[expr.op]:
                 text = f"({text})"
             p = _PREC[expr.op]
-            text = f"{text} {expr.op} {format_expr(expr.right, p + 1)}"
+            text = f"{text} {expr.op} {format_expr(expr.right, env, p + 1)}"
         return f"({text})" if p < _min_prec else text
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def format_set(cset: ChoiceSet) -> str:
+def format_set(cset: ChoiceSet, env: dict | None = None) -> str:
     if isinstance(cset, Range):
         return f"{{{cset.lo}..{cset.hi}}}"
-    return f"{{{','.join(format_term(e) for e in cset.elements)}}}"
+    return f"{{{','.join(format_term(e, env) for e in cset.elements)}}}"
 
 
-def _format_choose_body(body: Goal) -> str:
-    text = format_goal(body)
+def _shadow(env, name):
+    """env inside a binder of name, which hides the outer value."""
+    return {k: v for k, v in env.items() if k != name} if env and name in env else env
+
+
+def _format_choose_body(body: Goal, env: dict | None) -> str:
+    text = format_goal(body, env)
     # a sequence is not a primitive statement, so it keeps its parens
     return f"({text})" if isinstance(body, Seq) else text
 
 
-def format_goal(goal: Goal) -> str:
+def format_goal(goal: Goal, env: dict | None = None) -> str:
+    """Text of goal with the variables env names replaced by their values."""
     if isinstance(goal, Call):
-        return f"{goal.name}({','.join(format_term(a) for a in goal.args)})"
+        return f"{goal.name}({','.join(format_term(a, env) for a in goal.args)})"
     if isinstance(goal, Compare):
-        return f"{format_expr(goal.lhs)} {goal.op} {format_expr(goal.rhs)}"
+        return f"{format_expr(goal.lhs, env)} {goal.op} {format_expr(goal.rhs, env)}"
     if isinstance(goal, Assign):
-        return f"{goal.target} = {format_expr(goal.expr)}"
+        return f"{goal.target} = {format_expr(goal.expr, env)}"
     if isinstance(goal, Seq):
         # walk the right spine in a loop: flat programs are long chains
         parts = []
         while isinstance(goal, Seq):
-            left = format_goal(goal.first)
+            left = format_goal(goal.first, env)
             parts.append(f"({left})" if isinstance(goal.first, Seq) else left)
             goal = goal.second
-        parts.append(format_goal(goal))
+        parts.append(format_goal(goal, env))
         return "; ".join(parts)
     if isinstance(goal, Choose):
-        return f"choose({goal.var}) {_format_choose_body(goal.body)}"
+        return f"choose({goal.var}) {_format_choose_body(goal.body, _shadow(env, goal.var))}"
     if isinstance(goal, BoundedChoose):
-        return f"choose({goal.var} in {format_set(goal.cset)}) {_format_choose_body(goal.body)}"
+        body = _format_choose_body(goal.body, _shadow(env, goal.var))
+        return f"choose({goal.var} in {format_set(goal.cset, env)}) {body}"
     raise TypeError(f"not a goal: {goal!r}")
 
 

@@ -205,16 +205,20 @@ def is_ground(term: Term, subst: Subst = EMPTY_SUBST) -> bool:
     return True
 
 
-def format_term(term: Term) -> str:
+def format_term(term: Term, env: dict | None = None) -> str:
     """Render a term the way the parser reads it back.
 
     Atoms print bare, integers in decimal, compounds as f(a,b) with no
-    spaces. Variables print as their name; the caller decides how to
-    show unbound results.
+    spaces. Variables print as their name, or as their value when env
+    names them; the caller decides how to show unbound results.
     """
+    leaf = _leaf_text
+    if env:
+        def leaf(t):
+            return format_term(env[t.name]) if isinstance(t, Var) and t.name in env else _leaf_text(t)
     if not isinstance(term, Compound):
-        return _leaf_text(term)
-    return _render(term, _leaf_text, "{}(", ",", (")", ")"))
+        return leaf(term)
+    return _render(term, leaf, "{}(", ",", (")", ")"))
 
 
 def _leaf_text(t) -> str:
