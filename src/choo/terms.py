@@ -142,8 +142,8 @@ def unify_in_place(t1: Term, t2: Term, subst: Subst) -> list | None:
         a, b = stack.pop()
         a = subst.walk(a)
         b = subst.walk(b)
-        if a == b:
-            continue
+        if a is b or (not isinstance(a, Compound) and a == b):
+            continue  # compounds descend: comparing them whole at every level is quadratic
         if isinstance(b, Var) and not isinstance(a, Var):
             a, b = b, a
         if isinstance(a, Var):

@@ -271,6 +271,33 @@ def test_unify_in_place_reports_its_bindings_or_binds_nothing():
     assert s == {"X": f(Y), "Y": Int(4), "Z": Int(3)}
 
 
+def test_unify_in_place_compares_nested_terms_in_linear_time(monkeypatch):
+    # comparing the two sides whole before descending, at every level,
+    # made unifying s^n(X) with s^n(1) quadratic in n
+    n = 2000
+    compared = 0
+    equal = Compound.__eq__
+
+    def counting_eq(self, other):
+        nonlocal compared
+        stack = [self]
+        while stack:  # each node a whole comparison may visit
+            t = stack.pop()
+            compared += 1
+            if isinstance(t, Compound):
+                stack.extend(t.args)
+        return equal(self, other)
+
+    left, right = X, Int(1)
+    for _ in range(n):
+        left, right = Compound("s", (left,)), Compound("s", (right,))
+    monkeypatch.setattr(Compound, "__eq__", counting_eq)
+    s = Subst()
+    assert unify_in_place(left, right, s) == ["X"]
+    assert s == {"X": Int(1)}
+    assert compared <= 4 * n
+
+
 def test_compound_requires_arguments():
     with pytest.raises(ValueError):
         Compound("f", ())
