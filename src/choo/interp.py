@@ -183,16 +183,18 @@ _ORDER = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator
 _NO_ENV = MappingProxyType({})
 
 
+_FIB = [0, 1]  # fib(1) to fib(93) = 7540113804746346429, the last value in 64 bits
+while len(_FIB) < 93:
+    _FIB.append(_FIB[-2] + _FIB[-1])
+
+
 def fib(n: int) -> int:
     """fib(1) = 0, fib(2) = 1, each later value the sum of the previous two."""
     if n < 1:
         raise EvalError(f"fib needs a positive argument, got {n}")
-    if n >= 94:  # fib(93) = 7540113804746346429 is the last value in 64 bits
+    if n > len(_FIB):
         raise EvalError("integer overflow in fib")
-    a, b = 0, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    return _FIB[n - 1]
 
 
 def fact(n: int) -> int:
