@@ -245,8 +245,8 @@ def eval_int(store, subst, expr, env=_NO_ENV) -> int | None:
         t = apply(subst, t)
         if isinstance(t, Int):
             return t.value
-        if isinstance(t, Var):
-            raise EvalError(f"unbound variable '{t.name}' used in arithmetic")
+        if isinstance(t, Var):  # then expr.term is the variable the program wrote
+            raise EvalError(f"unbound variable '{expr.term.name}' used in arithmetic")
         raise EvalError(f"{format_term(t)} is not an integer")
     if kind is VarRef:
         value = store.get(expr.name)

@@ -160,6 +160,16 @@ def test_unbound_comparison_is_a_runtime_error(program_file, capsys):
     assert err.startswith("runtime error:")
 
 
+def test_unbound_variable_errors_name_the_variable_the_program_wrote(program_file, capsys):
+    for source, name in [
+        ("main { choose(x) x < 5 }", "x"),
+        ("main { choose(x) (y = x + 1) }", "x"),
+        ("p(n) { n + 1 == 2 } main { choose(y) p(y) }", "n"),
+    ]:
+        code, _, err = invoke(capsys, ["run", program_file(source)])
+        assert (code, err) == (3, f"runtime error: unbound variable '{name}' used in arithmetic\n")
+
+
 def test_depth_budget_exhaustion_names_the_limit(program_file, capsys):
     path = program_file("loop() { loop() } main { loop() }")
     code, out, err = invoke(capsys, ["run", path, "--max-depth=50"])
