@@ -282,6 +282,32 @@ def test_bounded_enum_deduplicates_in_linear_time(monkeypatch):
     assert calls <= 4 * n
 
 
+def test_a_search_builds_no_goal_syntax_per_alternative(monkeypatch):
+    # an alternative binds its element in an environment: no goal is
+    # rebuilt with the element substituted into it
+    import choo.syntax as syntax
+
+    program = parse_program(
+        "main { choose(a in {1..6}) choose(b in {1..6}) choose(c in {1..6})"
+        " (a * a + b * b == c * c; a < b) }"
+    )
+    built = []
+    for name in ("Seq", "Compare", "Assign", "Call", "Choose", "BoundedChoose",
+                 "BinOp", "FunCall", "TermLit", "IntLit", "VarRef", "Enum"):
+        cls = getattr(syntax, name)
+
+        def counting_init(self, *args, init=cls.__init__, name=name):
+            built.append(name)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    solutions = list(run(program))  # what an untraced `choo run --all` does
+    assert [o.witnesses for o, _ in solutions] == [
+        (("a", Int(3)), ("b", Int(4)), ("c", Int(5))),
+    ]
+    assert built == []
+
+
 def test_bounded_range_runs_ascending():
     outs = goal_outcomes("choose(x in {1..3}) x == x")
     assert [o.witnesses for o in outs] == [
