@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
 from types import MappingProxyType
 from typing import Iterator
 
@@ -306,27 +305,18 @@ def eval_store_value(store, subst, expr, env=_NO_ENV):
 # to their clauses through a table built here, as the WAM selects
 # clauses from tables built at load time (Ait-Kaci, 1991).
 
-def _term_fn(term):
-    """f(env): the value of term in env."""
-    return partial(_instance, term) if free_vars(term) else lambda env: term
-
-
-def _elements_fn(cset):
-    """f(state, env): a choice set's elements in the order they are tried."""
+def _elements(cset, subst, env):
+    """The elements of a choice set in env, in the order they are tried."""
     if type(cset) is Range:
-        return lambda st, env: map(Int, range(cset.lo, cset.hi + 1))
-    values = [_term_fn(e) for e in cset.elements]
-
-    def elements(st, env):
-        # written order, structural duplicates dropped after resolving
-        resolved, seen = [], set()
-        for value in values:
-            r = apply(st.subst, value(env))
-            if r not in seen:
-                seen.add(r)
-                resolved.append(r)
-        return resolved
-    return elements
+        return map(Int, range(cset.lo, cset.hi + 1))
+    # written order, structural duplicates dropped after resolving
+    resolved, seen = [], set()
+    for e in cset.elements:
+        r = apply(subst, _instance(e, env))
+        if r not in seen:
+            seen.add(r)
+            resolved.append(r)
+    return resolved
 
 
 def _compile(goal, table: dict):
@@ -348,11 +338,11 @@ def _compile(goal, table: dict):
     elif type(goal) is Assign:
         code = (5, goal)
     elif type(goal) is Call:
-        code = (3, goal, [_term_fn(a) for a in goal.args], table.get((goal.name, len(goal.args))))
+        code = (3, goal, table.get((goal.name, len(goal.args))))
     elif type(goal) is Choose:
         code = (7, goal, _compile(goal.body, table))
     elif type(goal) is BoundedChoose:
-        code = (8, goal, _elements_fn(goal.cset), _compile(goal.body, table))
+        code = (8, goal, _compile(goal.body, table))
     else:
         raise TypeError(f"not a goal: {goal!r}")
     for seq, first in reversed(seqs):
@@ -454,9 +444,9 @@ class Solver:
                         frames = [0, code[2], {**env, goal.var: fresh}, depth + 1, [7, code, env, None, frames]]
                         continue
                     else:
-                        if rule == 3 and code[3] is None:
+                        if rule == 3 and code[2] is None:
                             raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
-                        alternatives = iter(code[2](st, env) if rule == 8 else code[3])
+                        alternatives = iter(_elements(goal.cset, st.subst, env) if rule == 8 else code[2])
                         first = next(alternatives, None)
                         if first is not None:
                             points.append([alternatives, first, code, env, depth,
@@ -478,15 +468,15 @@ class Solver:
                         on_rule(rule, (goal, env))
                     if rule == 8:
                         st.choose(goal.var, alternative)
-                        frames = [0, code[3], {**env, goal.var: alternative}, depth + 1,
+                        frames = [0, code[2], {**env, goal.var: alternative}, depth + 1,
                                   [8, code, env, None, frames]]
                         break
                     else:
                         clause, body = alternative
                         params = {}
-                        for param, arg in zip(clause.params, code[2]):
+                        for param, arg in zip(clause.params, goal.args):
                             params[param] = st.fresh_var()
-                            st.unify(params[param], arg(env))  # fresh var: cannot fail
+                            st.unify(params[param], _instance(arg, env))  # fresh var: cannot fail
                         if on_rule is not None:
                             for _ in params:
                                 on_rule(2, (goal, env))
