@@ -9,6 +9,7 @@ everything else to stderr, so traces never disturb the output contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -127,7 +128,9 @@ def _cmd_oracle_check(args) -> int:
     return 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """Built once per process: building it costs ten times parsing with it."""
     parser = argparse.ArgumentParser(
         prog="choo",
         description="Interpreter for a small imperative language with choose statements.",
@@ -162,8 +165,11 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--seed", type=int, default=0,
                           help="seed for counterexample minimization order")
     p_oracle.set_defaults(handler=_cmd_oracle_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _arg_parser().parse_args(argv)
     return args.handler(args)
 
 
