@@ -90,7 +90,7 @@ def test_every_output_matches_its_pinned_digest(tmp_path):
             path = files[program]
             shown = path.relative_to(ROOT) if path.is_relative_to(ROOT) else f"DIR/{path.name}"
             command, *flags = CONFIGURATIONS[config]
-            wrong.append(f"{program} {config}: choo {command} {shown} {' '.join(flags)}")
+            wrong.append(f"{program} {config}: " + " ".join(["choo", command, str(shown), *flags]))
     missing = sorted(set(pinned) - seen)
     assert not wrong and not missing, (
         f"{len(wrong)} outputs differ from tests/golden/corpus.sha256"
