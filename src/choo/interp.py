@@ -298,13 +298,6 @@ def eval_store_value(store, subst, expr, env=_NO_ENV):
     return value
 
 
-# --- compiling goals once ------------------------------------------------------
-#
-# Before the search starts, each clause body and the main goal become
-# code once: a tuple (rule, goal, parts...) per goal, with calls linked
-# to their clauses through a table built here, as the WAM selects
-# clauses from tables built at load time (Ait-Kaci, 1991).
-
 def _elements(cset, subst, env):
     """The elements of a choice set in env, in the order they are tried."""
     if type(cset) is Range:
@@ -319,6 +312,13 @@ def _elements(cset, subst, env):
     return resolved
 
 
+# --- compiling goals once ------------------------------------------------------
+#
+# Before the search starts, each clause body and the main goal become
+# code once: a tuple (rule, goal, parts...) per goal, with calls linked
+# to their clauses through a table built here, as the WAM selects
+# clauses from tables built at load time (Ait-Kaci, 1991).
+
 def _compile(goal, table: dict):
     """Code of goal; table maps (name, arity) to the [(clause, body
     code)] a call tries. A `;` chain is walked in a loop, so recursion
@@ -328,13 +328,11 @@ def _compile(goal, table: dict):
         seqs.append((goal, _compile(goal.first, table)))
         goal = goal.second
     if type(goal) is Compare:
-        # == unifies when a side may be a term; between ground values it is ==
-        terms = (type(goal.lhs) in (VarRef, TermLit)) + (type(goal.rhs) in (VarRef, TermLit))
-        if goal.op != "==" or not terms:
-            code = (4, goal, eval_int, _ORDER[goal.op])
-        else:
-            unifies = TermLit in (type(goal.lhs), type(goal.rhs))
-            code = (4, goal, eval_operand, None if unifies else operator.eq)
+        sides = {type(goal.lhs), type(goal.rhs)}
+        if goal.op != "==" or not sides & {VarRef, TermLit}:
+            code = (4, goal, eval_int, _ORDER[goal.op])  # == of two integers is equality
+        else:  # unification; of two store values, which are ground, it is equality
+            code = (4, goal, eval_operand, None if TermLit in sides else operator.eq)
     elif type(goal) is Assign:
         code = (5, goal)
     elif type(goal) is Call:
