@@ -212,12 +212,14 @@ def format_term(term: Term, env: dict | None = None) -> str:
     spaces. Variables print as their name, or as their value when env
     names them; the caller decides how to show unbound results.
     """
+    if env and isinstance(term, Var) and term.name in env:
+        term, env = env[term.name], None  # the value is printed as it is
+    if not isinstance(term, Compound):
+        return _leaf_text(term)
     leaf = _leaf_text
     if env:
         def leaf(t):
             return format_term(env[t.name]) if isinstance(t, Var) and t.name in env else _leaf_text(t)
-    if not isinstance(term, Compound):
-        return leaf(term)
     return _render(term, leaf, "{}(", ",", (")", ")"))
 
 
