@@ -9,7 +9,7 @@ exhaustive checker build these trees, so the type lives apart from both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import Goal, format_goal
 
@@ -31,7 +31,7 @@ class DerivationNode:
     goal: Goal
     children: tuple
     label: str | None = None
-    env: dict | None = None
+    env: dict | None = field(default=None, hash=False)  # nodes stay hashable
 
     def __post_init__(self):
         if self.rule not in RULE_CHILDREN:
