@@ -144,6 +144,12 @@ class ProgramState:
             self.trail.append((self.subst, name, _MISSING))
         return True
 
+    def bind(self, var, term):
+        """Bind a variable that occurs nowhere yet, so that no occurs check
+        is needed; binding to the walked term keeps chains short."""
+        self.trail.append((self.subst, var.name, _MISSING))
+        self.subst[var.name] = self.subst.walk(term)
+
     def choose(self, name, term):
         self.trail.append((self.choices, len(self.choices), _MISSING))
         self.choices.append((name, term))
@@ -276,25 +282,29 @@ def eval_int(store, subst, expr, env=_NO_ENV) -> int | None:
 def eval_operand(store, subst, expr, env=_NO_ENV):
     """Term value of one side of ==, or None on failure.
 
-    Logic variables may stay unbound here; unification decides what to
-    do with them. Arithmetic subexpressions still need ground integers.
+    A term is left unresolved: unification walks the bindings itself.
+    Arithmetic subexpressions still need ground integers.
     """
     if type(expr) is IntLit:
         return Int(expr.value)
     if type(expr) is VarRef:
         return store.get(expr.name)
     if type(expr) is TermLit:
-        return apply(subst, _instance(expr.term, env))
+        return _instance(expr.term, env)
     n = eval_int(store, subst, expr, env)
     return None if n is None else Int(n)
 
 
 def eval_store_value(store, subst, expr, env=_NO_ENV):
-    """Value for an assignment: like an operand, but it must be ground."""
+    """Value for an assignment: like an operand, but ground and resolved,
+    since the store outlives the bindings that backtracking undoes."""
     value = eval_operand(store, subst, expr, env)
-    if type(expr) is TermLit and value is not None and not is_ground(value):
-        names = ", ".join(sorted(v.name for v in free_vars(value)))
-        raise EvalError(f"assigned value is not ground (unbound: {names})")
+    if type(expr) is TermLit:
+        value = apply(subst, value)
+        if not is_ground(value):  # name the variables the program wrote
+            names = sorted({v.name for v in free_vars(expr.term)
+                            if not is_ground(env.get(v.name, v), subst)})
+            raise EvalError(f"assigned value is not ground (unbound: {', '.join(names)})")
     return value
 
 
@@ -474,7 +484,7 @@ class Solver:
                         params = {}
                         for param, arg in zip(clause.params, goal.args):
                             params[param] = st.fresh_var()
-                            st.unify(params[param], _instance(arg, env))  # fresh var: cannot fail
+                            st.bind(params[param], _instance(arg, env))
                         if on_rule is not None:
                             for _ in params:
                                 on_rule(2, (goal, env))
@@ -490,8 +500,8 @@ class Solver:
 
 # --- entry points --------------------------------------------------------------
 
-def _witness_value(subst, term):
-    resolved = apply(subst, term)
+def _witness_value(subst, term, memo):
+    resolved = apply(subst, term, memo)
     return UNCONSTRAINED if isinstance(resolved, Var) else resolved
 
 
@@ -511,8 +521,9 @@ def run(program, goal=None, budget: SearchBudget | None = None, on_rule=None):
     state = ProgramState(clauses)
     solver = Solver(state, budget, on_rule)
     for node in solver.solve(goal):
+        memo = {}  # one per outcome: the bindings differ between solutions
         witnesses = tuple(
-            (name, _witness_value(state.subst, term)) for name, term in state.choices
+            (name, _witness_value(state.subst, term, memo)) for name, term in state.choices
         )
         yield Outcome(witnesses, dict(state.store)), node
 

@@ -163,20 +163,39 @@ def unify_in_place(t1: Term, t2: Term, subst: Subst) -> list | None:
     return None
 
 
-def apply(subst: Subst, term: Term) -> Term:
-    """Resolve term under subst all the way down."""
-    term = subst.walk(term)
-    if not isinstance(term, Compound):
-        return term
+def apply(subst: Subst, term: Term, memo: dict | None = None) -> Term:
+    """Resolve term under subst all the way down.
+
+    A subterm that resolves to itself is shared, not copied. memo maps
+    variable names to their resolved terms; one dict passed to several
+    calls resolves each variable once across them, for as long as subst
+    does not change.
+    """
+    resolved = subst.walk(term)
+    if type(resolved) is not Compound:
+        return resolved
+    if memo is None:
+        memo = {}
     done, stack = [], [term]
     while stack:
         t = stack.pop()
-        if isinstance(t, Compound):
-            stack.append((t,))  # rebuilt once its arguments are resolved
-            stack.extend(subst.walk(a) for a in reversed(t.args))
-        elif isinstance(t, tuple):
-            n = len(t[0].args)
-            done[-n:] = [Compound(t[0].functor, tuple(done[-n:]))]
+        if type(t) is Var:
+            if t.name in memo:
+                done.append(memo[t.name])
+                continue
+            stack.append(t.name)  # memoised once its value is resolved
+            t = subst.walk(t)
+        if type(t) is Compound:
+            stack.append((t,))  # built once its arguments are resolved
+            stack.extend(reversed(t.args))
+        elif type(t) is tuple:
+            c, n = t[0], len(t[0].args)
+            args = tuple(done[-n:])
+            if any(a is not b for a, b in zip(args, c.args)):
+                c = Compound(c.functor, args)
+            done[-n:] = [c]
+        elif type(t) is str:
+            memo[t] = done[-1]
         else:
             done.append(t)
     return done[0]

@@ -90,6 +90,37 @@ def test_run_all_separates_solutions_and_counts_them(program_file, capsys):
     )
 
 
+def test_run_all_resolves_witnesses_afresh_in_each_solution(program_file, capsys):
+    # y is chosen once and bound differently in each solution; z is
+    # never bound and prints as a blank after resolving through x
+    path = program_file("main { choose(y) choose(x in {1, 2}) choose(z) y == f(x) }")
+    code, out, _ = invoke(capsys, ["run", path, "--all"])
+    assert code == 0
+    assert out == (
+        "y = f(1)\nx = 1\nz = _\nstore: {}\n"
+        "---\n"
+        "y = f(2)\nx = 2\nz = _\nstore: {}\n"
+        "solutions: 2\n"
+    )
+    path = program_file("main { choose(x in {1, 2}) choose(y) (y == f(x)) }")
+    code, out, _ = invoke(capsys, ["run", path, "--all"])
+    assert out == "x = 1\ny = f(1)\nstore: {}\n---\nx = 2\ny = f(2)\nstore: {}\nsolutions: 2\n"
+
+
+def test_run_all_stores_values_resolved_when_assigned(program_file, capsys):
+    # the binding of y is undone before the next solution; the store
+    # keeps the value it had when s was written
+    path = program_file("main { choose(y) choose(x in {1, 2}) (y == f(x); s = g(y)) }")
+    code, out, _ = invoke(capsys, ["run", path, "--all"])
+    assert code == 0
+    assert out == (
+        "y = f(1)\nx = 1\nstore: {s = g(f(1))}\n"
+        "---\n"
+        "y = f(2)\nx = 2\nstore: {s = g(f(2))}\n"
+        "solutions: 2\n"
+    )
+
+
 def test_run_all_on_an_empty_search_reports_zero(program_file, capsys):
     path = program_file("main { choose(x in {1..0}) x == x }")
     code, out, _ = invoke(capsys, ["run", path, "--all"])
@@ -168,6 +199,18 @@ def test_unbound_variable_errors_name_the_variable_the_program_wrote(program_fil
     ]:
         code, _, err = invoke(capsys, ["run", program_file(source)])
         assert (code, err) == (3, f"runtime error: unbound variable '{name}' used in arithmetic\n")
+
+
+def test_non_ground_assignment_errors_name_the_variables_the_program_wrote(program_file, capsys):
+    for source, names in [
+        ("main { choose(x) s = f(x) }", "x"),
+        ("main { choose(x) s = x }", "x"),
+        ("p(a) { s = g(a) } main { choose(y) p(y) }", "a"),
+        ("main { choose(x) choose(y) (x == 1; s = f(y, x, y)) }", "y"),
+        ("main { choose(x) choose(y) (x == h(y); s = f(y, x)) }", "x, y"),
+    ]:
+        code, _, err = invoke(capsys, ["run", program_file(source)])
+        assert (code, err) == (3, f"runtime error: assigned value is not ground (unbound: {names})\n")
 
 
 def test_depth_budget_exhaustion_names_the_limit(program_file, capsys):

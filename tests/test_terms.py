@@ -102,7 +102,26 @@ def test_apply_replaces_bound_variables_only():
 
 def test_apply_empty_substitution_is_identity():
     t = f(X, g(Atom("a"), Int(7)))
-    assert apply(EMPTY_SUBST, t) == t
+    assert apply(EMPTY_SUBST, t) is t  # nothing changed, so nothing is copied
+
+
+def test_apply_shares_subterms_that_resolve_to_themselves():
+    ground = g(Atom("a"), Int(7))
+    s = EMPTY_SUBST.bind("X", Int(3))
+    resolved = apply(s, f(X, ground))
+    assert resolved == f(Int(3), ground)
+    assert resolved.args[1] is ground
+
+
+def test_apply_memo_resolves_each_variable_once_across_calls():
+    s = EMPTY_SUBST.bind("X", g(Y)).bind("Y", f(Int(2)))
+    memo = {}
+    x = apply(s, X, memo)
+    assert x == g(f(Int(2)))
+    assert memo == {"X": x, "Y": x.args[0]}
+    both = apply(s, f(Y, X, Z), memo)
+    assert both == f(f(Int(2)), x, Z)
+    assert both.args[0] is x.args[0] and both.args[1] is x
 
 
 def test_apply_resolves_chained_bindings():
