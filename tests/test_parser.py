@@ -1,6 +1,24 @@
-"""Concrete syntax: shapes, positions, scoping, totality, round-trips."""
+"""Concrete syntax: shapes, positions, scoping, totality, round-trips.
 
+`tests/golden/parse.sha256` pins what `parse_program` makes of the
+golden programs, `programs/`, `gen_program` seeds 0-999 and 5,000
+seeded mutations of those: one line per source, the first 16 hex
+digits of the SHA-256 of the formatted program, or of `line:col
+message` for a parse error. Regenerate it only after a deliberate
+change to what the parser accepts or reports, and say so in
+CHANGES.md:
+
+    PYTHONPATH=src python tests/test_parser.py > tests/golden/parse.sha256
+
+To see one source, such as a mutation the test names:
+
+    PYTHONPATH=src python tests/test_parser.py --show mutant/0042
+"""
+
+import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +291,64 @@ def test_fuzzed_variations_of_a_valid_program():
             parse_program("".join(chars))
         except ParseError:
             pass
+
+
+# --- the pinned parser differential ---------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+PARSE_DIGESTS = ROOT / "tests" / "golden" / "parse.sha256"
+_MUTATION_CHARS = "{}()=;,x1 -+*/<>!.choosefibinz"
+
+
+def parse_sources() -> dict:
+    """Source id -> text, in a fixed order: the whole differential's input."""
+    files = sorted((ROOT / "tests" / "golden").glob("*.choo")) + sorted(
+        (ROOT / "programs").glob("*.choo"))
+    sources = {f"{p.parent.name}/{p.stem}": p.read_text(encoding="utf-8") for p in files}
+    sources.update(
+        (f"gen/{seed:03d}", format_program(gen_program(random.Random(seed))))
+        for seed in range(1000))
+    bases = list(sources.values())
+    rng = random.Random(3004)
+    for i in range(5000):
+        chars = list(rng.choice(bases))
+        for _ in range(rng.randint(1, 5)):
+            kind, pos = rng.random(), rng.randrange(len(chars) + 1)
+            if kind < 1 / 3 and pos < len(chars):
+                del chars[pos]
+            elif kind < 2 / 3 and pos < len(chars):
+                chars[pos] = rng.choice(_MUTATION_CHARS)
+            else:
+                chars.insert(pos, rng.choice(_MUTATION_CHARS))
+        if rng.random() < 0.1:
+            chars.append("// c")
+        sources[f"mutant/{i:04d}"] = "".join(chars)
+    return sources
+
+
+def parse_digest(source: str) -> str:
+    try:
+        text = format_program(parse_program(source))
+    except ParseError as err:
+        text = f"{err.line}:{err.column} {err.message}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_parse_results_match_the_pinned_digests():
+    pinned = dict(line.split() for line in PARSE_DIGESTS.read_text(encoding="utf-8").splitlines())
+    sources = parse_sources()
+    wrong = [name for name, source in sources.items() if pinned.get(name) != parse_digest(source)]
+    missing = sorted(set(pinned) - set(sources))
+    assert not wrong and not missing, (
+        f"{len(wrong)} parse results differ from tests/golden/parse.sha256"
+        " (print a source with `python tests/test_parser.py --show ID`):\n"
+        + "\n".join(wrong[:40] + [f"not parsed: {name}" for name in missing[:40]])
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--show"]:
+        print(parse_sources()[sys.argv[2]], end="")
+    else:
+        for name, source in parse_sources().items():
+            print(name, parse_digest(source))
