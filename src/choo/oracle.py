@@ -364,13 +364,9 @@ class _Enumerator:
             case Range(lo, hi):
                 return [Int(i) for i in range(lo, hi + 1)]
             case Enum(elements):
-                members = []
-                for e in elements:
-                    if not _ground(e):
-                        raise OracleRunError("choice set element is not ground")
-                    if e not in members:
-                        members.append(e)
-                return members
+                if not all(map(_ground, elements)):
+                    raise OracleRunError("choice set element is not ground")
+                return list(dict.fromkeys(elements))  # first appearance wins
         raise TypeError(f"not a choice set: {cset!r}")
 
     # the enumeration itself; yields (store, witnesses, derivation)

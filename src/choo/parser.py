@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for the surface syntax.
+"""Lexer and parser for the surface syntax.
 
 Grammar, where seq binds loosest and associates to the right:
 
@@ -9,29 +9,38 @@ Grammar, where seq binds loosest and associates to the right:
               | "(" goal ")"
               | IDENT "=" expr
               | cond
-              | IDENT "(" [term ("," term)*] ")"
+              | IDENT "(" [terms] ")"
     cond     := expr ("==" | "!=" | "<" | "<=" | ">" | ">=") expr
     expr     := additive over mul over primary; "+-" then "*/", left assoc
     primary  := INT | "-" INT | "(" expr ")" | ("fib"|"fact") "(" expr ")"
-              | IDENT | IDENT "(" term ("," term)* ")"
-    term     := INT | "-" INT | IDENT | IDENT "(" term ("," term)* ")"
-    set      := "{" "}" | "{" INT ".." INT "}" | "{" term ("," term)* "}"
+              | IDENT | IDENT "(" terms ")"
+    terms    := term ("," term)*
+    term     := INT | "-" INT | IDENT | IDENT "(" terms ")"
+    set      := "{" "}" | "{" INT ".." INT "}" | "{" terms "}"
 
 Identifiers are lowercase-initial; choose, in, main, fib and fact are
 reserved. // starts a comment to end of line. A prim starting with an
 identifier-and-parenthesis or with a parenthesis is ambiguous between a
 call, a parenthesised goal, and a condition operand; the parser commits
-to the goal reading unless the next token is an operator, backtracking
-to the condition reading otherwise.
+to the goal reading, and rereads from that token as a condition when an
+operator follows it or when the goal reading fails (then the farther of
+the two errors wins, and a failed reread moves outward one parenthesis).
 
-Scoping happens here: each parse function carries the set of names
-bound by enclosing choose statements or clause parameters. Names in
-that set become logic variables. Any other name is an atom in term
-position; in expression position it is a store read when the program
-assigns the name somewhere (the store is one global namespace, so the
-whole token stream decides) and an atom otherwise, which is the only
-way a bare atom can reach a condition. Assigning to a bound name is an
-error at parse time.
+Goals, expressions and terms are each read in a loop over an explicit
+stack of the constructs open at that point, so nesting costs no Python
+frames and the answer does not depend on the caller's stack. At most
+_MAX_NESTING constructs may be open at once: parentheses, choose headers
+until their statement ends, calls, fib and fact calls, and compound
+terms. The token that opens one more fails with "nesting too deep".
+
+Scoping happens here: each reader carries the set of names bound by
+enclosing choose statements or clause parameters. Names in that set
+become logic variables. Any other name is an atom in term position; in
+expression position it is a store read when the program assigns the
+name somewhere (the store is one global namespace, so the whole token
+stream decides) and an atom otherwise, which is the only way a bare atom
+can reach a condition. Assigning to a bound name is an error at parse
+time.
 """
 
 from __future__ import annotations
@@ -136,19 +145,16 @@ def _assigned_names(tokens) -> frozenset:
         if tok.kind == "ident" and nxt.kind == "="
     )
 
-
 class _Parser:
     def __init__(self, tokens):
-        self.tokens = tokens
+        self.tokens = tokens + tokens[-1:]  # a second eof, for peek(1) at the end
         self.stores = _assigned_names(tokens)
         self.pos = 0
-        self.depth = 0
 
     # --- token helpers ---
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -166,13 +172,10 @@ class _Parser:
         tok = self.peek()
         raise ParseError(tok.line, tok.col, message)
 
-    def _enter(self):
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
+    def _nest(self, depth: int):
+        """Fail at the current token if it opens construct number depth."""
+        if depth > _MAX_NESTING:
             self._error("nesting too deep")
-
-    def _leave(self):
-        self.depth -= 1
 
     # --- program structure ---
 
@@ -218,175 +221,188 @@ class _Parser:
     # --- goals ---
 
     def goal(self, scope):
-        # a loop over ";", not recursion: flat programs are long chains
-        prims = [self.prim(scope)]
-        while self.peek().kind == ";":
-            self.advance()
-            prims.append(self.prim(scope))
-        return seq_of(prims)
-
-    def prim(self, scope):
-        self._enter()
-        try:
-            tok, nxt = self.peek(), self.peek(1)
-            if tok.kind == "keyword" and tok.text == "choose":
-                return self._choose(scope)
-            if tok.kind == "ident" and nxt.kind == "=":
-                if tok.text in scope:
-                    raise ParseError(
-                        tok.line, tok.col,
-                        f"cannot assign to logic variable '{tok.text}'",
-                    )
-                self.advance()
-                self.advance()
-                return Assign(tok.text, self.expr(scope))
-            if tok.kind == "(" or (tok.kind == "ident" and nxt.kind == "("):
-                return self._goal_or_cond(scope)
-            return self.cond(scope)
-        finally:
-            self._leave()
-
-    def _choose(self, scope):
-        self.advance()  # choose
-        self.expect("(", "'('")
-        var = self.expect("ident", "a variable name")
-        if self.peek().kind == "keyword" and self.peek().text == "in":
-            self.advance()
-            cset = self.cset(scope)
-            self.expect(")", "')'")
-            body = self.prim(scope | {var.text})
-            return BoundedChoose(var.text, cset, body)
-        self.expect(")", "')'")
-        body = self.prim(scope | {var.text})
-        return Choose(var.text, body)
-
-    def _goal_or_cond(self, scope):
-        # IDENT "(" opens a call or a compound operand, and "(" a goal or a
-        # parenthesised operand: commit to the goal unless an operator follows
-        save = self.pos
-        try:
-            tok = self.advance()
-            if tok.kind == "(":
-                goal = self.goal(scope)
-                self.expect(")", "')'")
-            else:
-                self.advance()  # (
-                args = []
-                if self.peek().kind != ")":
-                    args.append(self.term(scope))
-                    while self.peek().kind == ",":
-                        self.advance()
-                        args.append(self.term(scope))
-                self.expect(")", "')' or ','")
-                goal = Call(tok.text, tuple(args))
-        except ParseError as goal_err:
-            self.pos = save
+        # open "(" goals, calls and choose headers, innermost last: (where a
+        # "(" or call is reread from as a condition, the scope and statements
+        # outside it, and (var, set) for a choose header, else None)
+        stack, prims, g = [], [], None
+        while True:
             try:
-                return self.cond(scope)
-            except ParseError as cond_err:
-                raise _farther(goal_err, cond_err) from None
-        if self.peek().kind in _OPERATOR_KINDS:
-            self.pos = save
-            return self.cond(scope)
-        return goal
+                if g is None:  # read a statement, or open one more construct
+                    tok, nxt = self.peek(), self.peek(1)
+                    if tok.kind == "keyword" and tok.text == "choose":
+                        self._nest(len(stack) + 1)
+                        self.advance()
+                        self.expect("(", "'('")
+                        var = self.expect("ident", "a variable name").text
+                        cset = None
+                        if self.peek().kind == "keyword" and self.peek().text == "in":
+                            self.advance()
+                            cset = self.cset(scope, len(stack) + 1)
+                        self.expect(")", "')'")
+                        stack.append((None, scope, prims, (var, cset)))
+                        scope = scope | {var}
+                    elif tok.kind == "(" or tok.kind == "ident" and nxt.kind == "(":
+                        stack.append((self.pos, scope, prims, None))
+                        self._nest(len(stack))
+                        self.advance()
+                        if tok.kind == "(":
+                            prims = []
+                            continue
+                        self.advance()
+                        args = self.terms(scope, len(stack)) if self.peek().kind != ")" else []
+                        self.expect(")", "')' or ','")
+                        g, scope, prims = self._close(stack, Call(tok.text, tuple(args)))
+                    elif tok.kind == "ident" and nxt.kind == "=":
+                        if tok.text in scope:
+                            raise ParseError(
+                                tok.line, tok.col,
+                                f"cannot assign to logic variable '{tok.text}'",
+                            )
+                        self.advance()
+                        self.advance()
+                        g = Assign(tok.text, self.expr(scope, len(stack)))
+                    else:
+                        g = self.cond(scope, len(stack))
+                    continue
+                while stack and stack[-1][3]:  # a statement ends the chooses it is the body of
+                    _, scope, prims, (var, cset) = stack.pop()
+                    g = Choose(var, g) if cset is None else BoundedChoose(var, cset, g)
+                prims.append(g)
+                g = None
+                # a loop over ";", not nesting: flat programs are long chains
+                if self.peek().kind == ";":
+                    self.advance()
+                    continue
+                if not stack:
+                    return seq_of(prims)
+                self.expect(")", "')'")
+                g, scope, prims = self._close(stack, seq_of(prims))
+            except ParseError as err:
+                # reread the innermost open "(" or call as a condition, and
+                # move outward while that fails too; the farther error wins
+                while True:
+                    while stack and stack[-1][3]:
+                        stack.pop()
+                    if not stack:
+                        raise err from None
+                    start, scope, prims, _ = stack.pop()
+                    self.pos = start
+                    try:
+                        g = self.cond(scope, len(stack))
+                        break
+                    except ParseError as cond_err:
+                        err = _farther(err, cond_err)
 
-    def cond(self, scope):
-        lhs = self.expr(scope)
+    def _close(self, stack, goal):
+        """Pop the "(" or call that read goal; a following operator makes it
+        a condition's operand instead. Returns the statement, and the scope
+        and statements outside it."""
+        start, scope, prims, _ = stack.pop()
+        if self.peek().kind in _OPERATOR_KINDS:
+            self.pos = start
+            goal = self.cond(scope, len(stack))
+        return goal, scope, prims
+
+    def cond(self, scope, depth):
+        lhs = self.expr(scope, depth)
         tok = self.peek()
         if tok.kind not in _COMPARISON_OPS:
             self._error(f"expected a comparison operator, found {_show(tok)}")
         self.advance()
-        rhs = self.expr(scope)
+        rhs = self.expr(scope, depth)
         return Compare(tok.kind, lhs, rhs)
 
     # --- expressions ---
 
-    def expr(self, scope):
-        left = self.mul(scope)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            left = BinOp(op, left, self.mul(scope))
-        return left
-
-    def mul(self, scope):
-        left = self.primary(scope)
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            left = BinOp(op, left, self.primary(scope))
-        return left
-
-    def primary(self, scope):
-        self._enter()
-        try:
+    def expr(self, scope, depth):
+        # open "(" and fib/fact calls, innermost last, each with the partial
+        # sum and product outside it: (name or None, sum, op, product, op)
+        stack = []
+        total = add = product = mul = None
+        while True:
             tok = self.peek()
-            if tok.kind == "int":
+            if tok.kind == "(" or tok.kind == "keyword" and tok.text in ("fib", "fact"):
+                self._nest(depth + len(stack) + 1)
                 self.advance()
-                return IntLit(self._int_value(tok, negative=False))
-            if tok.kind == "-" and self.peek(1).kind == "int":
-                self.advance()
-                lit = self.advance()
-                return IntLit(self._int_value(lit, negative=True))
-            if tok.kind == "(":
-                self.advance()
-                inner = self.expr(scope)
+                if tok.kind != "(":
+                    self.expect("(", "'('")
+                stack.append((tok.text if tok.kind != "(" else None, total, add, product, mul))
+                total = add = product = mul = None
+                continue
+            operand = self._operand(tok, scope, depth + len(stack))
+            while True:
+                product = operand if mul is None else BinOp(mul, product, operand)
+                if self.peek().kind in ("*", "/"):
+                    mul = self.advance().kind
+                    break
+                total = product if add is None else BinOp(add, total, product)
+                if self.peek().kind in ("+", "-"):
+                    add, mul = self.advance().kind, None
+                    break
+                if not stack:
+                    return total
                 self.expect(")", "')'")
-                return inner
-            if tok.kind == "keyword" and tok.text in ("fib", "fact"):
-                self.advance()
-                self.expect("(", "'('")
-                arg = self.expr(scope)
-                self.expect(")", "')'")
-                return FunCall(tok.text, arg)
-            if tok.kind == "ident":
-                if self.peek(1).kind == "(":
-                    return TermLit(self.compound(scope))
-                self.advance()
-                if tok.text in scope:
-                    return TermLit(Var(tok.text))
-                if tok.text in self.stores:
-                    return VarRef(tok.text)
-                return TermLit(Atom(tok.text))
-            self._error(f"expected an expression, found {_show(tok)}")
-        finally:
-            self._leave()
+                name, outer_total, add, product, mul = stack.pop()
+                operand = total if name is None else FunCall(name, total)
+                total = outer_total
+
+    def _operand(self, tok, scope, depth):
+        if tok.kind == "int" or tok.kind == "-" and self.peek(1).kind == "int":
+            return IntLit(self._signed_int())
+        if tok.kind == "ident":
+            if self.peek(1).kind == "(":
+                return TermLit(self.terms(scope, depth, many=False)[0])
+            self.advance()
+            if tok.text in scope:
+                return TermLit(Var(tok.text))
+            if tok.text in self.stores:
+                return VarRef(tok.text)
+            return TermLit(Atom(tok.text))
+        self._error(f"expected an expression, found {_show(tok)}")
 
     # --- terms ---
 
-    def term(self, scope):
-        self._enter()
-        try:
+    def terms(self, scope, depth, many=True):
+        """term ("," term)*, or one term if not many."""
+        stack = [(None, [])]  # the list, then the open compounds: (name, args)
+        while True:
             tok = self.peek()
-            if tok.kind == "int":
+            if tok.kind == "ident" and self.peek(1).kind == "(":
+                self._nest(depth + len(stack))
                 self.advance()
-                return Int(self._int_value(tok, negative=False))
-            if tok.kind == "-" and self.peek(1).kind == "int":
                 self.advance()
-                lit = self.advance()
-                return Int(self._int_value(lit, negative=True))
-            if tok.kind == "ident":
-                if self.peek(1).kind == "(":
-                    return self.compound(scope)
+                if self.peek().kind == ")":
+                    self._error("compound term needs at least one argument")
+                stack.append((tok.text, []))
+                continue
+            if tok.kind == "int" or tok.kind == "-" and self.peek(1).kind == "int":
+                term = Int(self._signed_int())
+            elif tok.kind == "ident":
                 self.advance()
-                if tok.text in scope:
-                    return Var(tok.text)
-                return Atom(tok.text)
-            self._error(f"expected a term, found {_show(tok)}")
-        finally:
-            self._leave()
+                term = Var(tok.text) if tok.text in scope else Atom(tok.text)
+            else:
+                self._error(f"expected a term, found {_show(tok)}")
+            while True:
+                name, args = stack[-1]
+                args.append(term)
+                if self.peek().kind == "," and (many or name is not None):
+                    self.advance()
+                    break
+                if name is None:
+                    return args
+                self.expect(")", "')' or ','")
+                stack.pop()
+                term = Compound(name, tuple(args))
 
-    def compound(self, scope):
-        name = self.advance()
-        self.advance()  # (
-        if self.peek().kind == ")":
-            self._error("compound term needs at least one argument")
-        args = [self.term(scope)]
-        while self.peek().kind == ",":
+    def _signed_int(self) -> int:
+        tok = self.peek()
+        negative = tok.kind == "-" and self.peek(1).kind == "int"
+        if negative:
             self.advance()
-            args.append(self.term(scope))
-        self.expect(")", "')' or ','")
-        return Compound(name.text, tuple(args))
-
-    def _int_value(self, tok: Token, negative: bool) -> int:
+            tok = self.peek()
+        if tok.kind != "int":
+            self._error(f"expected an integer, found {_show(tok)}")
+        self.advance()
         value = -int(tok.text) if negative else int(tok.text)
         if not (INT64_MIN <= value <= INT64_MAX):
             raise ParseError(tok.line, tok.col, "integer literal out of 64-bit range")
@@ -394,7 +410,7 @@ class _Parser:
 
     # --- choice sets ---
 
-    def cset(self, scope):
+    def cset(self, scope, depth):
         self.expect("{", "'{'")
         if self.peek().kind == "}":
             self.advance()
@@ -410,23 +426,9 @@ class _Parser:
                 self.expect("}", "'}'")
                 return Range(lo, hi)
             self.pos = save
-        elements = [self.term(scope)]
-        while self.peek().kind == ",":
-            self.advance()
-            elements.append(self.term(scope))
+        elements = self.terms(scope, depth)
         self.expect("}", "'}' or ','")
         return Enum(tuple(elements))
-
-    def _signed_int(self) -> int:
-        tok = self.peek()
-        if tok.kind == "-" and self.peek(1).kind == "int":
-            self.advance()
-            lit = self.advance()
-            return self._int_value(lit, negative=True)
-        if tok.kind == "int":
-            self.advance()
-            return self._int_value(tok, negative=False)
-        self._error(f"expected an integer, found {_show(tok)}")
 
 
 def _farther(e1: ParseError, e2: ParseError) -> ParseError:
@@ -435,23 +437,12 @@ def _farther(e1: ParseError, e2: ParseError) -> ParseError:
 
 def parse_program(source: str) -> SourceProgram:
     """Parse a whole program; raises ParseError with position on any fault."""
-    p = _Parser(lex(source))
-    try:
-        return p.program()
-    except RecursionError:
-        # the explicit depth guard normally fires first; this converts
-        # the interpreter's own limit when the platform stack is smaller
-        tok = p.peek()
-        raise ParseError(tok.line, tok.col, "nesting too deep") from None
+    return _Parser(lex(source)).program()
 
 
 def parse_goal(source: str, scope=frozenset()) -> object:
-    """Parse a single goal, for tests and the repl-style helpers."""
+    """Parse a single goal, with the names in scope bound; used by tests."""
     p = _Parser(lex(source))
-    try:
-        g = p.goal(frozenset(scope))
-        p.expect("eof", "end of input")
-    except RecursionError:
-        tok = p.peek()
-        raise ParseError(tok.line, tok.col, "nesting too deep") from None
+    g = p.goal(frozenset(scope))
+    p.expect("eof", "end of input")
     return g

@@ -197,12 +197,6 @@ def _shadow(env, name):
     return {k: v for k, v in env.items() if k != name} if env and name in env else env
 
 
-def _format_choose_body(body: Goal, env: dict | None) -> str:
-    text = format_goal(body, env)
-    # a sequence is not a primitive statement, so it keeps its parens
-    return f"({text})" if isinstance(body, Seq) else text
-
-
 def format_goal(goal: Goal, env: dict | None = None) -> str:
     """Text of goal with the variables env names replaced by their values."""
     if isinstance(goal, Call):
@@ -220,11 +214,16 @@ def format_goal(goal: Goal, env: dict | None = None) -> str:
             goal = goal.second
         parts.append(format_goal(goal, env))
         return "; ".join(parts)
-    if isinstance(goal, Choose):
-        return f"choose({goal.var}) {_format_choose_body(goal.body, _shadow(env, goal.var))}"
-    if isinstance(goal, BoundedChoose):
-        body = _format_choose_body(goal.body, _shadow(env, goal.var))
-        return f"choose({goal.var} in {format_set(goal.cset, env)}) {body}"
+    if isinstance(goal, (Choose, BoundedChoose)):
+        # a chain of chooses is walked in a loop, each binder hiding its name
+        heads = []
+        while isinstance(goal, (Choose, BoundedChoose)):
+            cset = f" in {format_set(goal.cset, env)}" if isinstance(goal, BoundedChoose) else ""
+            heads.append(f"choose({goal.var}{cset}) ")
+            env, goal = _shadow(env, goal.var), goal.body
+        text = format_goal(goal, env)
+        # a sequence is not a primitive statement, so it keeps its parens
+        return "".join(heads) + (f"({text})" if isinstance(goal, Seq) else text)
     raise TypeError(f"not a goal: {goal!r}")
 
 

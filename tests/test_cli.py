@@ -310,12 +310,22 @@ def test_parse_still_rejects_deep_nesting(program_file):
 # Runs cli.main on each (argv, source) in order inside one new interpreter
 # and reports, per call, what it printed and what the interpreter looked
 # like afterwards. parse calls also report whether the printed program
-# parses back to the same tree; that check walks both trees in a loop,
-# because dataclass == recurses once per level of a 3000-term sum.
+# parses back to the same tree, and whether parse_program called 900
+# frames down gives what it gives at the top of the stack; the tree check
+# walks both trees in a loop, because dataclass == recurses once per level
+# of a 3000-term sum.
 _DRIVER = """
 import contextlib, dataclasses, io, json, sys, threading
 from choo.cli import main
-from choo.parser import parse_program
+from choo.parser import ParseError, parse_program
+
+def parsed(source, frames=0):
+    if frames:
+        return parsed(source, frames - 1)
+    try:
+        return parse_program(source)
+    except ParseError as err:
+        return (err.line, err.column, err.message)
 
 def same_tree(a, b):
     pairs = [(a, b)]
@@ -343,10 +353,13 @@ for argv in json.loads(sys.argv[1]):
         "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
         "state": [sys.getrecursionlimit() == limit, threading.stack_size(), threading.active_count()],
     }
-    if argv[0] == "parse" and code == 0:
+    if argv[0] == "parse":
         with open(argv[1], encoding="utf-8") as f:
-            program = parse_program(f.read())
-        entry["round_trip"] = same_tree(parse_program(out.getvalue()), program)
+            source = f.read()
+        program = parsed(source)
+        entry["same_at_depth"] = same_tree(parsed(source, 900), program)
+        if code == 0:
+            entry["round_trip"] = same_tree(parse_program(out.getvalue()), program)
     report.append(entry)
 print(json.dumps(report))
 """
@@ -459,6 +472,70 @@ def test_deep_and_long_searches_leave_the_interpreter_as_it_was(tmp_path):
             assert (entry["code"], entry["stderr"], entry["round_trip"]) == (0, "", True), where
         else:
             assert (entry["code"], entry["stdout"], entry["stderr"]) == outcome, where
+
+
+def _nesting_cases(n):
+    """(name, source, column of the token that opens the n-th construct)
+    for each construct that nests; all of them sit on line 1."""
+    main, call = "main { ", "p(x) { x == x } main { "
+    chooses = "".join(f"choose(x{i}) " for i in range(n))
+    bounded = "".join(f"choose(x{i} in {{{i}}}) " for i in range(n - 1))
+    at = lambda prefix, k=0: len(prefix) + k + 1  # noqa: E731
+    return [
+        ("paren_goal", main + "(" * n + "1 == 1" + ")" * n + " }", at(main, n - 1)),
+        ("left_seq", main + "(" * n + "s = 0" + "; s = 1)" * n + " }", at(main, n - 1)),
+        ("choose_chain", main + chooses + "x0 == 0 }", at(main + chooses) - len(f"choose(x{n - 1}) ")),
+        ("bounded_chain", main + bounded + "(x0 == 0) }", at(main + bounded)),
+        ("paren_expr", main + "s = " + "(" * n + "1" + ")" * n + " }", at(main + "s = ", n - 1)),
+        ("fact_call", main + "s = " + "fact(" * n + "1" + ")" * n + " }", at(main + "s = ", 5 * (n - 1))),
+        ("cond_term", main + f"choose(x) x == {_peano(n - 1)} }}", at(main + "choose(x) x == ", 2 * (n - 2))),
+        ("call_arg", call + f"p({_peano(n - 1)}) }}", at(call + "p(", 2 * (n - 2))),
+        ("set_element", main + f"choose(x in {{{_peano(n - 1)}}}) x == x }}",
+         at(main + "choose(x in {", 2 * (n - 2))),
+    ]
+
+
+# exit codes at 500 levels under run, both traces and oracle-check
+_AT_THE_LIMIT = {
+    "paren_goal": (0, 0, 0, 0), "left_seq": (0, 0, 0, 3), "choose_chain": (0, 0, 0, 3),
+    "bounded_chain": (0, 0, 0, 3), "paren_expr": (0, 0, 0, 0), "fact_call": (0, 0, 0, 0),
+    "cond_term": (0, 0, 0, 0), "call_arg": (0, 0, 0, 0), "set_element": (0, 0, 0, 0),
+}
+
+
+def test_every_construct_nests_500_deep_and_no_deeper(tmp_path):
+    # the limit counts the constructs open at once, whatever they are, and
+    # the answer is the same at any depth of the caller's stack
+    commands = [["parse"], ["run"], ["run", "--trace=full"], ["run", "--trace=rules"],
+                ["oracle-check"]]
+    calls, expected = [], []
+    for n in (500, 501):
+        for name, source, column in _nesting_cases(n):
+            path = tmp_path / f"{name}{n}.choo"
+            path.write_text(source, encoding="utf-8")
+            for command, *flags in commands:
+                calls.append([command, str(path), *flags])
+                expected.append((f"{name}{n} {' '.join([command, *flags])}", n, name, column))
+    src = str(Path(choo.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRIVER, json.dumps(calls)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=600,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    for (where, n, name, column), argv, entry in zip(expected, calls, report, strict=True):
+        if argv[0] == "parse":
+            assert entry["same_at_depth"], where
+        if n == 501:
+            error = f"parse error at 1:{column}: nesting too deep\n"
+            assert (entry["code"], entry["stdout"], entry["stderr"]) == (2, "", error), where
+        elif argv[0] == "parse":
+            assert (entry["code"], entry["stderr"], entry["round_trip"]) == (0, "", True), where
+        else:
+            code = _AT_THE_LIMIT[name][commands.index(argv[:1] + argv[2:]) - 1]
+            assert entry["code"] == code, where
+            assert entry["stderr"] == "" or entry["stderr"].startswith(
+                ("[rule ", "out of oracle bounds")), where
 
 
 # --- oracle-check ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from choo import (
     BudgetExhausted,
     Choose,
     Compound,
+    Enum,
     EquivalenceReport,
     EvalError,
     Int,
@@ -18,6 +19,7 @@ from choo import (
     OracleRunError,
     OutOfBounds,
     Seq,
+    Var,
     check_equivalence,
     enumerate_solutions,
     execute,
@@ -51,6 +53,33 @@ def test_enumerates_the_matching_elements():
     assert goal_solutions("choose(x in {1,2,3}) x == 2") == {
         ((("x", Int(2)),), frozenset())
     }
+
+
+def test_set_elements_are_deduplicated_in_linear_time(monkeypatch):
+    # a membership test on a list made this n^2/2 comparisons
+    n = 2000
+    calls = 0
+    equal = Compound.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(Compound, "__eq__", counting_eq)
+    elements = ", ".join(f"f({i})" for i in range(n))
+    assert goal_solutions(f"choose(x in {{{elements}}}) x == f({n - 1})") == {
+        ((("x", Compound("f", (Int(n - 1),))),), frozenset())
+    }
+    assert calls <= 4 * n
+
+
+def test_set_elements_keep_their_first_appearance_and_must_be_ground():
+    enumerator = _Enumerator((), OracleBounds())
+    elements = (Int(2), Atom("a"), Int(2), Compound("f", (Int(1),)), Atom("a"))
+    assert enumerator._set_members(Enum(elements)) == [Int(2), Atom("a"), Compound("f", (Int(1),))]
+    with pytest.raises(OracleRunError, match="not ground"):
+        enumerator._set_members(Enum((Int(1), Compound("f", (Var("y"),)), Int(1))))
 
 
 def test_empty_range_has_no_solutions():
