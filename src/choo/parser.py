@@ -85,6 +85,10 @@ class ParseError(Exception):
         self.message = message
 
 
+class _TooDeep(ParseError):
+    """Final: no reread as a condition gets past the token that raised it."""
+
+
 @dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # "ident", "int", "keyword", "eof", or the punctuation itself
@@ -168,14 +172,14 @@ class _Parser:
             raise ParseError(tok.line, tok.col, f"expected {what}, found {_show(tok)}")
         return self.advance()
 
-    def _error(self, message: str):
+    def _error(self, message: str, error=ParseError):
         tok = self.peek()
-        raise ParseError(tok.line, tok.col, message)
+        raise error(tok.line, tok.col, message)
 
     def _nest(self, depth: int):
         """Fail at the current token if it opens construct number depth."""
         if depth > _MAX_NESTING:
-            self._error("nesting too deep")
+            self._error("nesting too deep", _TooDeep)
 
     # --- program structure ---
 
@@ -277,6 +281,8 @@ class _Parser:
                     return seq_of(prims)
                 self.expect(")", "')'")
                 g, scope, prims = self._close(stack, seq_of(prims))
+            except _TooDeep:
+                raise
             except ParseError as err:
                 # reread the innermost open "(" or call as a condition, and
                 # move outward while that fails too; the farther error wins

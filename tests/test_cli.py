@@ -484,6 +484,8 @@ def _nesting_cases(n):
     return [
         ("paren_goal", main + "(" * n + "1 == 1" + ")" * n + " }", at(main, n - 1)),
         ("left_seq", main + "(" * n + "s = 0" + "; s = 1)" * n + " }", at(main, n - 1)),
+        ("paren_choose", main + "(" * (n - 1) + "choose(x) x == 1" + ")" * (n - 1) + " }",
+         at(main, n - 1)),
         ("choose_chain", main + chooses + "x0 == 0 }", at(main + chooses) - len(f"choose(x{n - 1}) ")),
         ("bounded_chain", main + bounded + "(x0 == 0) }", at(main + bounded)),
         ("paren_expr", main + "s = " + "(" * n + "1" + ")" * n + " }", at(main + "s = ", n - 1)),
@@ -497,7 +499,8 @@ def _nesting_cases(n):
 
 # exit codes at 500 levels under run, both traces and oracle-check
 _AT_THE_LIMIT = {
-    "paren_goal": (0, 0, 0, 0), "left_seq": (0, 0, 0, 3), "choose_chain": (0, 0, 0, 3),
+    "paren_goal": (0, 0, 0, 0), "left_seq": (0, 0, 0, 3), "paren_choose": (0, 0, 0, 0),
+    "choose_chain": (0, 0, 0, 3),
     "bounded_chain": (0, 0, 0, 3), "paren_expr": (0, 0, 0, 0), "fact_call": (0, 0, 0, 0),
     "cond_term": (0, 0, 0, 0), "call_arg": (0, 0, 0, 0), "set_element": (0, 0, 0, 0),
 }
