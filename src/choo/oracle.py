@@ -12,13 +12,19 @@ structurally, so the candidate set covers all successes, and re-running
 the body per candidate keeps the answer sound. Programs without a pin
 are rejected as out of bounds rather than guessed at.
 
-Shared with the engine: the AST and term datatypes, seq_of, and the
-derivation node type. Nothing else; substitution, arithmetic, builtins, set
+Substitution rebuilds only the path from the root to each occurrence,
+so a subgoal, expression or term a chosen value does not reach is
+shared, not copied. Calls select their clauses from a table keyed by
+(name, arity), built once per enumeration, in source order.
+
+Shared with the engine: the AST and term datatypes and the derivation
+node type. Nothing else; substitution, arithmetic, builtins, set
 enumeration, and deduplication are all rebuilt here, differently.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,7 +45,6 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
-    seq_of,
 )
 from .terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
 
@@ -63,24 +68,26 @@ class OracleBounds:
 
 _FAIL = object()  # expression evaluation failed (unset store read)
 
+_ORDER = {"!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
 
 # --- ground term utilities ---
 
 def _ground(term) -> bool:
     pending = [term]
     while pending:
-        match pending.pop():
-            case Var():
-                return False
-            case Compound(_, args):
-                pending.extend(args)
+        t = pending.pop()
+        if type(t) is Var:
+            return False
+        if type(t) is Compound:
+            pending.extend(t.args)
     return True
 
 
 def _left_spine(expr) -> list:
     """BinOps down the left of a chain such as 1 + 2 + 3, outermost first."""
     spine = []
-    while isinstance(expr, BinOp):
+    while type(expr) is BinOp:
         spine.append(expr)
         expr = expr.left
     return spine
@@ -105,74 +112,93 @@ def _closed(expr) -> bool:
 
 
 def _subst_term(term, name, value):
-    if not isinstance(term, Compound):
-        return value if isinstance(term, Var) and term.name == name else term
-    # every subterm in breadth-first order, rebuilt last to first so that
-    # arguments come before their parents: substituted values nest
-    # deeper than source terms, past the interpreter's recursion limit
-    order = [term]
-    for t in order:
-        if isinstance(t, Compound):
-            order.extend(t.args)
-    new = {}
-    for t in reversed(order):
-        match t:
-            case Var(n) if n == name:
-                new[id(t)] = value
-            case Compound(functor, args):
-                new[id(t)] = Compound(functor, tuple(new[id(a)] for a in args))
-            case _:
-                new[id(t)] = t
-    return new[id(term)]
+    """term with value for the variable name; a subterm without it is shared."""
+    if type(term) is not Compound:
+        return value if type(term) is Var and term.name == name else term
+    # arguments are rebuilt before their parents from an explicit stack:
+    # substituted values nest deeper than the interpreter's recursion limit
+    done, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is Compound:
+            stack.append((t,))  # built once its arguments are done
+            stack.extend(reversed(t.args))
+        elif type(t) is tuple:
+            c, n = t[0], len(t[0].args)
+            args = tuple(done[-n:])
+            if not all(map(operator.is_, args, c.args)):
+                c = Compound(c.functor, args)
+            done[-n:] = [c]
+        else:
+            done.append(value if type(t) is Var and t.name == name else t)
+    return done[0]
 
 
 def _subst_expr(expr, name, value):
-    match expr:
-        case TermLit(t):
-            return TermLit(_subst_term(t, name, value))
-        case BinOp():
-            spine = _left_spine(expr)
-            expr = _subst_expr(spine[-1].left, name, value)
-            for node in reversed(spine):
-                expr = BinOp(node.op, expr, _subst_expr(node.right, name, value))
-            return expr
-        case FunCall(f, arg):
-            return FunCall(f, _subst_expr(arg, name, value))
-        case _:
-            return expr
+    kind = type(expr)
+    if kind is TermLit:
+        term = _subst_term(expr.term, name, value)
+        return expr if term is expr.term else TermLit(term)
+    if kind is BinOp:
+        spine = _left_spine(expr)
+        expr = _subst_expr(spine[-1].left, name, value)
+        for node in reversed(spine):
+            right = _subst_expr(node.right, name, value)
+            if expr is not node.left or right is not node.right:
+                node = BinOp(node.op, expr, right)
+            expr = node
+        return expr
+    if kind is FunCall:
+        arg = _subst_expr(expr.arg, name, value)
+        return expr if arg is expr.arg else FunCall(expr.name, arg)
+    return expr
 
 
 def subst_goal(goal, name, value):
     """Replace free occurrences of the logic variable name in goal.
 
-    Inner binders of the same name shadow: their bodies are left alone.
-    A bounded choose's set lies outside its own binder's scope, so the
-    set is substituted even when the binder shadows the name. The
-    shrinker in gen.py uses this too.
+    Only the path from the root to each occurrence is rebuilt: a subgoal,
+    expression or term the name does not occur free in is returned as the
+    same object, and so is goal itself. Inner binders of the same name
+    shadow: their bodies are left alone. A bounded choose's set lies
+    outside its own binder's scope, so the set is substituted even when
+    the binder shadows the name. The shrinker in gen.py uses this too.
     """
-    if isinstance(goal, Seq):  # the right spine of a ; chain, in a loop
-        goals = []
-        while isinstance(goal, Seq):
-            goals.append(subst_goal(goal.first, name, value))
+    kind = type(goal)
+    if kind is Seq:  # the right spine of a ; chain, in a loop
+        spine = []
+        while type(goal) is Seq:
+            spine.append(goal)
             goal = goal.second
-        return seq_of([*goals, subst_goal(goal, name, value)])
-    match goal:
-        case Call(proc, args):
-            return Call(proc, tuple(_subst_term(a, name, value) for a in args))
-        case Compare(op, lhs, rhs):
-            return Compare(op, _subst_expr(lhs, name, value), _subst_expr(rhs, name, value))
-        case Assign(target, expr):
-            return Assign(target, _subst_expr(expr, name, value))
-        case Choose(var, body):
-            if var == name:
-                return goal
-            return Choose(var, subst_goal(body, name, value))
-        case BoundedChoose(var, cset, body):
-            if isinstance(cset, Enum):
-                cset = Enum(tuple(_subst_term(e, name, value) for e in cset.elements))
-            if var == name:
-                return BoundedChoose(var, cset, body)
-            return BoundedChoose(var, cset, subst_goal(body, name, value))
+        goal = subst_goal(goal, name, value)
+        for node in reversed(spine):
+            first = subst_goal(node.first, name, value)
+            if first is not node.first or goal is not node.second:
+                node = Seq(first, goal)
+            goal = node
+        return goal
+    if kind is Compare:
+        lhs, rhs = _subst_expr(goal.lhs, name, value), _subst_expr(goal.rhs, name, value)
+        return goal if lhs is goal.lhs and rhs is goal.rhs else Compare(goal.op, lhs, rhs)
+    if kind is Assign:
+        expr = _subst_expr(goal.expr, name, value)
+        return goal if expr is goal.expr else Assign(goal.target, expr)
+    if kind is Call:
+        args = tuple(_subst_term(a, name, value) for a in goal.args)
+        return goal if all(map(operator.is_, args, goal.args)) else Call(goal.name, args)
+    if kind is Choose:
+        body = goal.body if goal.var == name else subst_goal(goal.body, name, value)
+        return goal if body is goal.body else Choose(goal.var, body)
+    if kind is BoundedChoose:
+        cset = goal.cset
+        if type(cset) is Enum:
+            elements = tuple(_subst_term(e, name, value) for e in cset.elements)
+            if not all(map(operator.is_, elements, cset.elements)):
+                cset = Enum(elements)
+        body = goal.body if goal.var == name else subst_goal(goal.body, name, value)
+        if cset is goal.cset and body is goal.body:
+            return goal
+        return BoundedChoose(goal.var, cset, body)
     raise TypeError(f"not a goal: {goal!r}")
 
 
@@ -201,63 +227,66 @@ def oracle_fact(n: int) -> int:
 
 class _Enumerator:
     def __init__(self, clauses, bounds: OracleBounds):
-        self.clauses = clauses
+        self.table = {}  # (name, arity) -> clauses in source order
+        for clause in clauses:
+            self.table.setdefault((clause.name, len(clause.params)), []).append(clause)
         self.bounds = bounds
 
     # expression evaluation over a ground store
 
     def _eval(self, store, expr):
-        match expr:
-            case IntLit(v):
-                return v
-            case VarRef(name):
-                if name not in store:
-                    return _FAIL
-                held = store[name]
-                if not isinstance(held, Int):
-                    raise OracleRunError(f"'{name}' holds a non-integer")
-                return held.value
-            case TermLit(t):
-                if isinstance(t, Int):
-                    return t.value
-                if isinstance(t, Var):
-                    raise OracleRunError(f"unbound '{t.name}' in arithmetic")
-                raise OracleRunError("non-integer term in arithmetic")
-            case BinOp():
-                # both sides are evaluated before a failed read short-cuts
-                spine = _left_spine(expr)
-                a = self._eval(store, spine[-1].left)
-                for node in reversed(spine):
-                    op, b = node.op, self._eval(store, node.right)
-                    if a is _FAIL or b is _FAIL:
-                        a = _FAIL
-                    elif op == "+":
-                        a = _checked(a + b)
-                    elif op == "-":
-                        a = _checked(a - b)
-                    elif op == "*":
-                        a = _checked(a * b)
-                    elif b == 0:
-                        raise OracleRunError("division by zero")
-                    else:
-                        q, r = divmod(a, b)
-                        a = _checked(q + 1 if r != 0 and (a < 0) != (b < 0) else q)
-                return a
-            case FunCall(name, arg):
-                n = self._eval(store, arg)
-                if n is _FAIL:
-                    return _FAIL
-                if name == "fib":
-                    if n < 1:
-                        raise OracleRunError("fib argument below 1")
-                    if n >= 94:
-                        raise OracleRunError("fib overflow")
-                    return _checked(oracle_fib(n))
-                if n < 0:
-                    raise OracleRunError("fact argument below 0")
-                if n > 20:
-                    raise OracleRunError("fact overflow")
-                return _checked(oracle_fact(n))
+        kind = type(expr)
+        if kind is IntLit:
+            return expr.value
+        if kind is VarRef:
+            if expr.name not in store:
+                return _FAIL
+            held = store[expr.name]
+            if type(held) is not Int:
+                raise OracleRunError(f"'{expr.name}' holds a non-integer")
+            return held.value
+        if kind is TermLit:
+            t = expr.term
+            if type(t) is Int:
+                return t.value
+            if type(t) is Var:
+                raise OracleRunError(f"unbound '{t.name}' in arithmetic")
+            raise OracleRunError("non-integer term in arithmetic")
+        if kind is BinOp:
+            # both sides are evaluated before a failed read short-cuts
+            spine = _left_spine(expr)
+            a = self._eval(store, spine[-1].left)
+            for node in reversed(spine):
+                op, b = node.op, self._eval(store, node.right)
+                if a is _FAIL or b is _FAIL:
+                    a = _FAIL
+                elif op == "+":
+                    a = _checked(a + b)
+                elif op == "-":
+                    a = _checked(a - b)
+                elif op == "*":
+                    a = _checked(a * b)
+                elif b == 0:
+                    raise OracleRunError("division by zero")
+                else:
+                    q, r = divmod(a, b)
+                    a = _checked(q + 1 if r != 0 and (a < 0) != (b < 0) else q)
+            return a
+        if kind is FunCall:
+            n = self._eval(store, expr.arg)
+            if n is _FAIL:
+                return _FAIL
+            if expr.name == "fib":
+                if n < 1:
+                    raise OracleRunError("fib argument below 1")
+                if n >= 94:
+                    raise OracleRunError("fib overflow")
+                return _checked(oracle_fib(n))
+            if n < 0:
+                raise OracleRunError("fact argument below 0")
+            if n > 20:
+                raise OracleRunError("fact overflow")
+            return _checked(oracle_fact(n))
         raise TypeError(f"not an expression: {expr!r}")
 
     def _term_value(self, store, expr):
@@ -267,18 +296,17 @@ class _Enumerator:
         comparison (the engine would unify it); such programs are out of
         bounds, never silently misjudged.
         """
-        match expr:
-            case IntLit(v):
-                return Int(v)
-            case VarRef(name):
-                return store.get(name, _FAIL)
-            case TermLit(t):
-                if not _ground(t):
-                    raise OutOfBounds("a variable reaches a comparison unsubstituted")
-                return t
-            case _:
-                n = self._eval(store, expr)
-                return _FAIL if n is _FAIL else Int(n)
+        kind = type(expr)
+        if kind is IntLit:
+            return Int(expr.value)
+        if kind is VarRef:
+            return store.get(expr.name, _FAIL)
+        if kind is TermLit:
+            if not _ground(expr.term):
+                raise OutOfBounds("a variable reaches a comparison unsubstituted")
+            return expr.term
+        n = self._eval(store, expr)
+        return _FAIL if n is _FAIL else Int(n)
 
     def _holds(self, store, goal: Compare) -> bool:
         if goal.op == "==":
@@ -295,18 +323,9 @@ class _Enumerator:
         b = self._eval(store, goal.rhs)
         if b is _FAIL:
             return False
-        match goal.op:
-            case "!=":
-                return a != b
-            case "<":
-                return a < b
-            case "<=":
-                return a <= b
-            case ">":
-                return a > b
-            case ">=":
-                return a >= b
-        raise ValueError(f"unknown comparison {goal.op}")
+        if goal.op not in _ORDER:
+            raise ValueError(f"unknown comparison {goal.op}")
+        return _ORDER[goal.op](a, b)
 
     # pin discovery for unbounded choose
 
@@ -374,60 +393,56 @@ class _Enumerator:
     def exec_goal(self, store, witnesses, goal, height):
         if height > self.bounds.max_height:
             raise OutOfBounds("derivation height")
-        match goal:
-            case Seq(first, second):
-                for s1, w1, n1 in self.exec_goal(store, witnesses, first, height + 1):
-                    for s2, w2, n2 in self.exec_goal(s1, w1, second, height + 1):
-                        yield s2, w2, DerivationNode(6, goal, (n1, n2))
-            case Compare():
-                if self._holds(store, goal):
-                    yield store, witnesses, DerivationNode(4, goal, ())
-            case Assign(target, expr):
-                value = self._term_value(store, expr)
-                if value is not _FAIL:
-                    if not _ground(value):
-                        raise OracleRunError("assigned value is not ground")
-                    updated = dict(store)
-                    updated[target] = value
-                    yield updated, witnesses, DerivationNode(5, goal, ())
-            case Choose(var, body):
+        kind = type(goal)
+        if kind is Seq:
+            for s1, w1, n1 in self.exec_goal(store, witnesses, goal.first, height + 1):
+                for s2, w2, n2 in self.exec_goal(s1, w1, goal.second, height + 1):
+                    yield s2, w2, DerivationNode(6, goal, (n1, n2))
+        elif kind is Compare:
+            if self._holds(store, goal):
+                yield store, witnesses, DerivationNode(4, goal, ())
+        elif kind is Assign:
+            value = self._term_value(store, goal.expr)
+            if value is not _FAIL:
+                if not _ground(value):
+                    raise OracleRunError("assigned value is not ground")
+                updated = dict(store)
+                updated[goal.target] = value
+                yield updated, witnesses, DerivationNode(5, goal, ())
+        elif kind is BoundedChoose or kind is Choose:
+            var = goal.var
+            if kind is BoundedChoose:
+                rule, candidates = 8, self._set_members(goal.cset)
+            else:
                 pins = []
-                self._pins(body, var, pins)
+                self._pins(goal.body, var, pins)
                 if not pins:
                     raise OutOfBounds(f"choose({var}) has no ground pin")
-                candidates = []
+                rule, candidates = 7, []
                 for p in pins:
                     if p not in candidates:
                         candidates.append(p)
-                for value in candidates:
-                    grounded = subst_goal(body, var, value)
-                    staged = witnesses + ((var, value),)
-                    for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
-                        yield s, w, DerivationNode(7, goal, (n,))
-            case BoundedChoose(var, cset, body):
-                for value in self._set_members(cset):
-                    grounded = subst_goal(body, var, value)
-                    staged = witnesses + ((var, value),)
-                    for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
-                        yield s, w, DerivationNode(8, goal, (n,))
-            case Call(name, args):
-                matching = [
-                    c for c in self.clauses
-                    if c.name == name and len(c.params) == len(args)
-                ]
-                if not matching:
-                    raise OracleRunError(f"no clause for {name}/{len(args)}")
-                for clause in matching:
-                    body = clause.body
-                    for param, arg in zip(clause.params, args):
-                        body = subst_goal(body, param, arg)
-                    for s, w, n in self.exec_goal(store, witnesses, body, height + 1):
-                        node = DerivationNode(1, goal, (n,), clause.name)
-                        for param in reversed(clause.params):
-                            node = DerivationNode(2, goal, (node,), param)
-                        yield s, w, DerivationNode(3, goal, (node,))
-            case _:
-                raise TypeError(f"not a goal: {goal!r}")
+            for value in candidates:
+                grounded = subst_goal(goal.body, var, value)
+                staged = witnesses + ((var, value),)
+                for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
+                    yield s, w, DerivationNode(rule, goal, (n,))
+        elif kind is Call:
+            args = goal.args
+            matching = self.table.get((goal.name, len(args)))
+            if not matching:
+                raise OracleRunError(f"no clause for {goal.name}/{len(args)}")
+            for clause in matching:
+                body = clause.body
+                for param, arg in zip(clause.params, args):
+                    body = subst_goal(body, param, arg)
+                for s, w, n in self.exec_goal(store, witnesses, body, height + 1):
+                    node = DerivationNode(1, goal, (n,), clause.name)
+                    for param in reversed(clause.params):
+                        node = DerivationNode(2, goal, (node,), param)
+                    yield s, w, DerivationNode(3, goal, (node,))
+        else:
+            raise TypeError(f"not a goal: {goal!r}")
 
 
 def enumerate_solutions(program, goal=None, bounds: OracleBounds | None = None):

@@ -7,9 +7,11 @@ import pytest
 
 from choo import (
     Atom,
+    BinOp,
     BoundedChoose,
     BudgetExhausted,
     Choose,
+    Compare,
     Compound,
     Enum,
     EquivalenceReport,
@@ -19,6 +21,7 @@ from choo import (
     OracleRunError,
     OutOfBounds,
     Seq,
+    TermLit,
     Var,
     check_equivalence,
     enumerate_solutions,
@@ -72,6 +75,47 @@ def test_set_elements_are_deduplicated_in_linear_time(monkeypatch):
         ((("x", Compound("f", (Int(n - 1),))),), frozenset())
     }
     assert calls <= 4 * n
+
+
+def test_substitution_rebuilds_only_what_a_chosen_value_reaches(monkeypatch):
+    # rebuilding the whole body at every substitution made 30,144 of these
+    # nodes; z reaches only z * z + 8 and the Seq and Compare above it
+    goal = parse_goal("choose(x in {1..12}) choose(y in {1..12}) choose(z in {0..11}) "
+                      "(x * x + y * y == z * z + 8; x <= y)")
+    built = 0
+    for cls in (BinOp, Compare, Seq, TermLit):
+        def counting_init(self, *args, _init=cls.__init__):
+            nonlocal built
+            built += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    solutions, _ = enumerate_solutions((), goal, OracleBounds())
+    assert len(solutions) == 4
+    assert built <= 30_144 // 2
+
+
+def test_a_call_examines_only_clauses_of_its_name_and_arity():
+    examined = []
+
+    class Watched:
+        """A clause that records every read of its fields."""
+
+        def __init__(self, clause):
+            self.clause = clause
+
+        def __getattr__(self, field):
+            examined.append((self.clause.name, len(self.clause.params)))
+            return getattr(self.clause, field)
+
+    program = parse_program("p(x) { x == 1 } p(x, y) { x == y } q(x) { x == 2 } p(x) { x == 3 } "
+                            "main { choose(x in {1..3}) p(x) }")
+    enumerator = _Enumerator(tuple(map(Watched, program.clauses)), OracleBounds())
+    examined.clear()  # grouping the clauses reads each once
+    found = [w for _, w, _ in enumerator.exec_goal({}, (), program.main, 1)]
+    assert found == [(("x", Int(1)),), (("x", Int(3)),)]
+    assert set(examined) == {("p", 1)}
+    with pytest.raises(OracleRunError, match="no clause for q/2"):
+        list(enumerator.exec_goal({}, (), parse_goal("q(1, 2)"), 1))
 
 
 def test_set_elements_keep_their_first_appearance_and_must_be_ground():

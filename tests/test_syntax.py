@@ -1,5 +1,6 @@
 """Goal substitution, free variables, and the canonical surface form."""
 
+import dataclasses
 import random
 
 from choo import (
@@ -21,6 +22,7 @@ from choo import (
     Var,
     VarRef,
     format_goal,
+    parse_goal,
     subst_goal,
 )
 from choo.gen import gen_program
@@ -76,6 +78,32 @@ def test_subst_reaches_call_arguments_and_assignment_sources():
     g = Seq(Assign("s", lv("x")), Compare("==", VarRef("s"), IntLit(0)))
     out = subst_goal(g, "x", Int(0))
     assert out == Seq(Assign("s", TermLit(Int(0))), Compare("==", VarRef("s"), IntLit(0)))
+
+
+def test_subst_returns_the_goal_itself_when_the_name_is_not_free():
+    g = parse_goal("choose(x in {1..3}) (s = x + fib(y); p(x, f(y)); x <= y)", {"y"})
+    assert subst_goal(g, "z", Int(1)) is g
+    assert subst_goal(g, "x", Int(1)) is g  # bound by the choose, so not free
+
+
+def test_subst_keeps_a_shadowing_binders_body():
+    body = Compare("==", lv("x"), IntLit(1))
+    g = Seq(Compare("<", lv("x"), IntLit(5)), Choose("x", body))
+    assert subst_goal(g, "x", Int(3)).second is g.second
+    bounded = BoundedChoose("x", Enum((Var("x"),)), body)
+    out = subst_goal(bounded, "x", Int(3))
+    assert out.cset == Enum((Int(3),))
+    assert out.body is body
+
+
+def test_subst_rebuilds_only_the_paths_to_the_name():
+    g = parse_goal("x * x + y * y == z * z + 3; x <= y", {"x", "y", "z"})
+    out = subst_goal(g, "z", Int(2))
+    two = TermLit(Int(2))
+    assert out == Seq(Compare("==", g.first.lhs, BinOp("+", BinOp("*", two, two), IntLit(3))), g.second)
+    assert out.first.lhs is g.first.lhs
+    assert out.first.rhs.right is g.first.rhs.right
+    assert out.second is g.second
 
 
 # --- free variables ------------------------------------------------------------
@@ -199,6 +227,37 @@ def test_substitution_bounds_free_variables():
         before = free_vars_goal(goal)
         after = free_vars_goal(subst_goal(goal, name, replacement))
         assert after <= (before - {name}) | repl_vars
+
+
+def _subst_everywhere(node, name, value):
+    """Reference substitution that rebuilds every node and shares none.
+
+    A name of None substitutes nothing and only copies.
+    """
+    if isinstance(node, Var):
+        return value if node.name == name else Var(node.name)
+    if isinstance(node, tuple):
+        return tuple(_subst_everywhere(n, name, value) for n in node)
+    if not dataclasses.is_dataclass(node):
+        return node  # a name, an operator or an integer
+    if isinstance(node, (Choose, BoundedChoose)) and node.var == name:
+        body = _subst_everywhere(node.body, None, value)  # copied: the binder hides name
+        if isinstance(node, Choose):
+            return Choose(name, body)
+        return BoundedChoose(name, _subst_everywhere(node.cset, name, value), body)
+    fields = dataclasses.fields(node)
+    return type(node)(*(_subst_everywhere(getattr(node, f.name), name, value) for f in fields))
+
+
+def test_substitution_agrees_with_rebuilding_everything():
+    rng = random.Random(2004)
+    for goal in _goals(rng, 300):
+        for name in LOGIC_NAMES:
+            free = name in free_vars_goal(goal)
+            for value in (Int(rng.randint(-5, 5)), Compound("f", (Atom("a"), Var("q")))):
+                out = subst_goal(goal, name, value)
+                assert repr(out) == repr(_subst_everywhere(goal, name, value))
+                assert (out is goal) == (not free)
 
 
 def test_format_parenthesizes_sequence_bodies_only():
