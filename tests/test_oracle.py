@@ -1,5 +1,6 @@
 """Reference enumerator and the differential check against the engine."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -31,7 +32,7 @@ from choo import (
     parse_program,
     run,
 )
-from choo.derivation import validate_shape
+from choo.derivation import format_tree, validate_shape
 from choo.gen import gen_program, shrink
 from choo.oracle import _Enumerator
 
@@ -157,6 +158,22 @@ def test_derivations_come_back_validated():
     assert derivations
     for node in derivations:
         validate_shape(node)
+
+
+def test_oracle_derivations_match_the_pinned_digest():
+    # one SHA-256 over every tree the oracle reports for gen_program
+    # seeds 0-299, or the class of what it raised; the engine's trees are
+    # pinned by the .full goldens and corpus.sha256, these by nothing else
+    digest = hashlib.sha256()
+    for seed in range(300):
+        try:
+            _, derivations = enumerate_solutions(gen_program(random.Random(seed)))
+        except (OutOfBounds, OracleRunError) as e:
+            digest.update(type(e).__name__.encode() + b"\n")
+            continue
+        for node in derivations:
+            digest.update(format_tree(node).encode() + b"\n")
+    assert digest.hexdigest() == "d122e6b2aaa086503f9ba523ac447aaacaa23e233ca3345e4accba32bd0c68d9"
 
 
 # --- domain fencing -----------------------------------------------------------------
