@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator
 
-from .derivation import DerivationNode
+from .derivation import DerivationNode, tree_of
 from .syntax import (
     Assign,
     BinOp,
@@ -392,33 +392,17 @@ class Solver:
         st, on_rule, steps = self.state, self.on_rule, self.steps
         max_depth, max_steps = self.budget.max_depth, self.budget.max_steps
         base_mark = st.mark()
-        # frames [rule, code, env, depth, next]: rule 0 runs code in env;
-        # 3, 6, 7, 8 build its node from the top of nodes (rule 3 holds
-        # the clause in place of the depth)
-        frames, nodes = [0, _compile_program(st.clauses, goal), {}, 1, None], None
-        points = []  # [alternatives, next one, code, env, depth, frames, nodes, trail mark]
+        # frames [code, env, depth, next] each run code in env; applied holds
+        # the rule applications so far, newest first, as tree_of reads them
+        frames, applied = [_compile_program(st.clauses, goal), {}, 1, None], None
+        points = []  # [alternatives, next one, code, env, depth, frames, applied, trail mark]
         try:
             while True:
                 if frames is None:
                     self.steps = steps
-                    yield nodes[0]
+                    yield tree_of(applied)
                 else:
-                    rule, code, env, depth, frames = frames
-                    if rule:
-                        child, nodes = nodes
-                        goal = code[1]
-                        if rule == 6:
-                            left, nodes = nodes
-                            node = DerivationNode(6, goal, (left, child), None, env)
-                        elif rule == 3:
-                            node = DerivationNode(1, goal, (child,), depth.name, env)
-                            for param in reversed(depth.params):
-                                node = DerivationNode(2, goal, (node,), param, env)
-                            node = DerivationNode(3, goal, (node,), None, env)
-                        else:
-                            node = DerivationNode(rule, goal, (child,), None, env)
-                        nodes = (node, nodes)
-                        continue
+                    code, env, depth, frames = frames
                     if depth > max_depth:
                         raise BudgetExhausted("depth")
                     rule, goal = code[0], code[1]
@@ -428,28 +412,29 @@ class Solver:
                     if on_rule is not None:
                         on_rule(rule, (goal, env))
                     if rule == 6:
-                        frames = [0, code[2], env, depth + 1,
-                                  [0, code[3], env, depth + 1, [6, code, env, None, frames]]]
+                        applied = ((6, goal, None, env), applied)
+                        frames = [code[2], env, depth + 1, [code[3], env, depth + 1, frames]]
                         continue
                     if rule == 4:
                         evaluate, compare = code[2], code[3]
                         a = evaluate(st.store, st.subst, goal.lhs, env)
                         b = None if a is None else evaluate(st.store, st.subst, goal.rhs, env)
                         if b is not None and (st.unify(a, b) if compare is None else compare(a, b)):
-                            nodes = (DerivationNode(4, goal, (), None, env), nodes)
+                            applied = ((4, goal, None, env), applied)
                             continue
                     elif rule == 5:
                         value = eval_store_value(st.store, st.subst, goal.expr, env)
                         if value is not None:
                             st.set_store(goal.target, value)
-                            nodes = (DerivationNode(5, goal, (), None, env), nodes)
+                            applied = ((5, goal, None, env), applied)
                             continue
                     elif rule == 7:
                         # a fresh variable, for unification to bind; if
                         # nothing does, the witness is UNCONSTRAINED
                         fresh = st.fresh_var()
                         st.choose(goal.var, fresh)
-                        frames = [0, code[2], {**env, goal.var: fresh}, depth + 1, [7, code, env, None, frames]]
+                        applied = ((7, goal, None, env), applied)
+                        frames = [code[2], {**env, goal.var: fresh}, depth + 1, frames]
                         continue
                     else:
                         if rule == 3 and code[2] is None:
@@ -458,12 +443,12 @@ class Solver:
                         first = next(alternatives, None)
                         if first is not None:
                             points.append([alternatives, first, code, env, depth,
-                                           frames, nodes, st.mark()])
+                                           frames, applied, st.mark()])
                 # backtrack into the newest choice point; one whose last
                 # alternative is taken is dropped then, as WAM's trust does
                 while points:
                     point = points[-1]
-                    alternatives, alternative, code, env, depth, frames, nodes, mark = point
+                    alternatives, alternative, code, env, depth, frames, applied, mark = point
                     st.undo_to(mark)
                     point[1] = next(alternatives, None)
                     if point[1] is None:
@@ -476,21 +461,23 @@ class Solver:
                         on_rule(rule, (goal, env))
                     if rule == 8:
                         st.choose(goal.var, alternative)
-                        frames = [0, code[2], {**env, goal.var: alternative}, depth + 1,
-                                  [8, code, env, None, frames]]
-                        break
+                        applied = ((8, goal, None, env), applied)
+                        frames = [code[2], {**env, goal.var: alternative}, depth + 1, frames]
                     else:
                         clause, body = alternative
+                        applied = ((3, goal, None, env), applied)
                         params = {}
                         for param, arg in zip(clause.params, goal.args):
                             params[param] = st.fresh_var()
                             st.bind(params[param], _instance(arg, env))
+                            applied = ((2, goal, param, env), applied)
                         if on_rule is not None:
                             for _ in params:
                                 on_rule(2, (goal, env))
                             on_rule(1, (goal, env))
-                        frames = [0, body, params, depth + 1, [3, code, env, clause, frames]]
-                        break
+                        applied = ((1, goal, clause.name, env), applied)
+                        frames = [body, params, depth + 1, frames]
+                    break
                 else:
                     return
         finally:

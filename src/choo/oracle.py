@@ -17,8 +17,9 @@ so a subgoal, expression or term a chosen value does not reach is
 shared, not copied. Calls select their clauses from a table keyed by
 (name, arity), built once per enumeration, in source order.
 
-Shared with the engine: the AST and term datatypes and the derivation
-node type. Nothing else; substitution, arithmetic, builtins, set
+Shared with the engine: the AST and term datatypes and the record of
+rule applications in derivation.py, from which only enumerate_solutions
+builds trees. Nothing else; substitution, arithmetic, builtins, set
 enumeration, and deduplication are all rebuilt here, differently.
 """
 
@@ -29,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .derivation import DerivationNode
+from .derivation import tree_of
 from .syntax import (
     Assign,
     BinOp,
@@ -388,19 +389,21 @@ class _Enumerator:
                 return list(dict.fromkeys(elements))  # first appearance wins
         raise TypeError(f"not a choice set: {cset!r}")
 
-    # the enumeration itself; yields (store, witnesses, derivation)
+    # the enumeration itself
 
-    def exec_goal(self, store, witnesses, goal, height):
+    def exec_goal(self, store, witnesses, goal, height, applied=None):
+        """(store, witnesses, applied) per success of goal, where applied extends
+        the given rule applications, newest first, as derivation.py records them."""
         if height > self.bounds.max_height:
             raise OutOfBounds("derivation height")
         kind = type(goal)
         if kind is Seq:
-            for s1, w1, n1 in self.exec_goal(store, witnesses, goal.first, height + 1):
-                for s2, w2, n2 in self.exec_goal(s1, w1, goal.second, height + 1):
-                    yield s2, w2, DerivationNode(6, goal, (n1, n2))
+            applied = ((6, goal, None, None), applied)
+            for s, w, a in self.exec_goal(store, witnesses, goal.first, height + 1, applied):
+                yield from self.exec_goal(s, w, goal.second, height + 1, a)
         elif kind is Compare:
             if self._holds(store, goal):
-                yield store, witnesses, DerivationNode(4, goal, ())
+                yield store, witnesses, ((4, goal, None, None), applied)
         elif kind is Assign:
             value = self._term_value(store, goal.expr)
             if value is not _FAIL:
@@ -408,7 +411,7 @@ class _Enumerator:
                     raise OracleRunError("assigned value is not ground")
                 updated = dict(store)
                 updated[goal.target] = value
-                yield updated, witnesses, DerivationNode(5, goal, ())
+                yield updated, witnesses, ((5, goal, None, None), applied)
         elif kind is BoundedChoose or kind is Choose:
             var = goal.var
             if kind is BoundedChoose:
@@ -422,25 +425,23 @@ class _Enumerator:
                 for p in pins:
                     if p not in candidates:
                         candidates.append(p)
+            applied = ((rule, goal, None, None), applied)
             for value in candidates:
                 grounded = subst_goal(goal.body, var, value)
-                staged = witnesses + ((var, value),)
-                for s, w, n in self.exec_goal(store, staged, grounded, height + 1):
-                    yield s, w, DerivationNode(rule, goal, (n,))
+                yield from self.exec_goal(store, witnesses + ((var, value),), grounded, height + 1, applied)
         elif kind is Call:
             args = goal.args
             matching = self.table.get((goal.name, len(args)))
             if not matching:
                 raise OracleRunError(f"no clause for {goal.name}/{len(args)}")
+            applied = ((3, goal, None, None), applied)
             for clause in matching:
-                body = clause.body
+                body, entered = clause.body, applied
                 for param, arg in zip(clause.params, args):
                     body = subst_goal(body, param, arg)
-                for s, w, n in self.exec_goal(store, witnesses, body, height + 1):
-                    node = DerivationNode(1, goal, (n,), clause.name)
-                    for param in reversed(clause.params):
-                        node = DerivationNode(2, goal, (node,), param)
-                    yield s, w, DerivationNode(3, goal, (node,))
+                    entered = ((2, goal, param, None), entered)
+                yield from self.exec_goal(store, witnesses, body, height + 1,
+                                          ((1, goal, clause.name, None), entered))
         else:
             raise TypeError(f"not a goal: {goal!r}")
 
@@ -454,14 +455,14 @@ def enumerate_solutions(program, goal=None, bounds: OracleBounds | None = None):
     faults.
     """
     solutions, derivations = set(), []
-    for solution, node in _solutions(program, goal, bounds):
+    for solution, applied in _solutions(program, goal, bounds):
         solutions.add(solution)
-        derivations.append(node)
+        derivations.append(tree_of(applied))
     return solutions, derivations
 
 
 def _solutions(program, goal=None, bounds=None):
-    """(solution, derivation) pairs in enumeration order, repeats included."""
+    """(solution, rule applications) pairs in enumeration order, repeats included."""
     if isinstance(program, SourceProgram):
         clauses = program.clauses
         goal = program.main if goal is None else goal
@@ -470,8 +471,8 @@ def _solutions(program, goal=None, bounds=None):
         if goal is None:
             raise ValueError("a goal is required when passing bare clauses")
     enum = _Enumerator(clauses, bounds or OracleBounds())
-    for store, witnesses, node in enum.exec_goal({}, (), goal, 1):
-        yield (witnesses, frozenset(store.items())), node
+    for store, witnesses, applied in enum.exec_goal({}, (), goal, 1):
+        yield (witnesses, frozenset(store.items())), applied
 
 
 # --- differential comparison ---
@@ -501,7 +502,7 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def check_equivalence(program, bounds: OracleBounds | None = None, budget=None) -> EquivalenceReport:
+def check_equivalence(program, bounds: OracleBounds | None = None) -> EquivalenceReport:
     """Compare engine solutions against oracle enumeration for one program.
 
     Solutions are compared as multisets: order is ignored, repeats
@@ -509,12 +510,12 @@ def check_equivalence(program, bounds: OracleBounds | None = None, budget=None) 
     same observable, and programs the oracle cannot handle come back
     excluded, not failed.
     """
-    from .interp import BudgetExhausted, EvalError, SearchBudget, execute
+    from .interp import BudgetExhausted, EvalError, execute
 
     engine_tag = None
     engine_solutions = Counter()
     try:
-        for outcome in execute(program, budget=budget or SearchBudget()):
+        for outcome in execute(program):
             engine_solutions[(outcome.witnesses, frozenset(outcome.store.items()))] += 1
     except EvalError:
         engine_tag = "runtime-error"

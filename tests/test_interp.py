@@ -28,7 +28,7 @@ from choo import (
     run,
     validate_shape,
 )
-from choo.derivation import format_tree
+from choo.derivation import DerivationNode, format_tree, tree_of
 from choo.gen import gen_program
 from choo.terms import INT64_MAX, INT64_MIN
 
@@ -661,6 +661,45 @@ def test_format_tree_is_indented_by_rule():
     assert lines[0].startswith("[rule 6]")
     assert lines[1].startswith("  [rule 5]")
     assert lines[2].startswith("  [rule 5]")
+
+
+def test_tree_of_builds_the_tree_its_rule_applications_spell():
+    seq, cond = parse_goal("s = 1; p(3)"), parse_goal("x == 3", frozenset({"x"}))
+    call, env = seq.second, {"x": Int(3)}
+    applied = None
+    for entry in [(6, seq, None, None), (5, seq.first, None, None), (3, call, None, None),
+                  (2, call, "x", None), (1, call, "p", None), (4, cond, None, env)]:
+        applied = (entry, applied)  # newest first
+
+    def shape(node):
+        return node.rule, node.goal, node.label, node.env, tuple(map(shape, node.children))
+
+    assert shape(tree_of(applied)) == (6, seq, None, None, (
+        (5, seq.first, None, None, ()),
+        (3, call, None, None, ((2, call, "x", None, ((1, call, "p", None, (
+            (4, cond, None, env, ()),)),)),)),
+    ))
+    with pytest.raises(ValueError, match="unknown rule number 9"):
+        tree_of(((9, cond, None, None), None))
+
+
+def test_a_search_builds_only_the_trees_it_reports(monkeypatch):
+    # a derivation is recorded as its rule applications, and a tree is
+    # built only for a reported solution: the 49 failed alternatives
+    # before x = 50 build no node (they built 98 when each branch
+    # assembled its nodes as it went)
+    built = []
+    init = DerivationNode.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(DerivationNode, "__init__", counting_init)
+    program = parse_program("main { choose(x in {1..50}) (s = x; t = s + 1; x == 50) }")
+    outcome, node = next(run(program))
+    assert outcome.witnesses == (("x", Int(50)),)
+    assert format_tree(node).count("[rule") == len(built) == 6
 
 
 # --- entry point odds and ends ------------------------------------------------------------

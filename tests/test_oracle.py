@@ -32,7 +32,7 @@ from choo import (
     parse_program,
     run,
 )
-from choo.derivation import format_tree, validate_shape
+from choo.derivation import DerivationNode, format_tree, validate_shape
 from choo.gen import gen_program, shrink
 from choo.oracle import _Enumerator
 
@@ -322,6 +322,24 @@ def test_report_text_shows_witnesses_nested_past_the_recursion_limit():
         f"  engine only: ((('x', {deep_repr}),), frozenset())",
         "  oracle only: ((('x', Atom(name='z')),), frozenset())",
     ]
+
+
+def test_equivalence_checking_builds_only_the_engines_reported_tree(monkeypatch):
+    # the oracle's half compares solutions and builds no tree, and the
+    # engine builds one only for each solution it reports
+    built = []
+    init = DerivationNode.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(DerivationNode, "__init__", counting_init)
+    report = check_equivalence(parse_program(
+        "main { choose(x in {1..12}) choose(y in {1..12}) choose(z in {0..11})"
+        " (x * x + y * y == z * z + 3; x <= y) }"))
+    assert report.matched and report.engine_solutions.total() == 1
+    assert sorted(built) == [4, 4, 6, 8, 8, 8]  # the rules of the one tree
 
 
 def test_random_programs_agree_with_the_engine():
