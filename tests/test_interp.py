@@ -686,8 +686,7 @@ def test_tree_of_builds_the_tree_its_rule_applications_spell():
 def test_a_search_builds_only_the_trees_it_reports(monkeypatch):
     # a derivation is recorded as its rule applications, and a tree is
     # built only for a reported solution: the 49 failed alternatives
-    # before x = 50 build no node (they built 98 when each branch
-    # assembled its nodes as it went)
+    # before x = 50 build no node
     built = []
     init = DerivationNode.__init__
 
