@@ -13,7 +13,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .derivation import format_tree
+from .derivation import format_tree, tree_of
 from .interp import (
     BudgetExhausted,
     EvalError,
@@ -28,11 +28,13 @@ from .terms import format_term
 
 
 def _print_outcome(outcome):
+    memo = {}  # witnesses and store values share subterms: each is rendered once
     for name, value in outcome.witnesses:
-        text = "_" if value is UNCONSTRAINED else format_term(value)
+        text = "_" if value is UNCONSTRAINED else format_term(value, memo=memo)
         print(f"{name} = {text}")
     inner = ", ".join(
-        f"{name} = {format_term(value)}" for name, value in sorted(outcome.store.items())
+        f"{name} = {format_term(value, memo=memo)}"
+        for name, value in sorted(outcome.store.items())
     )
     print(f"store: {{{inner}}}")
 
@@ -68,12 +70,12 @@ def _cmd_run(args) -> int:
 
     count = 0
     try:
-        for outcome, node in run(program, budget=budget, on_rule=on_rule):
+        for outcome, record in run(program, budget=budget, on_rule=on_rule):
             if args.all_solutions and count:
                 print("---")
             _print_outcome(outcome)
             if args.trace == "full":
-                print(format_tree(node), file=sys.stderr)
+                print(format_tree(tree_of(record)), file=sys.stderr)
             count += 1
             if not args.all_solutions:
                 return 0

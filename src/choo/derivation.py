@@ -6,7 +6,7 @@ selection for a call, 4 conditions, 5 assignment, 6 sequencing, 7
 unbounded choose, 8 bounded choose. The search engine and the
 exhaustive checker both record a derivation as its rule applications,
 newest first, in a linked list ((rule, goal, label, env), older), and
-build a tree from it with tree_of only for a solution they report.
+build a tree from it with tree_of only when a caller reads one.
 """
 
 from __future__ import annotations

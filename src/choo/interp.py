@@ -371,7 +371,8 @@ def _compile_program(clauses, goal):
 # --- the solver ---------------------------------------------------------------
 
 class Solver:
-    """Depth-first search; solve() yields one DerivationNode per solution.
+    """Depth-first search; records() yields each solution's rule
+    applications, solve() its DerivationNode.
 
     One loop runs the search, so depth costs memory, not interpreter
     stack. As in Warren's abstract machine, bounded chooses and calls
@@ -389,6 +390,17 @@ class Solver:
         self.on_rule = on_rule
 
     def solve(self, goal) -> Iterator[DerivationNode]:
+        """The derivation tree of each solution that records() finds."""
+        records = self.records(goal)
+        try:
+            for applied in records:
+                yield tree_of(applied)
+        finally:
+            records.close()
+
+    def records(self, goal) -> Iterator[tuple]:
+        """The rule applications of each solution, newest first, in the
+        linked list ((rule, goal, label, env), older) that tree_of reads."""
         st, on_rule, steps = self.state, self.on_rule, self.steps
         max_depth, max_steps = self.budget.max_depth, self.budget.max_steps
         base_mark = st.mark()
@@ -400,7 +412,7 @@ class Solver:
             while True:
                 if frames is None:
                     self.steps = steps
-                    yield tree_of(applied)
+                    yield applied
                 else:
                     code, env, depth, frames = frames
                     if depth > max_depth:
@@ -493,7 +505,8 @@ def _witness_value(subst, term, memo):
 
 
 def run(program, goal=None, budget: SearchBudget | None = None, on_rule=None):
-    """Iterate (Outcome, DerivationNode) pairs in search order.
+    """Iterate (Outcome, record) pairs in search order, where
+    tree_of(record) is the solution's derivation tree.
 
     program may be a SourceProgram (goal defaults to its main goal) or a
     sequence of clauses with an explicit goal.
@@ -507,12 +520,12 @@ def run(program, goal=None, budget: SearchBudget | None = None, on_rule=None):
             raise ValueError("a goal is required when passing bare clauses")
     state = ProgramState(clauses)
     solver = Solver(state, budget, on_rule)
-    for node in solver.solve(goal):
+    for applied in solver.records(goal):
         memo = {}  # one per outcome: the bindings differ between solutions
         witnesses = tuple(
             (name, _witness_value(state.subst, term, memo)) for name, term in state.choices
         )
-        yield Outcome(witnesses, dict(state.store)), node
+        yield Outcome(witnesses, dict(state.store)), applied
 
 
 def execute(program, goal=None, budget: SearchBudget | None = None, on_rule=None) -> Iterator[Outcome]:

@@ -10,6 +10,7 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 # all integer values in the language are signed 64-bit
 INT64_MAX = (1 << 63) - 1
@@ -224,12 +225,15 @@ def is_ground(term: Term, subst: Subst = EMPTY_SUBST) -> bool:
     return True
 
 
-def format_term(term: Term, env: dict | None = None) -> str:
+def format_term(term: Term, env: dict | None = None, memo: dict | None = None) -> str:
     """Render a term the way the parser reads it back.
 
     Atoms print bare, integers in decimal, compounds as f(a,b) with no
     spaces. Variables print as their name, or as their value when env
-    names them; the caller decides how to show unbound results.
+    names them; the caller decides how to show unbound results. memo
+    maps id(compound) to (compound, text, start, end), where
+    text[start:end] is that compound's rendering; one dict passed to
+    several calls with the same env renders each compound once across them.
     """
     if env and isinstance(term, Var) and term.name in env:
         term, env = env[term.name], None  # the value is printed as it is
@@ -239,7 +243,7 @@ def format_term(term: Term, env: dict | None = None) -> str:
     if env:
         def leaf(t):
             return format_term(env[t.name]) if isinstance(t, Var) and t.name in env else _leaf_text(t)
-    return _render(term, leaf, "{}(", ",", (")", ")"))
+    return _render(term, leaf, "{}(", ",", (")", ")"), memo)
 
 
 def _leaf_text(t) -> str:
@@ -250,22 +254,38 @@ def _leaf_text(t) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _render(term, leaf, head, sep, tails) -> str:
+def _render(term, leaf, head, sep, tails, memo=None) -> str:
     """Join the text of term in one pass over an explicit stack.
 
     head is a format string for a compound's functor; tails closes a
-    compound of one argument and of more.
+    compound of one argument and of more. A compound that memo holds is
+    copied out of the text it was first rendered in, and one rendered
+    here is recorded in memo once the text is joined.
     """
-    parts, stack = [], [term]
+    parts, stack, spans, heads = [], [term], [], {}
     while stack:
         t = stack.pop()
-        if isinstance(t, str):  # punctuation queued between arguments
+        if type(t) is str:  # punctuation queued between arguments
             parts.append(t)
-        elif isinstance(t, Compound):
-            stack.append(tails[len(t.args) > 1])
+        elif type(t) is Compound:
+            if memo is not None and (hit := memo.get(id(t))) is not None:
+                parts.append(hit[1][hit[2]:hit[3]])
+                continue
+            tail = tails[len(t.args) > 1]
+            stack.append(tail if memo is None else (t, len(parts), tail))
             for a in reversed(t.args):
                 stack += (a, sep)
-            stack[-1] = head.format(t.functor)  # in place of a separator before the first
+            if (text := heads.get(t.functor)) is None:
+                text = heads[t.functor] = head.format(t.functor)
+            stack[-1] = text  # in place of a separator before the first
+        elif type(t) is tuple:  # closes a compound memo will hold
+            parts.append(t[2])
+            spans.append((t[0], t[1], len(parts)))
         else:
             parts.append(leaf(t))
-    return "".join(parts)
+    text = "".join(parts)
+    if spans:
+        offsets = [0, *accumulate(map(len, parts))]
+        for c, first, end in spans:
+            memo[id(c)] = (c, text, offsets[first], offsets[end])
+    return text

@@ -11,6 +11,7 @@ import pytest
 import choo
 from choo import EquivalenceReport, parse_program
 from choo.cli import main
+from choo.derivation import DerivationNode
 
 
 @pytest.fixture
@@ -257,6 +258,23 @@ def test_full_trace_prints_the_derivation_tree(program_file, capsys):
     lines = err.splitlines()
     assert lines[0].startswith("[rule 6]")
     assert lines[1].startswith("  [rule 5]")
+
+
+def test_an_untraced_run_builds_no_derivation_tree(program_file, capsys, monkeypatch):
+    built = []
+    init = DerivationNode.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(DerivationNode, "__init__", counting_init)
+    path = program_file("down(n) { n == 0 } down(n) { n > 0; choose(m) (m == n - 1; down(m)) }"
+                        " main { down(300) }")
+    code, out, err = invoke(capsys, ["run", path])
+    assert (code, err) == (0, "")
+    assert out.count("m = ") == 300
+    assert built == []
 
 
 # --- parse ---------------------------------------------------------------------------
@@ -549,6 +567,16 @@ def test_oracle_check_reports_a_match(program_file, capsys):
     assert code == 0
     assert out == "match: 1 solutions\n"
     assert err == ""
+
+
+def test_oracle_check_enumerates_derivations_up_to_the_height_bound(program_file, capsys):
+    # every `;` of a straight-line main adds a level, and the default bound is 50
+    def straight_line(n):
+        return program_file("main { " + "; ".join(f"s = {i}" for i in range(n)) + " }")
+
+    assert invoke(capsys, ["oracle-check", straight_line(50)]) == (0, "match: 1 solutions\n", "")
+    assert invoke(capsys, ["oracle-check", straight_line(51)]) == (
+        3, "", "out of oracle bounds: derivation height\n")
 
 
 def test_oracle_check_flags_programs_it_cannot_enumerate(program_file, capsys):

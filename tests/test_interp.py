@@ -504,8 +504,8 @@ def test_repeated_runs_are_identical():
     def observe(program):
         try:
             return [
-                (o, format_tree(node))
-                for o, node in run(program, budget=SearchBudget(2000, 50_000))
+                (o, format_tree(tree_of(record)))
+                for o, record in run(program, budget=SearchBudget(2000, 50_000))
             ]
         except (EvalError, BudgetExhausted) as err:
             return [type(err).__name__, str(err)]
@@ -623,8 +623,8 @@ def test_derivation_trees_match_the_rule_arities():
     for _ in range(80):
         program = gen_program(rng)
         try:
-            for _, node in run(program, budget=SearchBudget(2000, 50_000)):
-                validate_shape(node)
+            for _, record in run(program, budget=SearchBudget(2000, 50_000)):
+                validate_shape(tree_of(record))
                 checked += 1
         except (EvalError, BudgetExhausted):
             continue
@@ -633,7 +633,8 @@ def test_derivation_trees_match_the_rule_arities():
 
 def test_derivation_chain_for_a_call():
     program = parse_program("p(x) { x == 3 } main { p(3) }")
-    [(_, node)] = list(run(program))
+    [(_, record)] = list(run(program))
+    node = tree_of(record)
     assert node.rule == 3
     (passing,) = node.children
     assert passing.rule == 2
@@ -656,8 +657,8 @@ def test_rule_hook_sees_the_attempt_order():
 
 def test_format_tree_is_indented_by_rule():
     program = parse_program("main { s = 1; t = 2 }")
-    [(_, node)] = list(run(program))
-    lines = format_tree(node).splitlines()
+    [(_, record)] = list(run(program))
+    lines = format_tree(tree_of(record)).splitlines()
     assert lines[0].startswith("[rule 6]")
     assert lines[1].startswith("  [rule 5]")
     assert lines[2].startswith("  [rule 5]")
@@ -685,8 +686,9 @@ def test_tree_of_builds_the_tree_its_rule_applications_spell():
 
 def test_a_search_builds_only_the_trees_it_reports(monkeypatch):
     # a derivation is recorded as its rule applications, and a tree is
-    # built only for a reported solution: the 49 failed alternatives
-    # before x = 50 build no node
+    # built only when a reported solution's record is asked for one: the
+    # search builds no node, and the 49 failed alternatives before x = 50
+    # none later
     built = []
     init = DerivationNode.__init__
 
@@ -696,9 +698,9 @@ def test_a_search_builds_only_the_trees_it_reports(monkeypatch):
 
     monkeypatch.setattr(DerivationNode, "__init__", counting_init)
     program = parse_program("main { choose(x in {1..50}) (s = x; t = s + 1; x == 50) }")
-    outcome, node = next(run(program))
-    assert outcome.witnesses == (("x", Int(50)),)
-    assert format_tree(node).count("[rule") == len(built) == 6
+    outcome, record = next(run(program))
+    assert outcome.witnesses == (("x", Int(50)),) and built == []
+    assert format_tree(tree_of(record)).count("[rule") == len(built) == 6
 
 
 # --- entry point odds and ends ------------------------------------------------------------

@@ -12,12 +12,14 @@ from choo import (
     Subst,
     Var,
     apply,
+    format_term,
     free_vars,
     occurs,
     unify,
 )
+from choo import terms
 from choo.terms import unify_in_place
-from termgen import cyclic_pair, ground_term, random_term, unifiable_pair
+from termgen import FUNCTORS, cyclic_pair, ground_term, random_term, unifiable_pair
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
@@ -315,6 +317,57 @@ def test_unify_in_place_compares_nested_terms_in_linear_time(monkeypatch):
     assert unify_in_place(left, right, s) == ["X"]
     assert s == {"X": Int(1)}
     assert compared <= 4 * n
+
+
+# --- formatting with a shared memo --------------------------------------------------
+
+def test_a_shared_memo_renders_each_compound_once(monkeypatch):
+    # witness k is f(a, witness k-1), as the witnesses of a recursion nest;
+    # formatting each alone renders n(n+3)/2 leaves, 45,450 for n = 300
+    witnesses, t = [], Atom("b")
+    for _ in range(300):
+        t = f(Atom("a"), t)
+        witnesses.append(t)
+    calls = []
+    leaf = terms._leaf_text
+    monkeypatch.setattr(terms, "_leaf_text", lambda t: calls.append(t) or leaf(t))
+    memo = {}
+    texts = [format_term(w, memo=memo) for w in witnesses]
+    assert len(calls) <= 2 * len(witnesses)
+    monkeypatch.undo()
+    assert texts == [format_term(w) for w in witnesses]
+
+
+def test_shared_formatting_matches_formatting_each_term_alone():
+    rng = random.Random(4012)
+    for _ in range(2000):
+        pool = [random_term(rng) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 4)):  # repeats across terms and inside one
+            args = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+            pool.append(Compound(rng.choice(FUNCTORS), args))
+        chosen = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        memo = {}
+        assert [format_term(t, memo=memo) for t in chosen] == [format_term(t) for t in chosen]
+
+
+def test_a_memo_grows_linearly_with_the_text():
+    # one entry per compound, about 200 bytes against the 6 characters of a
+    # succ( ) level; keeping each compound's own text would hold n^2/2
+    # characters, 10,000 times the text at this depth
+    import tracemalloc
+
+    t = Atom("zero")
+    for _ in range(20_000):
+        t = Compound("succ", (t,))
+    memo = {}
+    tracemalloc.start()
+    try:
+        text = format_term(t, memo=memo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(memo) == 20_000
+    assert peak < 100 * len(text)
 
 
 def test_compound_requires_arguments():
