@@ -23,7 +23,6 @@ from .interp import (
 )
 from .oracle import (
     EquivalenceReport,
-    OracleBounds,
     OracleRunError,
     OutOfBounds,
     check_equivalence,

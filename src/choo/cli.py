@@ -21,7 +21,7 @@ from .interp import (
     UNCONSTRAINED,
     run,
 )
-from .oracle import OracleBounds, OutOfBounds, check_equivalence
+from .oracle import check_equivalence
 from .parser import ParseError, parse_program
 from .syntax import format_goal, format_program
 from .terms import format_term
@@ -106,12 +106,7 @@ def _cmd_oracle_check(args) -> int:
     program = _read_program(args.file)
     if program is None:
         return 2
-    bounds = OracleBounds()
-    try:
-        report = check_equivalence(program, bounds=bounds)
-    except OutOfBounds as err:
-        print(f"out of oracle bounds: {err}", file=sys.stderr)
-        return 3
+    report = check_equivalence(program)
     if report.excluded:
         print(f"out of oracle bounds: {report.reason}", file=sys.stderr)
         return 3
@@ -120,7 +115,7 @@ def _cmd_oracle_check(args) -> int:
         return 0
 
     def still_bad(candidate) -> bool:
-        r = check_equivalence(candidate, bounds=bounds)
+        r = check_equivalence(candidate)
         return not r.excluded and not r.matched
 
     minimal = shrink(program, still_bad, rng=random.Random(args.seed))

@@ -483,9 +483,9 @@ class Solver:
                             params[param] = st.fresh_var()
                             st.bind(params[param], _instance(arg, env))
                             applied = ((2, goal, param, env), applied)
-                        if on_rule is not None:
-                            for _ in params:
+                            if on_rule is not None:
                                 on_rule(2, (goal, env))
+                        if on_rule is not None:
                             on_rule(1, (goal, env))
                         applied = ((1, goal, clause.name, env), applied)
                         frames = [body, params, depth + 1, frames]

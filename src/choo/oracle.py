@@ -5,12 +5,14 @@ calling into the engine: it substitutes chosen values eagerly and
 executes over ground terms only, so equality is structural and no
 unification is involved. Where the engine narrows an unbounded choose
 with a fresh variable, the oracle demands a syntactic pin: a condition
-in the body, outside any rebinding of x, with one side ground and x at
-some position of the other side; the ground subterm at x's position is
-a candidate. Every derivation has to make every such condition hold
+in the body, outside any rebinding of x, with one side ground (a ground
+term, or an expression with a value over an empty store) and x at some
+position of the other side; the ground subterm at x's position is a
+candidate. Every derivation has to make every such condition hold
 structurally, so the candidate set covers all successes, and re-running
-the body per candidate keeps the answer sound. Programs without a pin
-are rejected as out of bounds rather than guessed at.
+the body per candidate keeps the answer sound. Programs without a pin,
+or with a derivation taller than MAX_HEIGHT, are rejected as out of
+bounds rather than guessed at.
 
 Substitution rebuilds only the path from the root to each occurrence,
 so a subgoal, expression or term a chosen value does not reach is
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .derivation import tree_of
+from .interp import BudgetExhausted, EvalError, execute
 from .syntax import (
     Assign,
     BinOp,
@@ -58,18 +61,12 @@ class OracleRunError(Exception):
     """Runtime fault reached during enumeration (mirrors engine errors)."""
 
 
-@dataclass(frozen=True)
-class OracleBounds:
-    max_height: int = 50
-
-    def __post_init__(self):
-        if self.max_height < 1:
-            raise ValueError("max_height must be at least 1")
-
+MAX_HEIGHT = 50  # tallest derivation enumerated; a taller one is out of bounds
 
 _FAIL = object()  # expression evaluation failed (unset store read)
 
-_ORDER = {"!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ORDER = {"==": operator.eq, "!=": operator.ne,
+          "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 # --- ground term utilities ---
@@ -92,24 +89,6 @@ def _left_spine(expr) -> list:
         spine.append(expr)
         expr = expr.left
     return spine
-
-
-def _closed(expr) -> bool:
-    """True when the expression reads no store name and holds no variable."""
-    match expr:
-        case IntLit():
-            return True
-        case BinOp():
-            spine = _left_spine(expr)
-            for node in spine:  # no generator: one frame per level of nesting
-                if not _closed(node.right):
-                    return False
-            return _closed(spine[-1].left)
-        case TermLit(t):
-            return _ground(t)
-        case FunCall(_, arg):
-            return _closed(arg)
-    return False
 
 
 def _subst_term(term, name, value):
@@ -227,11 +206,10 @@ def oracle_fact(n: int) -> int:
 
 
 class _Enumerator:
-    def __init__(self, clauses, bounds: OracleBounds):
+    def __init__(self, clauses):
         self.table = {}  # (name, arity) -> clauses in source order
         for clause in clauses:
             self.table.setdefault((clause.name, len(clause.params)), []).append(clause)
-        self.bounds = bounds
 
     # expression evaluation over a ground store
 
@@ -254,14 +232,16 @@ class _Enumerator:
                 raise OracleRunError(f"unbound '{t.name}' in arithmetic")
             raise OracleRunError("non-integer term in arithmetic")
         if kind is BinOp:
-            # both sides are evaluated before a failed read short-cuts
+            # left to right: a failed read ends evaluation, as in the engine
             spine = _left_spine(expr)
             a = self._eval(store, spine[-1].left)
             for node in reversed(spine):
+                if a is _FAIL:
+                    return _FAIL
                 op, b = node.op, self._eval(store, node.right)
-                if a is _FAIL or b is _FAIL:
-                    a = _FAIL
-                elif op == "+":
+                if b is _FAIL:
+                    return _FAIL
+                if op == "+":
                     a = _checked(a + b)
                 elif op == "-":
                     a = _checked(a - b)
@@ -310,22 +290,15 @@ class _Enumerator:
         return _FAIL if n is _FAIL else Int(n)
 
     def _holds(self, store, goal: Compare) -> bool:
-        if goal.op == "==":
-            a = self._term_value(store, goal.lhs)
-            if a is _FAIL:
-                return False
-            b = self._term_value(store, goal.rhs)
-            if b is _FAIL:
-                return False
-            return a == b
-        a = self._eval(store, goal.lhs)
-        if a is _FAIL:
-            return False
-        b = self._eval(store, goal.rhs)
-        if b is _FAIL:
-            return False
         if goal.op not in _ORDER:
             raise ValueError(f"unknown comparison {goal.op}")
+        value = self._term_value if goal.op == "==" else self._eval
+        a = value(store, goal.lhs)
+        if a is _FAIL:
+            return False
+        b = value(store, goal.rhs)
+        if b is _FAIL:
+            return False
         return _ORDER[goal.op](a, b)
 
     # pin discovery for unbounded choose
@@ -345,18 +318,15 @@ class _Enumerator:
                         pending.extend(reversed(tuple(zip(args, g.args))))
 
     def _pin_side(self, expr):
-        """Ground term an operand denotes independently of program state."""
-        if isinstance(expr, IntLit):
-            return Int(expr.value)
+        """Ground term an operand denotes independently of program state:
+        over an empty store a read fails, and a variable or fault raises."""
         if isinstance(expr, TermLit):
             return expr.term if _ground(expr.term) else None
-        if _closed(expr):
-            try:
-                n = self._eval({}, expr)
-            except OracleRunError:
-                return None  # let execution surface the fault, not pinning
-            return None if n is _FAIL else Int(n)
-        return None
+        try:
+            n = self._eval({}, expr)
+        except OracleRunError:
+            return None  # let execution surface the fault, not pinning
+        return None if n is _FAIL else Int(n)
 
     def _pins(self, goal, name, out):
         while isinstance(goal, Seq):  # the right spine of a ; chain, in a loop
@@ -394,7 +364,7 @@ class _Enumerator:
     def exec_goal(self, store, witnesses, goal, height, applied=None):
         """(store, witnesses, applied) per success of goal, where applied extends
         the given rule applications, newest first, as derivation.py records them."""
-        if height > self.bounds.max_height:
+        if height > MAX_HEIGHT:
             raise OutOfBounds("derivation height")
         kind = type(goal)
         if kind is Seq:
@@ -421,10 +391,7 @@ class _Enumerator:
                 self._pins(goal.body, var, pins)
                 if not pins:
                     raise OutOfBounds(f"choose({var}) has no ground pin")
-                rule, candidates = 7, []
-                for p in pins:
-                    if p not in candidates:
-                        candidates.append(p)
+                rule, candidates = 7, list(dict.fromkeys(pins))
             applied = ((rule, goal, None, None), applied)
             for value in candidates:
                 grounded = subst_goal(goal.body, var, value)
@@ -446,7 +413,7 @@ class _Enumerator:
             raise TypeError(f"not a goal: {goal!r}")
 
 
-def enumerate_solutions(program, goal=None, bounds: OracleBounds | None = None):
+def enumerate_solutions(program, goal=None):
     """All solutions of the program as a set, plus every derivation tree.
 
     Returns (solutions, derivations) where each solution is
@@ -455,13 +422,13 @@ def enumerate_solutions(program, goal=None, bounds: OracleBounds | None = None):
     faults.
     """
     solutions, derivations = set(), []
-    for solution, applied in _solutions(program, goal, bounds):
+    for solution, applied in _solutions(program, goal):
         solutions.add(solution)
         derivations.append(tree_of(applied))
     return solutions, derivations
 
 
-def _solutions(program, goal=None, bounds=None):
+def _solutions(program, goal=None):
     """(solution, rule applications) pairs in enumeration order, repeats included."""
     if isinstance(program, SourceProgram):
         clauses = program.clauses
@@ -470,7 +437,7 @@ def _solutions(program, goal=None, bounds=None):
         clauses = tuple(program)
         if goal is None:
             raise ValueError("a goal is required when passing bare clauses")
-    enum = _Enumerator(clauses, bounds or OracleBounds())
+    enum = _Enumerator(clauses)
     for store, witnesses, applied in enum.exec_goal({}, (), goal, 1):
         yield (witnesses, frozenset(store.items())), applied
 
@@ -502,7 +469,7 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def check_equivalence(program, bounds: OracleBounds | None = None) -> EquivalenceReport:
+def check_equivalence(program) -> EquivalenceReport:
     """Compare engine solutions against oracle enumeration for one program.
 
     Solutions are compared as multisets: order is ignored, repeats
@@ -510,8 +477,6 @@ def check_equivalence(program, bounds: OracleBounds | None = None) -> Equivalenc
     same observable, and programs the oracle cannot handle come back
     excluded, not failed.
     """
-    from .interp import BudgetExhausted, EvalError, execute
-
     engine_tag = None
     engine_solutions = Counter()
     try:
@@ -525,7 +490,7 @@ def check_equivalence(program, bounds: OracleBounds | None = None) -> Equivalenc
     oracle_tag = None
     oracle_solutions = Counter()
     try:
-        oracle_solutions = Counter(solution for solution, _ in _solutions(program, bounds=bounds))
+        oracle_solutions = Counter(solution for solution, _ in _solutions(program))
     except OutOfBounds as e:
         return EquivalenceReport(False, excluded=True, reason=str(e))
     except OracleRunError:

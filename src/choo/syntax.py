@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Term
+from .terms import Term, format_term
 
 
 # --- expressions -----------------------------------------------------------
@@ -154,8 +154,6 @@ def seq_of(goals):
 # Formatting inverts parsing: parse(format_goal(g)) rebuilds g exactly,
 # provided g is a goal the parser itself could have produced. Parentheses
 # are inserted only where precedence or sequencing demands them.
-
-from .terms import format_term  # noqa: E402
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 

@@ -579,6 +579,13 @@ def test_oracle_check_enumerates_derivations_up_to_the_height_bound(program_file
         3, "", "out of oracle bounds: derivation height\n")
 
 
+def test_oracle_check_stops_at_the_first_failed_read_as_run_does(program_file, capsys):
+    # s is unset when read, so the condition fails before 1 / 0 is reached
+    path = program_file("main { s + 1 / 0 == 2; s = 3 }")
+    assert invoke(capsys, ["run", path]) == (1, "", "")
+    assert invoke(capsys, ["oracle-check", path]) == (0, "match: 0 solutions\n", "")
+
+
 def test_oracle_check_flags_programs_it_cannot_enumerate(program_file, capsys):
     path = program_file("main { choose(x) x == x }")
     code, out, err = invoke(capsys, ["oracle-check", path])
@@ -590,7 +597,7 @@ def test_oracle_check_flags_programs_it_cannot_enumerate(program_file, capsys):
 def test_oracle_check_shrinks_mismatches(program_file, capsys, monkeypatch):
     # a stand-in comparison that calls any program still assigning to s a
     # mismatch exercises the reporting and minimization plumbing
-    def fake_check(program, bounds=None, budget=None):
+    def fake_check(program):
         from choo.syntax import Assign, BoundedChoose, Choose, Seq
 
         def assigns_s(goal):

@@ -18,7 +18,6 @@ from choo import (
     EquivalenceReport,
     EvalError,
     Int,
-    OracleBounds,
     OracleRunError,
     OutOfBounds,
     Seq,
@@ -37,17 +36,15 @@ from choo.gen import gen_program, shrink
 from choo.oracle import _Enumerator
 
 
-def goal_solutions(source, scope=(), bounds=None):
+def goal_solutions(source, scope=()):
     goal = parse_goal(source, frozenset(scope))
-    solutions, _ = enumerate_solutions((), goal, bounds=bounds or OracleBounds())
+    solutions, _ = enumerate_solutions((), goal)
     return solutions
 
 
-def program_solutions(source, bounds=None):
+def program_solutions(source):
     program = parse_program(source)
-    solutions, _ = enumerate_solutions(
-        program.clauses, program.main, bounds=bounds or OracleBounds()
-    )
+    solutions, _ = enumerate_solutions(program.clauses, program.main)
     return solutions
 
 
@@ -90,7 +87,7 @@ def test_substitution_rebuilds_only_what_a_chosen_value_reaches(monkeypatch):
             built += 1
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counting_init)
-    solutions, _ = enumerate_solutions((), goal, OracleBounds())
+    solutions, _ = enumerate_solutions((), goal)
     assert len(solutions) == 4
     assert built <= 30_144 // 2
 
@@ -110,7 +107,7 @@ def test_a_call_examines_only_clauses_of_its_name_and_arity():
 
     program = parse_program("p(x) { x == 1 } p(x, y) { x == y } q(x) { x == 2 } p(x) { x == 3 } "
                             "main { choose(x in {1..3}) p(x) }")
-    enumerator = _Enumerator(tuple(map(Watched, program.clauses)), OracleBounds())
+    enumerator = _Enumerator(tuple(map(Watched, program.clauses)))
     examined.clear()  # grouping the clauses reads each once
     found = [w for _, w, _ in enumerator.exec_goal({}, (), program.main, 1)]
     assert found == [(("x", Int(1)),), (("x", Int(3)),)]
@@ -120,7 +117,7 @@ def test_a_call_examines_only_clauses_of_its_name_and_arity():
 
 
 def test_set_elements_keep_their_first_appearance_and_must_be_ground():
-    enumerator = _Enumerator((), OracleBounds())
+    enumerator = _Enumerator(())
     elements = (Int(2), Atom("a"), Int(2), Compound("f", (Int(1),)), Atom("a"))
     assert enumerator._set_members(Enum(elements)) == [Int(2), Atom("a"), Compound("f", (Int(1),))]
     with pytest.raises(OracleRunError, match="not ground"):
@@ -154,7 +151,7 @@ def test_builtins_agree_with_their_definitions():
 def test_derivations_come_back_validated():
     source = "p(x) { x == 3 } main { p(3) }"
     program = parse_program(source)
-    _, derivations = enumerate_solutions(program.clauses, program.main, OracleBounds())
+    _, derivations = enumerate_solutions(program.clauses, program.main)
     assert derivations
     for node in derivations:
         validate_shape(node)
@@ -179,8 +176,18 @@ def test_oracle_derivations_match_the_pinned_digest():
 # --- domain fencing -----------------------------------------------------------------
 
 def test_unpinned_choice_is_out_of_bounds():
-    with pytest.raises(OutOfBounds):
-        goal_solutions("choose(x) x == x")
+    # a pin is an operand with a value before the body runs: no store
+    # read, no variable, no fault
+    for source in (
+        "choose(x) x == x",
+        "choose(x) x == s + 1; s = 2",
+        "choose(x) x == 1 / 0",
+        "choose(x) x == fib(0)",
+        "choose(x) x == f(1) + 1",
+        "choose(x) (x == s; s = 1)",
+    ):
+        with pytest.raises(OutOfBounds):
+            goal_solutions(source)
 
 
 def test_choice_pinned_only_inside_a_call_is_out_of_bounds():
@@ -204,9 +211,14 @@ def test_pin_through_structure_is_in_bounds():
 
 
 def test_pin_on_a_closed_expression_is_in_bounds():
-    assert goal_solutions("choose(x) x == fib(10)") == {
-        ((("x", Int(34)),), frozenset())
-    }
+    for source, witnesses in (
+        ("choose(x) x == fib(10)", [(("x", Int(34)),)]),
+        ("choose(x) x == 2 * 3 - 1", [(("x", Int(5)),)]),
+        # the outer choice is substituted first, so y + 1 is closed by then
+        ("choose(y in {1..2}) choose(x) x == y + 1",
+         [(("y", Int(1)), ("x", Int(2))), (("y", Int(2)), ("x", Int(3)))]),
+    ):
+        assert goal_solutions(source) == {(w, frozenset()) for w in witnesses}, source
 
 
 def test_engine_and_oracle_conclude_a_call_alike():
@@ -232,9 +244,13 @@ def test_engine_and_oracle_conclude_a_call_alike():
 
 
 def test_deep_derivations_are_out_of_bounds():
-    bounds = OracleBounds(max_height=3)
+    # each `;` adds a level, and derivations up to 50 tall are enumerated
+    def chain(n):
+        return "; ".join(f"s = {i}" for i in range(n))
+
+    assert len(goal_solutions(chain(50))) == 1
     with pytest.raises(OutOfBounds):
-        goal_solutions("s = 1; s = 2; s = 3; s = 4; s = 5", bounds=bounds)
+        goal_solutions(chain(51))
     with pytest.raises(OutOfBounds):
         program_solutions("loop() { loop() } main { loop() }")
 
@@ -357,6 +373,46 @@ def test_random_programs_agree_with_the_engine():
     assert checked == 120
 
 
+def _small_expr(rng, bound, depth=0):
+    r = rng.random()
+    if depth < 3 and r < 0.35:
+        op = rng.choice("+-*/")
+        return f"({_small_expr(rng, bound, depth + 1)} {op} {_small_expr(rng, bound, depth + 1)})"
+    if depth < 3 and r < 0.42:
+        return f"{rng.choice(('fib', 'fact'))}({_small_expr(rng, bound, depth + 1)})"
+    if r > 0.95:
+        return "f(1)"
+    return rng.choice([str(rng.randint(-1, 3))] * 2 + ["s", "t", *bound])
+
+
+def _small_body(rng, bound, nesting):
+    stmts = []
+    for _ in range(rng.randint(1, 3)):
+        r = rng.random()
+        v = f"v{len(bound)}"
+        if nesting < 2 and r < 0.15:
+            stmts.append(f"choose({v}) ({v} == {_small_expr(rng, bound)}; "
+                         f"{_small_body(rng, bound + (v,), nesting + 1)})")
+        elif nesting < 2 and r < 0.3:
+            stmts.append(f"choose({v} in {{0..2}}) ({_small_body(rng, bound + (v,), nesting + 1)})")
+        elif r < 0.6:
+            stmts.append(f"{rng.choice('st')} = {_small_expr(rng, bound)}")
+        else:
+            op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
+            stmts.append(f"{_small_expr(rng, bound)} {op} {_small_expr(rng, bound)}")
+    return "; ".join(stmts)
+
+
+def test_small_arithmetic_programs_agree_with_the_engine():
+    # gen_program writes no division and reads only set names; here an
+    # unset read can sit left of a fault, which both sides must not reach
+    rng = random.Random(12)
+    for _ in range(2000):
+        source = f"main {{ {_small_body(rng, (), 0)} }}"
+        report = check_equivalence(parse_program(source))
+        assert report.matched or report.excluded, f"{source}\n{report.describe()}"
+
+
 def _has_unbounded_choose(program):
     goals = [program.main, *(c.body for c in program.clauses)]
     while goals:
@@ -380,7 +436,7 @@ def _ordered_streams(program):
     for solutions in (
         lambda: ((o.witnesses, o.store) for o in execute(program)),
         lambda: ((w, s) for s, w, _ in
-                 _Enumerator(program.clauses, OracleBounds()).exec_goal({}, (), program.main, 1)),
+                 _Enumerator(program.clauses).exec_goal({}, (), program.main, 1)),
     ):
         stream = []
         try:
