@@ -6,7 +6,7 @@ searching alternatives depth-first with backtracking. The chosen values
 are the program's output.
 """
 
-from .derivation import DerivationNode, validate_shape
+from .derivation import DerivationNode
 from .interp import (
     BudgetExhausted,
     EvalError,
@@ -52,9 +52,7 @@ from .syntax import (
 from .terms import (
     Atom,
     Compound,
-    EMPTY_SUBST,
     Int,
-    Subst,
     Term,
     Var,
     apply,

@@ -144,10 +144,10 @@ def _arg_parser() -> argparse.ArgumentParser:
         "--trace", choices=("off", "rules", "full"), default="off",
         help="write rule applications (rules) or derivation trees (full) to stderr",
     )
-    p_run.add_argument("--max-depth", type=int, default=10_000, metavar="N",
-                       help="search depth budget (default 10000)")
-    p_run.add_argument("--max-steps", type=int, default=1_000_000, metavar="N",
-                       help="rule application budget (default 1000000)")
+    p_run.add_argument("--max-depth", type=int, default=SearchBudget.max_depth, metavar="N",
+                       help="search depth budget (default %(default)s)")
+    p_run.add_argument("--max-steps", type=int, default=SearchBudget.max_steps, metavar="N",
+                       help="rule application budget (default %(default)s)")
     p_run.set_defaults(handler=_cmd_run)
 
     p_parse = sub.add_parser("parse", help="parse a program and print it back")

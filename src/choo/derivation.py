@@ -57,19 +57,6 @@ def tree_of(applied) -> DerivationNode:
     return built.pop()
 
 
-def validate_shape(node: DerivationNode) -> None:
-    """Raise ValueError if any node carries the wrong number of children."""
-    stack = [node]  # a loop: derivations are as tall as the search was deep
-    while stack:
-        node = stack.pop()
-        expected = RULE_CHILDREN[node.rule]
-        if len(node.children) != expected:
-            raise ValueError(
-                f"rule {node.rule} node has {len(node.children)} children, wants {expected}"
-            )
-        stack.extend(node.children)
-
-
 def format_tree(node: DerivationNode) -> str:
     """One line per node, depth first, indented two spaces per level."""
     lines = []

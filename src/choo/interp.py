@@ -43,13 +43,12 @@ from .terms import (
     INT64_MIN,
     Compound,
     Int,
-    Subst,
     Var,
     apply,
     format_term,
     free_vars,
-    is_ground,
     unify_in_place,
+    walk,
 )
 
 
@@ -119,7 +118,7 @@ class ProgramState:
     def __init__(self, clauses=()):
         self.clauses = tuple(clauses)
         self.store = {}
-        self.subst = Subst()
+        self.subst = {}
         self.trail = []
         self.choices = []  # [(source name, chosen term)], innermost last
         self._fresh = 0
@@ -148,7 +147,7 @@ class ProgramState:
         """Bind a variable that occurs nowhere yet, so that no occurs check
         is needed; binding to the walked term keeps chains short."""
         self.trail.append((self.subst, var.name, _MISSING))
-        self.subst[var.name] = self.subst.walk(term)
+        self.subst[var.name] = walk(self.subst, term)
 
     def choose(self, name, term):
         self.trail.append((self.choices, len(self.choices), _MISSING))
@@ -301,9 +300,9 @@ def eval_store_value(store, subst, expr, env=_NO_ENV):
     value = eval_operand(store, subst, expr, env)
     if type(expr) is TermLit:
         value = apply(subst, value)
-        if not is_ground(value):  # name the variables the program wrote
+        if free_vars(value):  # name the variables the program wrote
             names = sorted({v.name for v in free_vars(expr.term)
-                            if not is_ground(env.get(v.name, v), subst)})
+                            if free_vars(env.get(v.name, v), subst)})
             raise EvalError(f"assigned value is not ground (unbound: {', '.join(names)})")
     return value
 
@@ -504,23 +503,12 @@ def _witness_value(subst, term, memo):
     return UNCONSTRAINED if isinstance(resolved, Var) else resolved
 
 
-def run(program, goal=None, budget: SearchBudget | None = None, on_rule=None):
-    """Iterate (Outcome, record) pairs in search order, where
-    tree_of(record) is the solution's derivation tree.
-
-    program may be a SourceProgram (goal defaults to its main goal) or a
-    sequence of clauses with an explicit goal.
-    """
-    if isinstance(program, SourceProgram):
-        clauses = program.clauses
-        goal = program.main if goal is None else goal
-    else:
-        clauses = tuple(program)
-        if goal is None:
-            raise ValueError("a goal is required when passing bare clauses")
-    state = ProgramState(clauses)
+def run(program: SourceProgram, budget: SearchBudget | None = None, on_rule=None):
+    """Iterate (Outcome, record) pairs of program's main goal in search
+    order, where tree_of(record) is the solution's derivation tree."""
+    state = ProgramState(program.clauses)
     solver = Solver(state, budget, on_rule)
-    for applied in solver.records(goal):
+    for applied in solver.records(program.main):
         memo = {}  # one per outcome: the bindings differ between solutions
         witnesses = tuple(
             (name, _witness_value(state.subst, term, memo)) for name, term in state.choices
@@ -528,7 +516,7 @@ def run(program, goal=None, budget: SearchBudget | None = None, on_rule=None):
         yield Outcome(witnesses, dict(state.store)), applied
 
 
-def execute(program, goal=None, budget: SearchBudget | None = None, on_rule=None) -> Iterator[Outcome]:
+def execute(program: SourceProgram, budget: SearchBudget | None = None, on_rule=None) -> Iterator[Outcome]:
     """Lazy stream of solutions; empty iteration means no derivation exists."""
-    for outcome, _ in run(program, goal, budget, on_rule):
+    for outcome, _ in run(program, budget, on_rule):
         yield outcome

@@ -11,8 +11,9 @@ position of the other side; the ground subterm at x's position is a
 candidate. Every derivation has to make every such condition hold
 structurally, so the candidate set covers all successes, and re-running
 the body per candidate keeps the answer sound. Programs without a pin,
-or with a derivation taller than MAX_HEIGHT, are rejected as out of
-bounds rather than guessed at.
+whose body reads x before the statement that pins it (where the engine
+finds x unbound), or with a derivation taller than MAX_HEIGHT, are
+rejected as out of bounds rather than guessed at.
 
 Substitution rebuilds only the path from the root to each occurrence,
 so a subgoal, expression or term a chosen value does not reach is
@@ -349,6 +350,38 @@ class _Enumerator:
             case _:
                 pass
 
+    def _read_before_pin(self, goal, name) -> bool:
+        """True if, running goal in order, name occurs outside a term
+        operand of == before the first statement that pins it: the engine
+        would read the unbound variable there, where the oracle has
+        substituted a pin already."""
+        pending = [goal]
+        while pending:
+            goal = pending.pop()
+            kind = type(goal)
+            if kind is Seq:
+                pending += (goal.second, goal.first)
+                continue
+            # an occurrence of name shows as a rebuilt node, as substitution
+            # shares every node name does not occur in
+            if kind is Choose or kind is BoundedChoose:
+                if (kind is BoundedChoose and type(goal.cset) is Enum
+                        and any(_subst_term(e, name, Int(0)) is not e for e in goal.cset.elements)):
+                    return True
+                if goal.var != name:
+                    pending.append(goal.body)
+            elif kind is Compare and goal.op == "==":
+                pins = []
+                self._pins(goal, name, pins)
+                if pins:
+                    return False
+                if any(type(e) is not TermLit and _subst_expr(e, name, Int(0)) is not e
+                       for e in (goal.lhs, goal.rhs)):
+                    return True
+            elif subst_goal(goal, name, Int(0)) is not goal:
+                return True
+        return False
+
     def _set_members(self, cset):
         match cset:
             case Range(lo, hi):
@@ -391,6 +424,8 @@ class _Enumerator:
                 self._pins(goal.body, var, pins)
                 if not pins:
                     raise OutOfBounds(f"choose({var}) has no ground pin")
+                if self._read_before_pin(goal.body, var):
+                    raise OutOfBounds(f"choose({var}) reads {var} before its pin")
                 rule, candidates = 7, list(dict.fromkeys(pins))
             applied = ((rule, goal, None, None), applied)
             for value in candidates:
@@ -413,7 +448,7 @@ class _Enumerator:
             raise TypeError(f"not a goal: {goal!r}")
 
 
-def enumerate_solutions(program, goal=None):
+def enumerate_solutions(program: SourceProgram):
     """All solutions of the program as a set, plus every derivation tree.
 
     Returns (solutions, derivations) where each solution is
@@ -422,23 +457,16 @@ def enumerate_solutions(program, goal=None):
     faults.
     """
     solutions, derivations = set(), []
-    for solution, applied in _solutions(program, goal):
+    for solution, applied in _solutions(program):
         solutions.add(solution)
         derivations.append(tree_of(applied))
     return solutions, derivations
 
 
-def _solutions(program, goal=None):
+def _solutions(program: SourceProgram):
     """(solution, rule applications) pairs in enumeration order, repeats included."""
-    if isinstance(program, SourceProgram):
-        clauses = program.clauses
-        goal = program.main if goal is None else goal
-    else:
-        clauses = tuple(program)
-        if goal is None:
-            raise ValueError("a goal is required when passing bare clauses")
-    enum = _Enumerator(clauses)
-    for store, witnesses, applied in enum.exec_goal({}, (), goal, 1):
+    enum = _Enumerator(program.clauses)
+    for store, witnesses, applied in enum.exec_goal({}, (), program.main, 1):
         yield (witnesses, frozenset(store.items())), applied
 
 

@@ -1,16 +1,18 @@
 """First-order terms, substitutions, and unification.
 
 Terms are the data values of the language: logic variables, atoms,
-integers, and compound terms. Substitutions map variable names to terms
-and are kept triangular (a binding may mention other bound variables);
-``apply`` resolves chains to a fixpoint, which the occurs check keeps
-finite.
+integers, and compound terms. A substitution is a dict from variable
+names to terms, kept triangular (a binding may mention other bound
+variables); ``apply`` resolves chains to a fixpoint, which the occurs
+check keeps finite. The search engine extends one substitution in place
+and undoes its bindings from a trail; ``unify`` extends a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from types import MappingProxyType
 
 # all integer values in the language are signed 64-bit
 INT64_MAX = (1 << 63) - 1
@@ -75,44 +77,24 @@ class Compound:
 Term = Var | Atom | Int | Compound
 
 
-class Subst(dict):
-    """A map from variable names to terms.
-
-    The search engine extends one substitution in place and undoes its
-    bindings from a trail. ``bind`` and ``unify`` leave the substitution
-    they are given unchanged and return an extended copy.
-    """
-
-    __slots__ = ()
-
-    def bind(self, name: str, term: Term) -> "Subst":
-        return Subst({**self, name: term})
-
-    def walk(self, term: Term) -> Term:
-        """Follow variable bindings until an unbound variable or non-variable."""
-        while isinstance(term, Var):
-            bound = self.get(term.name)
-            if bound is None:
-                return term
-            term = bound
-        return term
-
-    def mapping(self) -> dict:
-        return dict(self)
-
-    def __repr__(self):
-        inner = ", ".join(f"{k} -> {format_term(v)}" for k, v in sorted(self.items()))
-        return f"Subst({{{inner}}})"
+_EMPTY = MappingProxyType({})  # the default substitution, read-only
 
 
-EMPTY_SUBST = Subst()
+def walk(subst, term: Term) -> Term:
+    """Follow variable bindings until an unbound variable or non-variable."""
+    while isinstance(term, Var):
+        bound = subst.get(term.name)
+        if bound is None:
+            return term
+        term = bound
+    return term
 
 
-def occurs(var: Var, term: Term, subst: Subst = EMPTY_SUBST) -> bool:
+def occurs(var: Var, term: Term, subst=_EMPTY) -> bool:
     """True if var appears in term once bindings in subst are resolved."""
     stack = [term]
     while stack:
-        t = subst.walk(stack.pop())
+        t = walk(subst, stack.pop())
         if isinstance(t, Var):
             if t.name == var.name:
                 return True
@@ -121,17 +103,17 @@ def occurs(var: Var, term: Term, subst: Subst = EMPTY_SUBST) -> bool:
     return False
 
 
-def unify(t1: Term, t2: Term, subst: Subst = EMPTY_SUBST) -> Subst | None:
+def unify(t1: Term, t2: Term, subst=_EMPTY) -> dict | None:
     """Most general unifier of t1 and t2 under subst, or None.
 
     Failure is an ordinary outcome, not an error. subst itself is left
     as it was.
     """
-    s = Subst(subst)
+    s = dict(subst)
     return None if unify_in_place(t1, t2, s) is None else s
 
 
-def unify_in_place(t1: Term, t2: Term, subst: Subst) -> list | None:
+def unify_in_place(t1: Term, t2: Term, subst: dict) -> list | None:
     """Extend subst with the most general unifier of t1 and t2.
 
     Returns the names bound, or None with nothing bound. The occurs
@@ -141,8 +123,8 @@ def unify_in_place(t1: Term, t2: Term, subst: Subst) -> list | None:
     bound, stack = [], [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = subst.walk(a)
-        b = subst.walk(b)
+        a = walk(subst, a)
+        b = walk(subst, b)
         if a is b or (not isinstance(a, Compound) and a == b):
             continue  # compounds descend: comparing them whole at every level is quadratic
         if isinstance(b, Var) and not isinstance(a, Var):
@@ -164,7 +146,7 @@ def unify_in_place(t1: Term, t2: Term, subst: Subst) -> list | None:
     return None
 
 
-def apply(subst: Subst, term: Term, memo: dict | None = None) -> Term:
+def apply(subst, term: Term, memo: dict | None = None) -> Term:
     """Resolve term under subst all the way down.
 
     A subterm that resolves to itself is shared, not copied. memo maps
@@ -172,7 +154,7 @@ def apply(subst: Subst, term: Term, memo: dict | None = None) -> Term:
     calls resolves each variable once across them, for as long as subst
     does not change.
     """
-    resolved = subst.walk(term)
+    resolved = walk(subst, term)
     if type(resolved) is not Compound:
         return resolved
     if memo is None:
@@ -185,7 +167,7 @@ def apply(subst: Subst, term: Term, memo: dict | None = None) -> Term:
                 done.append(memo[t.name])
                 continue
             stack.append(t.name)  # memoised once its value is resolved
-            t = subst.walk(t)
+            t = walk(subst, t)
         if type(t) is Compound:
             stack.append((t,))  # built once its arguments are resolved
             stack.extend(reversed(t.args))
@@ -202,27 +184,17 @@ def apply(subst: Subst, term: Term, memo: dict | None = None) -> Term:
     return done[0]
 
 
-def free_vars(term: Term, subst: Subst = EMPTY_SUBST) -> set:
+def free_vars(term: Term, subst=_EMPTY) -> set:
     """Variables still unbound in term after resolving through subst."""
     out, stack = set(), [term]
     while stack:
-        t = subst.walk(stack.pop())
+        t = walk(subst, stack.pop())
         if isinstance(t, Var):
             out.add(t)
         elif isinstance(t, Compound):
             stack.extend(t.args)
     return out
 
-
-def is_ground(term: Term, subst: Subst = EMPTY_SUBST) -> bool:
-    stack = [term]
-    while stack:
-        t = subst.walk(stack.pop())
-        if isinstance(t, Var):
-            return False
-        if isinstance(t, Compound):
-            stack.extend(t.args)
-    return True
 
 
 def format_term(term: Term, env: dict | None = None, memo: dict | None = None) -> str:

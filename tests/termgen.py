@@ -45,7 +45,7 @@ def random_term(rng: random.Random, names=VAR_NAMES, depth: int = 0):
 
 
 def subst_names(term, mapping):
-    """Plain name-to-term replacement, independent of the Subst type."""
+    """Plain name-to-term replacement, independent of terms.apply."""
     if isinstance(term, Var):
         return mapping.get(term.name, term)
     if isinstance(term, Compound):

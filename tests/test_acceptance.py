@@ -25,7 +25,7 @@ from choo import (
 )
 from choo.gen import gen_program, gen_straightline, shrink
 from choo.syntax import Choose, Compare, Seq, SourceProgram, TermLit, format_program
-from choo.terms import Var, is_ground
+from choo.terms import Var
 from termgen import cyclic_pair, ground_term, random_term, unifiable_pair
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
@@ -112,7 +112,7 @@ def test_criterion_4_print_encoding_property():
     for i in range(100):
         goal, expr, value = gen_straightline(rng)
         encoded = Choose("x", Seq(goal, Compare("==", TermLit(Var("x")), expr)))
-        outcomes = list(execute((), encoded))
+        outcomes = list(execute(SourceProgram((), encoded)))
         if len(outcomes) == 1 and dict(outcomes[0].witnesses).get("x") == Int(value):
             passed += 1
         elif len(failures) < 3:

@@ -9,7 +9,6 @@ from choo import (
     Atom,
     BudgetExhausted,
     Compound,
-    EMPTY_SUBST,
     EvalError,
     Int,
     Outcome,
@@ -26,11 +25,11 @@ from choo import (
     parse_goal,
     parse_program,
     run,
-    validate_shape,
 )
-from choo.derivation import DerivationNode, format_tree, tree_of
+from choo.derivation import RULE_CHILDREN, DerivationNode, format_tree, tree_of
 from choo.gen import gen_program
-from choo.terms import INT64_MAX, INT64_MIN
+from choo.syntax import SourceProgram
+from choo.terms import INT64_MAX, INT64_MIN, free_vars
 
 # the first two values of the builtin sequence are 0 and 1; everything
 # here is computed from that recurrence, never taken from the engine
@@ -48,7 +47,7 @@ def outcomes(source, budget=None):
 
 
 def goal_outcomes(source, scope=(), budget=None):
-    return list(execute((), parse_goal(source, frozenset(scope)), budget=budget))
+    return list(execute(SourceProgram((), parse_goal(source, frozenset(scope))), budget=budget))
 
 
 def expr_of(source):
@@ -371,37 +370,37 @@ def test_shadowing_inner_choose_reports_both_witnesses():
 # --- expression evaluation -----------------------------------------------------------
 
 def test_builtin_fixed_points():
-    assert eval_int({}, EMPTY_SUBST, expr_of("fib(6)")) == 5
-    assert eval_int({}, EMPTY_SUBST, expr_of("fact(0)")) == 1
-    assert eval_int({}, EMPTY_SUBST, expr_of("(2 + 3) * 4")) == 20
+    assert eval_int({}, {}, expr_of("fib(6)")) == 5
+    assert eval_int({}, {}, expr_of("fact(0)")) == 1
+    assert eval_int({}, {}, expr_of("(2 + 3) * 4")) == 20
 
 
 def test_division_truncates_toward_zero():
-    assert eval_int({}, EMPTY_SUBST, expr_of("7 / 2")) == 3
-    assert eval_int({}, EMPTY_SUBST, expr_of("-7 / 2")) == -3
-    assert eval_int({}, EMPTY_SUBST, expr_of("7 / -2")) == -3
-    assert eval_int({}, EMPTY_SUBST, expr_of("-7 / -2")) == 3
+    assert eval_int({}, {}, expr_of("7 / 2")) == 3
+    assert eval_int({}, {}, expr_of("-7 / 2")) == -3
+    assert eval_int({}, {}, expr_of("7 / -2")) == -3
+    assert eval_int({}, {}, expr_of("-7 / -2")) == 3
 
 
 def test_division_by_zero_is_an_error():
     with pytest.raises(EvalError):
-        eval_int({}, EMPTY_SUBST, expr_of("1 / 0"))
+        eval_int({}, {}, expr_of("1 / 0"))
 
 
 def test_builtin_domain_errors():
     for text in ("fib(0)", "fib(-3)", "fact(-1)"):
         with pytest.raises(EvalError):
-            eval_int({}, EMPTY_SUBST, expr_of(text))
+            eval_int({}, {}, expr_of(text))
 
 
 def test_builtin_overflow_boundaries():
-    assert eval_int({}, EMPTY_SUBST, expr_of("fib(93)")) == builtin_fib(93)
+    assert eval_int({}, {}, expr_of("fib(93)")) == builtin_fib(93)
     assert builtin_fib(93) == 7540113804746346429
     with pytest.raises(EvalError):
-        eval_int({}, EMPTY_SUBST, expr_of("fib(94)"))
-    assert eval_int({}, EMPTY_SUBST, expr_of("fact(20)")) == math.factorial(20)
+        eval_int({}, {}, expr_of("fib(94)"))
+    assert eval_int({}, {}, expr_of("fact(20)")) == math.factorial(20)
     with pytest.raises(EvalError):
-        eval_int({}, EMPTY_SUBST, expr_of("fact(21)"))
+        eval_int({}, {}, expr_of("fact(21)"))
 
 
 def test_arithmetic_overflow_is_checked():
@@ -412,23 +411,23 @@ def test_arithmetic_overflow_is_checked():
         f"0 - 1 * {INT64_MIN} / 1 * -1 - 1",  # exactly max plus one... via min
     ):
         with pytest.raises(EvalError):
-            eval_int({}, EMPTY_SUBST, expr_of(text))
-    assert eval_int({}, EMPTY_SUBST, expr_of(f"{INT64_MAX} + 0")) == INT64_MAX
-    assert eval_int({}, EMPTY_SUBST, expr_of(f"{INT64_MIN} + 0")) == INT64_MIN
+            eval_int({}, {}, expr_of(text))
+    assert eval_int({}, {}, expr_of(f"{INT64_MAX} + 0")) == INT64_MAX
+    assert eval_int({}, {}, expr_of(f"{INT64_MIN} + 0")) == INT64_MIN
 
 
 def test_store_reads_in_expressions():
-    assert eval_int({}, EMPTY_SUBST, VarRef("s")) is None
-    assert eval_int({"s": Int(3)}, EMPTY_SUBST, VarRef("s")) == 3
+    assert eval_int({}, {}, VarRef("s")) is None
+    assert eval_int({"s": Int(3)}, {}, VarRef("s")) == 3
     with pytest.raises(EvalError):
-        eval_int({"s": Atom("a")}, EMPTY_SUBST, VarRef("s"))
+        eval_int({"s": Atom("a")}, {}, VarRef("s"))
 
 
 def test_operands_resolve_through_the_substitution():
-    subst = EMPTY_SUBST.bind("x", Int(4))
+    subst = {"x": Int(4)}
     goal = parse_goal("s = x + 1", scope={"x"})
     assert eval_int({}, subst, goal.expr) == 5
-    assert eval_operand({}, EMPTY_SUBST, parse_goal("s = f(1)").expr) == Compound(
+    assert eval_operand({}, {}, parse_goal("s = f(1)").expr) == Compound(
         "f", (Int(1),)
     )
 
@@ -599,8 +598,6 @@ def test_peak_memory_grows_about_linearly_with_recursion_depth():
 
 
 def test_outcome_stores_hold_only_ground_terms():
-    from choo.terms import is_ground
-
     rng = random.Random(4010)
     seen = 0
     for _ in range(120):
@@ -608,7 +605,7 @@ def test_outcome_stores_hold_only_ground_terms():
         try:
             for outcome in execute(program, budget=SearchBudget(2000, 50_000)):
                 for value in outcome.store.values():
-                    assert is_ground(value)
+                    assert not free_vars(value)
                 seen += 1
         except (EvalError, BudgetExhausted):
             continue
@@ -616,6 +613,19 @@ def test_outcome_stores_hold_only_ground_terms():
 
 
 # --- derivations ------------------------------------------------------------------------
+
+def validate_shape(node: DerivationNode) -> None:
+    """Raise ValueError if any node carries the wrong number of children."""
+    stack = [node]  # a loop: derivations are as tall as the search was deep
+    while stack:
+        node = stack.pop()
+        expected = RULE_CHILDREN[node.rule]
+        if len(node.children) != expected:
+            raise ValueError(
+                f"rule {node.rule} node has {len(node.children)} children, wants {expected}"
+            )
+        stack.extend(node.children)
+
 
 def test_derivation_trees_match_the_rule_arities():
     rng = random.Random(4011)
@@ -701,10 +711,3 @@ def test_a_search_builds_only_the_trees_it_reports(monkeypatch):
     outcome, record = next(run(program))
     assert outcome.witnesses == (("x", Int(50)),) and built == []
     assert format_tree(tree_of(record)).count("[rule") == len(built) == 6
-
-
-# --- entry point odds and ends ------------------------------------------------------------
-
-def test_bare_clause_list_requires_a_goal():
-    with pytest.raises(ValueError):
-        list(execute(()))

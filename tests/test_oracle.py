@@ -21,6 +21,7 @@ from choo import (
     OracleRunError,
     OutOfBounds,
     Seq,
+    SourceProgram,
     TermLit,
     Var,
     check_equivalence,
@@ -31,20 +32,21 @@ from choo import (
     parse_program,
     run,
 )
-from choo.derivation import DerivationNode, format_tree, tree_of, validate_shape
+from choo.derivation import DerivationNode, format_tree, tree_of
 from choo.gen import gen_program, shrink
 from choo.oracle import _Enumerator
+from test_interp import validate_shape
 
 
 def goal_solutions(source, scope=()):
     goal = parse_goal(source, frozenset(scope))
-    solutions, _ = enumerate_solutions((), goal)
+    solutions, _ = enumerate_solutions(SourceProgram((), goal))
     return solutions
 
 
 def program_solutions(source):
     program = parse_program(source)
-    solutions, _ = enumerate_solutions(program.clauses, program.main)
+    solutions, _ = enumerate_solutions(program)
     return solutions
 
 
@@ -87,7 +89,7 @@ def test_substitution_rebuilds_only_what_a_chosen_value_reaches(monkeypatch):
             built += 1
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counting_init)
-    solutions, _ = enumerate_solutions((), goal)
+    solutions, _ = enumerate_solutions(SourceProgram((), goal))
     assert len(solutions) == 4
     assert built <= 30_144 // 2
 
@@ -151,7 +153,7 @@ def test_builtins_agree_with_their_definitions():
 def test_derivations_come_back_validated():
     source = "p(x) { x == 3 } main { p(3) }"
     program = parse_program(source)
-    _, derivations = enumerate_solutions(program.clauses, program.main)
+    _, derivations = enumerate_solutions(program)
     assert derivations
     for node in derivations:
         validate_shape(node)
@@ -185,9 +187,17 @@ def test_unpinned_choice_is_out_of_bounds():
         "choose(x) x == fib(0)",
         "choose(x) x == f(1) + 1",
         "choose(x) (x == s; s = 1)",
+        # the body reads x before the pin: the engine finds x unbound there
+        "choose(x) (s = x; x == 1)",
+        "choose(x) (s = x + 1; x == 1)",
+        "choose(x) (x < 3; x == 1)",
+        "choose(x) (fib(x) == 0; x == 1)",
+        "choose(x) (choose(y in {x, 1}) y == y; x == 1)",
     ):
         with pytest.raises(OutOfBounds):
             goal_solutions(source)
+    with pytest.raises(OutOfBounds):
+        program_solutions("p(y) { s = y + 1 } main { choose(x) (p(x); x == 1) }")
 
 
 def test_choice_pinned_only_inside_a_call_is_out_of_bounds():
@@ -260,6 +270,14 @@ def test_runtime_errors_surface_as_oracle_run_errors():
         goal_solutions("s = fact(25)")
     with pytest.raises(OracleRunError):
         goal_solutions("s = 1 / 0")
+    for source in (
+        "s = 9223372036854775807 + 1",
+        "s = 0 - 9223372036854775807 - 2",
+        "s = 3037000500 * 3037000500",
+        "s = fib(94)",
+    ):
+        with pytest.raises(OracleRunError):
+            goal_solutions(source)
 
 
 # --- the differential check -----------------------------------------------------------

@@ -7,9 +7,7 @@ import pytest
 from choo import (
     Atom,
     Compound,
-    EMPTY_SUBST,
     Int,
-    Subst,
     Var,
     apply,
     format_term,
@@ -48,7 +46,7 @@ def test_unify_binds_each_record_field():
 def test_unify_variable_with_itself_binds_nothing():
     s = unify(X, X)
     assert s is not None
-    assert s.mapping() == {}
+    assert dict(s) == {}
 
 
 def test_unify_occurs_check_rejects_self_reference():
@@ -98,25 +96,25 @@ def test_unify_occurs_check_sees_through_bindings():
 # --- substitution application --------------------------------------------------
 
 def test_apply_replaces_bound_variables_only():
-    s = EMPTY_SUBST.bind("X", Int(3))
+    s = {"X": Int(3)}
     assert apply(s, f(X, Y)) == f(Int(3), Y)
 
 
 def test_apply_empty_substitution_is_identity():
     t = f(X, g(Atom("a"), Int(7)))
-    assert apply(EMPTY_SUBST, t) is t  # nothing changed, so nothing is copied
+    assert apply({}, t) is t  # nothing changed, so nothing is copied
 
 
 def test_apply_shares_subterms_that_resolve_to_themselves():
     ground = g(Atom("a"), Int(7))
-    s = EMPTY_SUBST.bind("X", Int(3))
+    s = {"X": Int(3)}
     resolved = apply(s, f(X, ground))
     assert resolved == f(Int(3), ground)
     assert resolved.args[1] is ground
 
 
 def test_apply_memo_resolves_each_variable_once_across_calls():
-    s = EMPTY_SUBST.bind("X", g(Y)).bind("Y", f(Int(2)))
+    s = {"X": g(Y), "Y": f(Int(2))}
     memo = {}
     x = apply(s, X, memo)
     assert x == g(f(Int(2)))
@@ -127,21 +125,8 @@ def test_apply_memo_resolves_each_variable_once_across_calls():
 
 
 def test_apply_resolves_chained_bindings():
-    s = EMPTY_SUBST.bind("X", g(Y)).bind("Y", Int(2))
+    s = {"X": g(Y), "Y": Int(2)}
     assert apply(s, X) == g(Int(2))
-
-
-def test_substitutions_are_immutable():
-    s1 = EMPTY_SUBST.bind("X", Int(1))
-    s2 = s1.bind("Y", Int(2))
-    assert s1.mapping() == {"X": Int(1)}
-    assert s2.mapping() == {"X": Int(1), "Y": Int(2)}
-    assert EMPTY_SUBST.mapping() == {}
-
-
-def test_substitution_equality_is_by_content():
-    assert Subst({"X": Int(1)}) == EMPTY_SUBST.bind("X", Int(1))
-    assert Subst() == EMPTY_SUBST
 
 
 # --- occurs and free variables ---------------------------------------------------
@@ -156,7 +141,7 @@ def test_occurs_respects_identity():
 
 
 def test_occurs_resolves_through_the_substitution():
-    s = EMPTY_SUBST.bind("Y", f(X))
+    s = {"Y": f(X)}
     assert occurs(X, Y, s)
 
 
@@ -201,7 +186,7 @@ def test_most_general_unifier_factors_other_unifiers():
         pattern, instance, grounding = unifiable_pair(rng)
         sigma = unify(pattern, instance)
         assert sigma is not None, "instance is the pattern under a grounding"
-        tau = Subst(grounding)
+        tau = dict(grounding)
         assert apply(tau, pattern) == apply(tau, instance)
         for t in (pattern, instance, random_term(rng)):
             assert apply(tau, apply(sigma, t)) == apply(tau, t)
@@ -225,7 +210,7 @@ def test_most_generality_with_variable_variable_bindings():
         tau = sigma
         open_vars = free_vars(apply(sigma, t1)) | free_vars(apply(sigma, t2))
         for v in sorted(open_vars, key=lambda v: v.name):
-            tau = tau.bind(v.name, ground_term(rng))
+            tau = {**tau, v.name: ground_term(rng)}
         assert apply(tau, t1) == apply(tau, t2)
         for t in (t1, t2):
             assert apply(tau, apply(sigma, t)) == apply(tau, t)
@@ -266,7 +251,7 @@ def test_unify_result_never_mentions_failure_partially():
 
 def test_unify_never_changes_the_substitution_it_is_given():
     # the engine unifies in place; the functional form works on a copy
-    given = EMPTY_SUBST.bind("X", f(Y))
+    given = {"X": f(Y)}
     pairs = [
         (Z, Int(1)),  # success
         (X, f(Int(2))),  # success through a binding
@@ -274,18 +259,18 @@ def test_unify_never_changes_the_substitution_it_is_given():
         (f(Y, Z), f(g(X), Int(3))),  # binds Z, then fails the occurs check
     ]
     for t1, t2 in pairs:
-        for subst in (EMPTY_SUBST, given):
-            before = subst.mapping()
+        for subst in ({}, given):
+            before = dict(subst)
             unify(t1, t2, subst)
-            assert subst.mapping() == before
+            assert dict(subst) == before
     rng = random.Random(1006)
     for _ in range(300):
         unify(random_term(rng), random_term(rng))
-    assert EMPTY_SUBST.mapping() == {}
+    assert dict(terms._EMPTY) == {}
 
 
 def test_unify_in_place_reports_its_bindings_or_binds_nothing():
-    s = Subst({"X": f(Y)})
+    s = {"X": f(Y)}
     assert unify_in_place(f(X, Z), f(Int(3), Int(4)), s) is None  # after binding Z
     assert s == {"X": f(Y)}
     assert sorted(unify_in_place(f(X, Z), f(f(Int(4)), Int(3)), s)) == ["Y", "Z"]
@@ -313,7 +298,7 @@ def test_unify_in_place_compares_nested_terms_in_linear_time(monkeypatch):
     for _ in range(n):
         left, right = Compound("s", (left,)), Compound("s", (right,))
     monkeypatch.setattr(Compound, "__eq__", counting_eq)
-    s = Subst()
+    s = {}
     assert unify_in_place(left, right, s) == ["X"]
     assert s == {"X": Int(1)}
     assert compared <= 4 * n
