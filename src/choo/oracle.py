@@ -486,7 +486,7 @@ class EquivalenceReport:
             return f"excluded: {self.reason}"
         engine, oracle = Counter(self.engine_solutions), Counter(self.oracle_solutions)
         if self.matched:
-            return f"match: {engine.total()} solutions"
+            return f"match: {self.reason}" if self.reason else f"match: {engine.total()} solutions"
         lines = ["mismatch:"]
         if self.reason:
             lines.append(f"  {self.reason}")

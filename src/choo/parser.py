@@ -46,7 +46,7 @@ time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Assign,
@@ -89,19 +89,19 @@ class _TooDeep(ParseError):
     """Final: no reread as a condition gets past the token that raised it."""
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "keyword", "eof", or the punctuation itself
     text: str
     line: int
     col: int
 
 
-# tried in order at each offset; the last alternative catches any other character
+# one match per token: the blanks before it, then the first alternative that
+# fits; \Z takes trailing blanks, and the catch-all . any other character
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|//[^\n]*"
+    r"[ \t\r]*(?:(?P<newline>\n)|//[^\n]*"
     r"|(?P<punct>==|!=|<=|>=|\.\.|[(){};,=<>+\-*/])"
-    r"|(?P<int>\d+)|(?P<word>[^\W\d_]\w*)|(?P<other>.)",
+    r"|(?P<int>\d+)|(?P<word>[^\W\d_]\w*)|(?P<other>.)|\Z)",
     re.DOTALL,
 )
 
@@ -112,21 +112,22 @@ def lex(source: str) -> list:
     line_start = 0  # offset of the current line's first character
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        if kind is None:  # blanks and comments
+        if kind is None:  # comments and the end of input
             continue
         if kind == "newline":
             line += 1
             line_start = m.end()
             continue
-        text = m.group()
-        col = m.start() - line_start + 1
+        text = m[kind]
+        col = m.end() - len(text) - line_start + 1
         if kind == "word" and text[0].isalpha() and text[0].islower():
             kind = "keyword" if text in KEYWORDS else "ident"
         elif kind == "punct":
             kind = text
         elif kind != "int":
             raise ParseError(line, col, f"unexpected character {text[0]!r}")
-        tokens.append(Token(kind, text, line, col))
+        # tuple.__new__ skips the argument handling of Token(...)
+        tokens.append(tuple.__new__(Token, (kind, text, line, col)))
     tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 

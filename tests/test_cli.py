@@ -586,6 +586,13 @@ def test_oracle_check_stops_at_the_first_failed_read_as_run_does(program_file, c
     assert invoke(capsys, ["oracle-check", path]) == (0, "match: 0 solutions\n", "")
 
 
+def test_oracle_check_says_when_both_sides_raise_runtime_errors(capsys):
+    path = str(Path(__file__).resolve().parent / "golden" / "div_zero.choo")
+    assert invoke(capsys, ["run", path]) == (3, "", "runtime error: division by zero\n")
+    assert invoke(capsys, ["oracle-check", path]) == (
+        0, "match: both raised runtime errors\n", "")
+
+
 def test_oracle_check_flags_programs_it_cannot_enumerate(program_file, capsys):
     path = program_file("main { choose(x) x == x }")
     code, out, err = invoke(capsys, ["oracle-check", path])

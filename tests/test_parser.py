@@ -10,6 +10,14 @@ CHANGES.md:
 
     PYTHONPATH=src python tests/test_parser.py > tests/golden/parse.sha256
 
+`tests/golden/lex.sha256` pins the token stream `lex` makes of those
+sources, of 2,000 seeded mutations over a wider alphabet (tabs,
+carriage returns, uppercase and non-ASCII letters, `²`, `_`, blanks at
+the end of input) and of two named cases. Regenerate it only after a
+deliberate change to what the lexer accepts or reports:
+
+    PYTHONPATH=src python tests/test_parser.py --lex > tests/golden/lex.sha256
+
 To see one source, such as a mutation the test names:
 
     PYTHONPATH=src python tests/test_parser.py --show mutant/0042
@@ -47,6 +55,7 @@ from choo import (
     parse_program,
 )
 from choo.gen import gen_program
+from choo.parser import lex
 from choo.terms import INT64_MAX, INT64_MIN
 
 
@@ -311,19 +320,25 @@ def parse_sources() -> dict:
     bases = list(sources.values())
     rng = random.Random(3004)
     for i in range(5000):
-        chars = list(rng.choice(bases))
-        for _ in range(rng.randint(1, 5)):
-            kind, pos = rng.random(), rng.randrange(len(chars) + 1)
-            if kind < 1 / 3 and pos < len(chars):
-                del chars[pos]
-            elif kind < 2 / 3 and pos < len(chars):
-                chars[pos] = rng.choice(_MUTATION_CHARS)
-            else:
-                chars.insert(pos, rng.choice(_MUTATION_CHARS))
+        source = _mutate(rng, rng.choice(bases), _MUTATION_CHARS)
         if rng.random() < 0.1:
-            chars.append("// c")
-        sources[f"mutant/{i:04d}"] = "".join(chars)
+            source += "// c"
+        sources[f"mutant/{i:04d}"] = source
     return sources
+
+
+def _mutate(rng: random.Random, base: str, alphabet) -> str:
+    """base with one to five characters deleted, replaced or inserted."""
+    chars = list(base)
+    for _ in range(rng.randint(1, 5)):
+        kind, pos = rng.random(), rng.randrange(len(chars) + 1)
+        if kind < 1 / 3 and pos < len(chars):
+            del chars[pos]
+        elif kind < 2 / 3 and pos < len(chars):
+            chars[pos] = rng.choice(alphabet)
+        else:
+            chars.insert(pos, rng.choice(alphabet))
+    return "".join(chars)
 
 
 def parse_digest(source: str) -> str:
@@ -346,9 +361,56 @@ def test_parse_results_match_the_pinned_digests():
     )
 
 
+LEX_DIGESTS = ROOT / "tests" / "golden" / "lex.sha256"
+# the mutation alphabet plus what it never lexes: tabs, carriage returns,
+# uppercase, non-ASCII letters of each case, a digit \d does not match, '_'
+_LEX_PIECES = list(_MUTATION_CHARS) + ["\t", "\r", "\r\n", "\n", "A", "Zed", "é", "ǅ", "²", "_"]
+
+
+def lex_sources() -> dict:
+    """Source id -> text: the parser's sources, then the lexer's own."""
+    sources = parse_sources()
+    bases = list(sources.values())
+    sources["lex/trailing_space"] = "main { s = 1 } "
+    sources["lex/trailing_tab"] = "main { s = 1 }\t"
+    rng = random.Random(1414)
+    for i in range(2000):
+        source = _mutate(rng, rng.choice(bases), _LEX_PIECES)
+        ending = rng.random()
+        if ending < 0.1:
+            source = source.rstrip("\n") + rng.choice([" ", "\t", "\r", "  \t"])
+        elif ending < 0.2:
+            source += "// c"
+        sources[f"lex/{i:04d}"] = source
+    return sources
+
+
+def lex_digest(source: str) -> str:
+    try:
+        text = "".join(f"{t.kind} {t.text} {t.line} {t.col}\n" for t in lex(source))
+    except ParseError as err:
+        text = f"{err.line}:{err.column} {err.message}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_token_streams_match_the_pinned_digests():
+    pinned = dict(line.split() for line in LEX_DIGESTS.read_text(encoding="utf-8").splitlines())
+    sources = lex_sources()
+    wrong = [name for name, source in sources.items() if pinned.get(name) != lex_digest(source)]
+    missing = sorted(set(pinned) - set(sources))
+    assert not wrong and not missing, (
+        f"{len(wrong)} token streams differ from tests/golden/lex.sha256"
+        " (print a source with `python tests/test_parser.py --show ID`):\n"
+        + "\n".join(wrong[:40] + [f"not lexed: {name}" for name in missing[:40]])
+    )
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--show"]:
-        print(parse_sources()[sys.argv[2]], end="")
+        print(lex_sources()[sys.argv[2]], end="")
+    elif sys.argv[1:2] == ["--lex"]:
+        for name, source in lex_sources().items():
+            print(name, lex_digest(source))
     else:
         for name, source in parse_sources().items():
             print(name, parse_digest(source))
