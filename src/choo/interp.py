@@ -185,6 +185,7 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 _ORDER = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
           ">": operator.gt, ">=": operator.ge}
 _NO_ENV = MappingProxyType({})
+_TERM_SIDES = frozenset({VarRef, TermLit})  # sides of == that may hold a term, not just an integer
 
 
 _FIB = [0, 1]  # fib(1) to fib(93) = 7540113804746346429, the last value in 64 bits
@@ -321,53 +322,10 @@ def _elements(cset, subst, env):
     return resolved
 
 
-# --- compiling goals once ------------------------------------------------------
-#
-# Before the search starts, each clause body and the main goal become
-# code once: a tuple (rule, goal, parts...) per goal, with calls linked
-# to their clauses through a table built here, as the WAM selects
-# clauses from tables built at load time (Ait-Kaci, 1991).
-
-def _compile(goal, table: dict):
-    """Code of goal; table maps (name, arity) to the [(clause, body
-    code)] a call tries. A `;` chain is walked in a loop, so recursion
-    follows only the nesting of parentheses and chooses."""
-    seqs = []
-    while type(goal) is Seq:
-        seqs.append((goal, _compile(goal.first, table)))
-        goal = goal.second
-    if type(goal) is Compare:
-        sides = {type(goal.lhs), type(goal.rhs)}
-        if goal.op != "==" or not sides & {VarRef, TermLit}:
-            code = (4, goal, eval_int, _ORDER[goal.op])  # == of two integers is equality
-        else:  # unification; of two store values, which are ground, it is equality
-            code = (4, goal, eval_operand, None if TermLit in sides else operator.eq)
-    elif type(goal) is Assign:
-        code = (5, goal)
-    elif type(goal) is Call:
-        code = (3, goal, table.get((goal.name, len(goal.args))))
-    elif type(goal) is Choose:
-        code = (7, goal, _compile(goal.body, table))
-    elif type(goal) is BoundedChoose:
-        code = (8, goal, _compile(goal.body, table))
-    else:
-        raise TypeError(f"not a goal: {goal!r}")
-    for seq, first in reversed(seqs):
-        code = (6, seq, first, code)
-    return code
-
-
-def _compile_program(clauses, goal):
-    """Code of goal, with every clause body compiled into the call table."""
-    table = {}
-    for clause in clauses:
-        table.setdefault((clause.name, len(clause.params)), [])
-    for clause in clauses:
-        table[clause.name, len(clause.params)].append((clause, _compile(clause.body, table)))
-    return _compile(goal, table)
-
-
 # --- the solver ---------------------------------------------------------------
+
+_RULE = {Call: 3, Compare: 4, Assign: 5, Seq: 6, Choose: 7, BoundedChoose: 8}  # for on_rule
+
 
 class Solver:
     """Depth-first search; records() yields each solution's rule
@@ -402,83 +360,99 @@ class Solver:
         linked list ((rule, goal, label, env), older) that tree_of reads."""
         st, on_rule, steps = self.state, self.on_rule, self.steps
         max_depth, max_steps = self.budget.max_depth, self.budget.max_steps
+        table = {}  # (name, arity) -> the clauses a call tries, in source order
+        for clause in st.clauses:
+            table.setdefault((clause.name, len(clause.params)), []).append(clause)
         base_mark = st.mark()
-        # frames [code, env, depth, next] each run code in env; applied holds
+        # frames [goal, env, depth, next] each run goal in env; applied holds
         # the rule applications so far, newest first, as tree_of reads them
-        frames, applied = [_compile_program(st.clauses, goal), {}, 1, None], None
-        points = []  # [alternatives, next one, code, env, depth, frames, applied, trail mark]
+        frames, applied = [goal, {}, 1, None], None
+        points = []  # [alternatives, next one, goal, env, depth, frames, applied, trail mark]
         try:
             while True:
                 if frames is None:
                     self.steps = steps
                     yield applied
                 else:
-                    code, env, depth, frames = frames
+                    goal, env, depth, frames = frames
                     if depth > max_depth:
                         raise BudgetExhausted("depth")
-                    rule, goal = code[0], code[1]
                     steps += 1
                     if steps > max_steps:
                         raise BudgetExhausted("steps")
+                    kind = type(goal)
                     if on_rule is not None:
-                        on_rule(rule, (goal, env))
-                    if rule == 6:
+                        on_rule(_RULE.get(kind), (goal, env))
+                    if kind is Seq:
                         applied = ((6, goal, None, env), applied)
-                        frames = [code[2], env, depth + 1, [code[3], env, depth + 1, frames]]
+                        frames = [goal.first, env, depth + 1, [goal.second, env, depth + 1, frames]]
                         continue
-                    if rule == 4:
-                        evaluate, compare = code[2], code[3]
-                        a = evaluate(st.store, st.subst, goal.lhs, env)
-                        b = None if a is None else evaluate(st.store, st.subst, goal.rhs, env)
-                        if b is not None and (st.unify(a, b) if compare is None else compare(a, b)):
+                    if kind is Compare:
+                        lhs, rhs = goal.lhs, goal.rhs
+                        if goal.op != "==" or not (type(lhs) in _TERM_SIDES or type(rhs) in _TERM_SIDES):
+                            # == of two integers is equality
+                            a = eval_int(st.store, st.subst, lhs, env)
+                            b = None if a is None else eval_int(st.store, st.subst, rhs, env)
+                            held = b is not None and _ORDER[goal.op](a, b)
+                        else:  # unification; of two store values, which are ground, it is equality
+                            a = eval_operand(st.store, st.subst, lhs, env)
+                            b = None if a is None else eval_operand(st.store, st.subst, rhs, env)
+                            held = b is not None and (
+                                st.unify(a, b) if type(lhs) is TermLit or type(rhs) is TermLit else a == b)
+                        if held:
                             applied = ((4, goal, None, env), applied)
                             continue
-                    elif rule == 5:
+                    elif kind is Assign:
                         value = eval_store_value(st.store, st.subst, goal.expr, env)
                         if value is not None:
                             st.set_store(goal.target, value)
                             applied = ((5, goal, None, env), applied)
                             continue
-                    elif rule == 7:
+                    elif kind is Choose:
                         # a fresh variable, for unification to bind; if
                         # nothing does, the witness is UNCONSTRAINED
                         fresh = st.fresh_var()
                         st.choose(goal.var, fresh)
                         applied = ((7, goal, None, env), applied)
-                        frames = [code[2], {**env, goal.var: fresh}, depth + 1, frames]
+                        frames = [goal.body, {**env, goal.var: fresh}, depth + 1, frames]
                         continue
                     else:
-                        if rule == 3 and code[2] is None:
-                            raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
-                        alternatives = iter(_elements(goal.cset, st.subst, env) if rule == 8 else code[2])
+                        if kind is BoundedChoose:
+                            alternatives = iter(_elements(goal.cset, st.subst, env))
+                        elif kind is Call:
+                            clauses = table.get((goal.name, len(goal.args)))
+                            if clauses is None:
+                                raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
+                            alternatives = iter(clauses)
+                        else:
+                            raise TypeError(f"not a goal: {goal!r}")
                         first = next(alternatives, None)
                         if first is not None:
-                            points.append([alternatives, first, code, env, depth,
+                            points.append([alternatives, first, goal, env, depth,
                                            frames, applied, st.mark()])
                 # backtrack into the newest choice point; one whose last
                 # alternative is taken is dropped then, as WAM's trust does
                 while points:
                     point = points[-1]
-                    alternatives, alternative, code, env, depth, frames, applied, mark = point
+                    alternatives, alternative, goal, env, depth, frames, applied, mark = point
                     st.undo_to(mark)
                     point[1] = next(alternatives, None)
                     if point[1] is None:
                         points.pop()
-                    rule, goal = code[0], code[1]
                     steps += 1
                     if steps > max_steps:
                         raise BudgetExhausted("steps")
+                    bounded = type(goal) is BoundedChoose
                     if on_rule is not None:
-                        on_rule(rule, (goal, env))
-                    if rule == 8:
+                        on_rule(8 if bounded else 3, (goal, env))
+                    if bounded:
                         st.choose(goal.var, alternative)
                         applied = ((8, goal, None, env), applied)
-                        frames = [code[2], {**env, goal.var: alternative}, depth + 1, frames]
+                        frames = [goal.body, {**env, goal.var: alternative}, depth + 1, frames]
                     else:
-                        clause, body = alternative
                         applied = ((3, goal, None, env), applied)
                         params = {}
-                        for param, arg in zip(clause.params, goal.args):
+                        for param, arg in zip(alternative.params, goal.args):
                             params[param] = st.fresh_var()
                             st.bind(params[param], _instance(arg, env))
                             applied = ((2, goal, param, env), applied)
@@ -486,8 +460,8 @@ class Solver:
                                 on_rule(2, (goal, env))
                         if on_rule is not None:
                             on_rule(1, (goal, env))
-                        applied = ((1, goal, clause.name, env), applied)
-                        frames = [body, params, depth + 1, frames]
+                        applied = ((1, goal, alternative.name, env), applied)
+                        frames = [alternative.body, params, depth + 1, frames]
                     break
                 else:
                     return

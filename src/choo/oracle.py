@@ -329,58 +329,36 @@ class _Enumerator:
             return None  # let execution surface the fault, not pinning
         return None if n is _FAIL else Int(n)
 
-    def _pins(self, goal, name, out):
-        while isinstance(goal, Seq):  # the right spine of a ; chain, in a loop
-            self._pins(goal.first, name, out)
-            goal = goal.second
-        match goal:
-            case Compare("==", lhs, rhs):
-                for a, b in ((lhs, rhs), (rhs, lhs)):
-                    ground = self._pin_side(b)
-                    if ground is None:
-                        continue
-                    if isinstance(a, TermLit):
-                        self._match_pins(a.term, ground, name, out)
-            case Choose(var, body):
-                if var != name:
-                    self._pins(body, name, out)
-            case BoundedChoose(var, _, body):
-                if var != name:
-                    self._pins(body, name, out)
-            case _:
-                pass
-
-    def _read_before_pin(self, goal, name) -> bool:
-        """True if, running goal in order, name occurs outside a term
-        operand of == before the first statement that pins it: the engine
+    def _pins(self, body, name):
+        """The candidates for name that the conditions of body pin it to,
+        in the order body runs them, and whether name occurs outside a
+        term operand of == before the first pinning condition: the engine
         would read the unbound variable there, where the oracle has
-        substituted a pin already."""
-        pending = [goal]
+        substituted a candidate already."""
+        pins, read, pending = [], False, [body]
         while pending:
             goal = pending.pop()
             kind = type(goal)
+            # an occurrence of name shows as a rebuilt node, as substitution
+            # shares every node name does not occur in; only the reads
+            # before the first pin are looked for
             if kind is Seq:
                 pending += (goal.second, goal.first)
-                continue
-            # an occurrence of name shows as a rebuilt node, as substitution
-            # shares every node name does not occur in
-            if kind is Choose or kind is BoundedChoose:
-                if (kind is BoundedChoose and type(goal.cset) is Enum
-                        and any(_subst_term(e, name, Int(0)) is not e for e in goal.cset.elements)):
-                    return True
+            elif kind is Choose or kind is BoundedChoose:
+                if not (pins or read) and kind is BoundedChoose and type(goal.cset) is Enum:
+                    read = any(_subst_term(e, name, Int(0)) is not e for e in goal.cset.elements)
                 if goal.var != name:
                     pending.append(goal.body)
             elif kind is Compare and goal.op == "==":
-                pins = []
-                self._pins(goal, name, pins)
-                if pins:
-                    return False
-                if any(type(e) is not TermLit and _subst_expr(e, name, Int(0)) is not e
-                       for e in (goal.lhs, goal.rhs)):
-                    return True
-            elif subst_goal(goal, name, Int(0)) is not goal:
-                return True
-        return False
+                for a, b in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)):
+                    if type(a) is TermLit and (ground := self._pin_side(b)) is not None:
+                        self._match_pins(a.term, ground, name, pins)
+                if not (pins or read):
+                    read = any(type(e) is not TermLit and _subst_expr(e, name, Int(0)) is not e
+                               for e in (goal.lhs, goal.rhs))
+            elif not (pins or read):
+                read = subst_goal(goal, name, Int(0)) is not goal
+        return pins, read
 
     def _set_members(self, cset):
         match cset:
@@ -410,8 +388,6 @@ class _Enumerator:
         elif kind is Assign:
             value = self._term_value(store, goal.expr)
             if value is not _FAIL:
-                if not _ground(value):
-                    raise OracleRunError("assigned value is not ground")
                 updated = dict(store)
                 updated[goal.target] = value
                 yield updated, witnesses, ((5, goal, None, None), applied)
@@ -420,11 +396,10 @@ class _Enumerator:
             if kind is BoundedChoose:
                 rule, candidates = 8, self._set_members(goal.cset)
             else:
-                pins = []
-                self._pins(goal.body, var, pins)
+                pins, read_before_pin = self._pins(goal.body, var)
                 if not pins:
                     raise OutOfBounds(f"choose({var}) has no ground pin")
-                if self._read_before_pin(goal.body, var):
+                if read_before_pin:
                     raise OutOfBounds(f"choose({var}) reads {var} before its pin")
                 rule, candidates = 7, list(dict.fromkeys(pins))
             applied = ((rule, goal, None, None), applied)

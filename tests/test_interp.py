@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -595,6 +596,27 @@ def test_peak_memory_grows_about_linearly_with_recursion_depth():
 
     peak(500)  # untimed: fills CPython's free lists before either measured search
     assert peak(1000) <= 2.8 * peak(500)
+
+
+def call_with_headroom(fn, headroom):
+    """fn() called from a stack that stops headroom frames short of the
+    recursion limit; the limit itself is left as it is."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(n):
+        return fn() if n <= 0 else down(n - 1)
+
+    return down(sys.getrecursionlimit() - headroom - depth)
+
+
+def test_a_search_needs_no_stack_per_level_of_nesting():
+    chooses = " ".join(f"choose(x{i} in {{1}})" for i in range(450))
+    program = parse_program(f"main {{ {chooses} s = 1 }}")
+    [outcome] = call_with_headroom(lambda: list(execute(program)), 150)
+    assert outcome.witnesses == tuple((f"x{i}", Int(1)) for i in range(450))
+    assert outcome.store == {"s": Int(1)}
 
 
 def test_outcome_stores_hold_only_ground_terms():

@@ -307,6 +307,41 @@ def test_unpinned_programs_are_excluded_not_failed():
     report = check_equivalence(parse_program("main { choose(x) x == x }"))
     assert report.excluded
     assert not report.matched
+    assert report.describe() == "excluded: choose(x) has no ground pin"
+
+
+def test_an_error_on_one_side_only_is_a_mismatch(monkeypatch):
+    def failing_engine(program, budget=None, on_rule=None):
+        raise EvalError("injected")
+        yield
+
+    monkeypatch.setattr("choo.oracle.execute", failing_engine)
+    report = check_equivalence(parse_program("main { choose(x in {2, 1}) s = x }"))
+    assert not report.matched
+    assert not report.excluded
+    assert report.reason == "engine=runtime-error oracle=solutions"
+    assert report.describe().splitlines() == [
+        "mismatch:",
+        "  engine=runtime-error oracle=solutions",
+        "  oracle only: ((('x', Int(value=1)),), frozenset({('s', Int(value=1))}))",
+        "  oracle only: ((('x', Int(value=2)),), frozenset({('s', Int(value=2))}))",
+    ]
+
+
+def test_an_oracle_error_against_engine_solutions_is_a_mismatch(monkeypatch):
+    def failing_oracle(self, store, witnesses, goal, height, applied=None):
+        raise OracleRunError("injected")
+        yield
+
+    monkeypatch.setattr(_Enumerator, "exec_goal", failing_oracle)
+    report = check_equivalence(parse_program("main { s = 1 }"))
+    assert not report.matched
+    assert report.reason == "engine=solutions oracle=runtime-error"
+    assert report.describe().splitlines() == [
+        "mismatch:",
+        "  engine=solutions oracle=runtime-error",
+        "  engine only: ((), frozenset({('s', Int(value=1))}))",
+    ]
 
 
 def test_repeated_solutions_are_counted():
