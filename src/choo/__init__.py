@@ -27,7 +27,6 @@ from .oracle import (
     OutOfBounds,
     check_equivalence,
     enumerate_solutions,
-    subst_goal,
 )
 from .parser import ParseError, parse_goal, parse_program
 from .syntax import (
@@ -48,6 +47,7 @@ from .syntax import (
     VarRef,
     format_goal,
     format_program,
+    subst_goal,
 )
 from .terms import (
     Atom,

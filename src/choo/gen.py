@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-from .oracle import subst_goal
 from .syntax import (
     Assign,
     BinOp,
@@ -30,6 +29,7 @@ from .syntax import (
     TermLit,
     VarRef,
     seq_of,
+    subst_goal,
 )
 from .terms import Atom, Compound, Int, Var
 

@@ -1,8 +1,12 @@
 """Exhaustive ground enumeration, used to cross-check the search engine.
 
 This module re-derives solution sets from first principles instead of
-calling into the engine: it substitutes chosen values eagerly and
-executes over ground terms only, so equality is structural and no
+calling into the engine. Every binder has a ground value before its body
+runs, and the parsed goals run unchanged in an environment that maps the
+names of the binders around them to those values: a choose runs its body
+once per candidate, in the environment extended by its name, and a call
+runs a clause body in an environment of its parameters. An inner binder
+hides an outer one of the same name. Equality is structural, and no
 unification is involved. Where the engine narrows an unbounded choose
 with a fresh variable, the oracle demands a syntactic pin: a condition
 in the body, outside any rebinding of x, with one side ground (a ground
@@ -13,17 +17,14 @@ structurally, so the candidate set covers all successes, and re-running
 the body per candidate keeps the answer sound. Programs without a pin,
 whose body reads x before the statement that pins it (where the engine
 finds x unbound), or with a derivation taller than MAX_HEIGHT, are
-rejected as out of bounds rather than guessed at.
-
-Substitution rebuilds only the path from the root to each occurrence,
-so a subgoal, expression or term a chosen value does not reach is
-shared, not copied. Calls select their clauses from a table keyed by
-(name, arity), built once per enumeration, in source order.
+rejected as out of bounds rather than guessed at. Calls select their
+clauses from a table keyed by (name, arity), built once per
+enumeration, in source order.
 
 Shared with the engine: the AST and term datatypes and the record of
 rule applications in derivation.py, from which only enumerate_solutions
-builds trees. Nothing else; substitution, arithmetic, builtins, set
-enumeration, and deduplication are all rebuilt here, differently.
+builds trees. Nothing else; term instantiation, arithmetic, builtins,
+set enumeration, and deduplication are all rebuilt here, differently.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .derivation import tree_of
 from .interp import BudgetExhausted, EvalError, execute
@@ -50,8 +52,9 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
+    _shadow,
 )
-from .terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
+from .terms import INT64_MAX, INT64_MIN, Compound, Int, Var
 
 
 class OutOfBounds(Exception):
@@ -66,130 +69,74 @@ MAX_HEIGHT = 50  # tallest derivation enumerated; a taller one is out of bounds
 
 _FAIL = object()  # expression evaluation failed (unset store read)
 
+_NO_BINDINGS = MappingProxyType({})  # the environment outside every binder
+
+_TERM_SIDES = (VarRef, TermLit)  # operands whose value may be a term, not an integer
+
 _ORDER = {"==": operator.eq, "!=": operator.ne,
           "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-# --- ground term utilities ---
+# --- terms and names in an environment ---
 
-def _ground(term) -> bool:
-    pending = [term]
-    while pending:
-        t = pending.pop()
-        if type(t) is Var:
-            return False
-        if type(t) is Compound:
-            pending.extend(t.args)
-    return True
-
-
-def _left_spine(expr) -> list:
-    """BinOps down the left of a chain such as 1 + 2 + 3, outermost first."""
-    spine = []
-    while type(expr) is BinOp:
-        spine.append(expr)
-        expr = expr.left
-    return spine
-
-
-def _subst_term(term, name, value):
-    """term with value for the variable name; a subterm without it is shared."""
-    if type(term) is not Compound:
-        return value if type(term) is Var and term.name == name else term
-    # arguments are rebuilt before their parents from an explicit stack:
-    # substituted values nest deeper than the interpreter's recursion limit
+def _instance(term, env):
+    """term with env's value for each of its variables, or None when env
+    has no value for one; a subterm without variables is shared, not copied."""
+    kind = type(term)
+    if kind is Var:
+        return env.get(term.name)
+    if kind is not Compound:
+        return term
+    # arguments are done before their parents, from an explicit stack:
+    # terms nest deeper than the interpreter's recursion limit
     done, stack = [], [term]
     while stack:
         t = stack.pop()
-        if type(t) is Compound:
+        kind = type(t)
+        if kind is Compound:
             stack.append((t,))  # built once its arguments are done
             stack.extend(reversed(t.args))
-        elif type(t) is tuple:
+        elif kind is tuple:
             c, n = t[0], len(t[0].args)
             args = tuple(done[-n:])
             if not all(map(operator.is_, args, c.args)):
                 c = Compound(c.functor, args)
             done[-n:] = [c]
+        elif kind is Var:
+            if (value := env.get(t.name)) is None:
+                return None
+            done.append(value)
         else:
-            done.append(value if type(t) is Var and t.name == name else t)
+            done.append(t)
     return done[0]
 
 
-def _subst_expr(expr, name, value):
-    kind = type(expr)
-    if kind is TermLit:
-        term = _subst_term(expr.term, name, value)
-        return expr if term is expr.term else TermLit(term)
-    if kind is BinOp:
-        spine = _left_spine(expr)
-        expr = _subst_expr(spine[-1].left, name, value)
-        for node in reversed(spine):
-            right = _subst_expr(node.right, name, value)
-            if expr is not node.left or right is not node.right:
-                node = BinOp(node.op, expr, right)
-            expr = node
-        return expr
-    if kind is FunCall:
-        arg = _subst_expr(expr.arg, name, value)
-        return expr if arg is expr.arg else FunCall(expr.name, arg)
-    return expr
-
-
-def subst_goal(goal, name, value):
-    """Replace free occurrences of the logic variable name in goal.
-
-    Only the path from the root to each occurrence is rebuilt: a subgoal,
-    expression or term the name does not occur free in is returned as the
-    same object, and so is goal itself. Inner binders of the same name
-    shadow: their bodies are left alone. A bounded choose's set lies
-    outside its own binder's scope, so the set is substituted even when
-    the binder shadows the name. The shrinker in gen.py uses this too.
-    """
-    kind = type(goal)
-    if kind is Seq:  # the right spine of a ; chain, in a loop
-        spine = []
-        while type(goal) is Seq:
-            spine.append(goal)
-            goal = goal.second
-        goal = subst_goal(goal, name, value)
-        for node in reversed(spine):
-            first = subst_goal(node.first, name, value)
-            if first is not node.first or goal is not node.second:
-                node = Seq(first, goal)
-            goal = node
-        return goal
-    if kind is Compare:
-        lhs, rhs = _subst_expr(goal.lhs, name, value), _subst_expr(goal.rhs, name, value)
-        return goal if lhs is goal.lhs and rhs is goal.rhs else Compare(goal.op, lhs, rhs)
-    if kind is Assign:
-        expr = _subst_expr(goal.expr, name, value)
-        return goal if expr is goal.expr else Assign(goal.target, expr)
-    if kind is Call:
-        args = tuple(_subst_term(a, name, value) for a in goal.args)
-        return goal if all(map(operator.is_, args, goal.args)) else Call(goal.name, args)
-    if kind is Choose:
-        body = goal.body if goal.var == name else subst_goal(goal.body, name, value)
-        return goal if body is goal.body else Choose(goal.var, body)
-    if kind is BoundedChoose:
-        cset = goal.cset
-        if type(cset) is Enum:
-            elements = tuple(_subst_term(e, name, value) for e in cset.elements)
-            if not all(map(operator.is_, elements, cset.elements)):
-                cset = Enum(elements)
-        body = goal.body if goal.var == name else subst_goal(goal.body, name, value)
-        if cset is goal.cset and body is goal.body:
-            return goal
-        return BoundedChoose(goal.var, cset, body)
-    raise TypeError(f"not a goal: {goal!r}")
+def _mentions(name, nodes) -> bool:
+    """Whether the variable name occurs in nodes: terms, expressions, and
+    goals that hold no goal and bind no name."""
+    pending = list(nodes)
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name == name:
+                return True
+        elif kind is Compound or kind is Call:
+            pending += node.args
+        elif kind is TermLit:
+            pending.append(node.term)
+        elif kind is BinOp:
+            pending += (node.left, node.right)
+        elif kind is Compare:
+            pending += (node.lhs, node.rhs)
+        elif kind is FunCall:
+            pending.append(node.arg)
+        elif kind is Assign:
+            pending.append(node.expr)
+    return False
 
 
 # --- independent arithmetic ---
-
-def _checked(value: int) -> int:
-    if value < INT64_MIN or value > INT64_MAX:
-        raise OracleRunError("integer overflow")
-    return value
-
 
 @lru_cache(maxsize=None)
 def oracle_fib(n: int) -> int:
@@ -212,9 +159,9 @@ class _Enumerator:
         for clause in clauses:
             self.table.setdefault((clause.name, len(clause.params)), []).append(clause)
 
-    # expression evaluation over a ground store
+    # expression evaluation over a ground store, in an environment
 
-    def _eval(self, store, expr):
+    def _eval(self, store, expr, env):
         kind = type(expr)
         if kind is IntLit:
             return expr.value
@@ -227,35 +174,43 @@ class _Enumerator:
             return held.value
         if kind is TermLit:
             t = expr.term
+            if type(t) is Var:
+                t = env.get(t.name, t)
             if type(t) is Int:
                 return t.value
             if type(t) is Var:
                 raise OracleRunError(f"unbound '{t.name}' in arithmetic")
             raise OracleRunError("non-integer term in arithmetic")
         if kind is BinOp:
-            # left to right: a failed read ends evaluation, as in the engine
-            spine = _left_spine(expr)
-            a = self._eval(store, spine[-1].left)
+            # left to right: a failed read ends evaluation, as in the engine;
+            # the BinOps down the left of a chain such as 1 + 2 + 3 in a loop
+            spine = []
+            while type(expr) is BinOp:
+                spine.append(expr)
+                expr = expr.left
+            a = self._eval(store, expr, env)
             for node in reversed(spine):
                 if a is _FAIL:
                     return _FAIL
-                op, b = node.op, self._eval(store, node.right)
+                op, b = node.op, self._eval(store, node.right, env)
                 if b is _FAIL:
                     return _FAIL
                 if op == "+":
-                    a = _checked(a + b)
+                    a += b
                 elif op == "-":
-                    a = _checked(a - b)
+                    a -= b
                 elif op == "*":
-                    a = _checked(a * b)
+                    a *= b
                 elif b == 0:
                     raise OracleRunError("division by zero")
                 else:
                     q, r = divmod(a, b)
-                    a = _checked(q + 1 if r != 0 and (a < 0) != (b < 0) else q)
+                    a = q + 1 if r != 0 and (a < 0) != (b < 0) else q
+                if a < INT64_MIN or a > INT64_MAX:
+                    raise OracleRunError("integer overflow")
             return a
         if kind is FunCall:
-            n = self._eval(store, expr.arg)
+            n = self._eval(store, expr.arg, env)
             if n is _FAIL:
                 return _FAIL
             if expr.name == "fib":
@@ -263,15 +218,15 @@ class _Enumerator:
                     raise OracleRunError("fib argument below 1")
                 if n >= 94:
                     raise OracleRunError("fib overflow")
-                return _checked(oracle_fib(n))
+                return oracle_fib(n)
             if n < 0:
                 raise OracleRunError("fact argument below 0")
             if n > 20:
                 raise OracleRunError("fact overflow")
-            return _checked(oracle_fact(n))
+            return oracle_fact(n)
         raise TypeError(f"not an expression: {expr!r}")
 
-    def _term_value(self, store, expr):
+    def _term_value(self, store, expr, env):
         """Value of a == operand or assignment source, as a term.
 
         The ground model cannot express a variable surviving to a
@@ -284,20 +239,22 @@ class _Enumerator:
         if kind is VarRef:
             return store.get(expr.name, _FAIL)
         if kind is TermLit:
-            if not _ground(expr.term):
+            if (term := _instance(expr.term, env)) is None:
                 raise OutOfBounds("a variable reaches a comparison unsubstituted")
-            return expr.term
-        n = self._eval(store, expr)
+            return term
+        n = self._eval(store, expr, env)
         return _FAIL if n is _FAIL else Int(n)
 
-    def _holds(self, store, goal: Compare) -> bool:
+    def _holds(self, store, goal: Compare, env) -> bool:
         if goal.op not in _ORDER:
             raise ValueError(f"unknown comparison {goal.op}")
-        value = self._term_value if goal.op == "==" else self._eval
-        a = value(store, goal.lhs)
+        # == compares terms when a side may hold one, and integers otherwise
+        terms = goal.op == "==" and (type(goal.lhs) in _TERM_SIDES or type(goal.rhs) in _TERM_SIDES)
+        value = self._term_value if terms else self._eval
+        a = value(store, goal.lhs, env)
         if a is _FAIL:
             return False
-        b = value(store, goal.rhs)
+        b = value(store, goal.rhs, env)
         if b is _FAIL:
             return False
         return _ORDER[goal.op](a, b)
@@ -318,107 +275,109 @@ class _Enumerator:
                     if g.functor == functor and len(g.args) == len(args):
                         pending.extend(reversed(tuple(zip(args, g.args))))
 
-    def _pin_side(self, expr):
+    def _pin_side(self, expr, env):
         """Ground term an operand denotes independently of program state:
         over an empty store a read fails, and a variable or fault raises."""
-        if isinstance(expr, TermLit):
-            return expr.term if _ground(expr.term) else None
+        if type(expr) is TermLit:
+            return _instance(expr.term, env)
         try:
-            n = self._eval({}, expr)
+            n = self._eval({}, expr, env)
         except OracleRunError:
             return None  # let execution surface the fault, not pinning
         return None if n is _FAIL else Int(n)
 
-    def _pins(self, body, name):
+    def _pins(self, body, name, env):
         """The candidates for name that the conditions of body pin it to,
         in the order body runs them, and whether name occurs outside a
         term operand of == before the first pinning condition: the engine
         would read the unbound variable there, where the oracle has
-        substituted a candidate already."""
-        pins, read, pending = [], False, [body]
+        bound a candidate already. Below each binder, env loses the
+        binder's name, so a name bound inside body counts as free."""
+        pins, read, pending = [], False, [(body, _shadow(env, name))]
         while pending:
-            goal = pending.pop()
+            goal, env = pending.pop()
             kind = type(goal)
-            # an occurrence of name shows as a rebuilt node, as substitution
-            # shares every node name does not occur in; only the reads
-            # before the first pin are looked for
+            # only the reads before the first pin are looked for
             if kind is Seq:
-                pending += (goal.second, goal.first)
+                pending += ((goal.second, env), (goal.first, env))
             elif kind is Choose or kind is BoundedChoose:
                 if not (pins or read) and kind is BoundedChoose and type(goal.cset) is Enum:
-                    read = any(_subst_term(e, name, Int(0)) is not e for e in goal.cset.elements)
+                    read = _mentions(name, goal.cset.elements)
                 if goal.var != name:
-                    pending.append(goal.body)
+                    pending.append((goal.body, _shadow(env, goal.var)))
             elif kind is Compare and goal.op == "==":
                 for a, b in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)):
-                    if type(a) is TermLit and (ground := self._pin_side(b)) is not None:
+                    if type(a) is TermLit and (ground := self._pin_side(b, env)) is not None:
                         self._match_pins(a.term, ground, name, pins)
                 if not (pins or read):
-                    read = any(type(e) is not TermLit and _subst_expr(e, name, Int(0)) is not e
-                               for e in (goal.lhs, goal.rhs))
+                    read = _mentions(name, [e for e in (goal.lhs, goal.rhs) if type(e) is not TermLit])
             elif not (pins or read):
-                read = subst_goal(goal, name, Int(0)) is not goal
+                read = _mentions(name, (goal,))
         return pins, read
 
-    def _set_members(self, cset):
+    def _set_members(self, cset, env):
         match cset:
             case Range(lo, hi):
                 return [Int(i) for i in range(lo, hi + 1)]
             case Enum(elements):
-                if not all(map(_ground, elements)):
+                members = [_instance(e, env) for e in elements]
+                if any(m is None for m in members):
                     raise OracleRunError("choice set element is not ground")
-                return list(dict.fromkeys(elements))  # first appearance wins
+                return list(dict.fromkeys(members))  # first appearance wins
         raise TypeError(f"not a choice set: {cset!r}")
 
     # the enumeration itself
 
-    def exec_goal(self, store, witnesses, goal, height, applied=None):
+    def exec_goal(self, store, witnesses, goal, height, applied=None, env=_NO_BINDINGS):
         """(store, witnesses, applied) per success of goal, where applied extends
-        the given rule applications, newest first, as derivation.py records them."""
+        the given rule applications, newest first, as derivation.py records them.
+        env maps the names of the binders around goal to their ground values."""
         if height > MAX_HEIGHT:
             raise OutOfBounds("derivation height")
         kind = type(goal)
         if kind is Seq:
-            applied = ((6, goal, None, None), applied)
-            for s, w, a in self.exec_goal(store, witnesses, goal.first, height + 1, applied):
-                yield from self.exec_goal(s, w, goal.second, height + 1, a)
+            applied = ((6, goal, None, env), applied)
+            for s, w, a in self.exec_goal(store, witnesses, goal.first, height + 1, applied, env):
+                yield from self.exec_goal(s, w, goal.second, height + 1, a, env)
         elif kind is Compare:
-            if self._holds(store, goal):
-                yield store, witnesses, ((4, goal, None, None), applied)
+            if self._holds(store, goal, env):
+                yield store, witnesses, ((4, goal, None, env), applied)
         elif kind is Assign:
-            value = self._term_value(store, goal.expr)
+            value = self._term_value(store, goal.expr, env)
             if value is not _FAIL:
                 updated = dict(store)
                 updated[goal.target] = value
-                yield updated, witnesses, ((5, goal, None, None), applied)
+                yield updated, witnesses, ((5, goal, None, env), applied)
         elif kind is BoundedChoose or kind is Choose:
             var = goal.var
             if kind is BoundedChoose:
-                rule, candidates = 8, self._set_members(goal.cset)
+                rule, candidates = 8, self._set_members(goal.cset, env)
             else:
-                pins, read_before_pin = self._pins(goal.body, var)
+                pins, read_before_pin = self._pins(goal.body, var, env)
                 if not pins:
                     raise OutOfBounds(f"choose({var}) has no ground pin")
                 if read_before_pin:
                     raise OutOfBounds(f"choose({var}) reads {var} before its pin")
                 rule, candidates = 7, list(dict.fromkeys(pins))
-            applied = ((rule, goal, None, None), applied)
+            applied = ((rule, goal, None, env), applied)
             for value in candidates:
-                grounded = subst_goal(goal.body, var, value)
-                yield from self.exec_goal(store, witnesses + ((var, value),), grounded, height + 1, applied)
+                yield from self.exec_goal(store, witnesses + ((var, value),), goal.body, height + 1,
+                                          applied, {**env, var: value})
         elif kind is Call:
-            args = goal.args
-            matching = self.table.get((goal.name, len(args)))
+            matching = self.table.get((goal.name, len(goal.args)))
             if not matching:
-                raise OracleRunError(f"no clause for {goal.name}/{len(args)}")
-            applied = ((3, goal, None, None), applied)
+                raise OracleRunError(f"no clause for {goal.name}/{len(goal.args)}")
+            args = [_instance(a, env) for a in goal.args]
+            if any(a is None for a in args):
+                raise OutOfBounds("a variable reaches a call unsubstituted")
+            applied = ((3, goal, None, env), applied)
             for clause in matching:
-                body, entered = clause.body, applied
-                for param, arg in zip(clause.params, args):
-                    body = subst_goal(body, param, arg)
-                    entered = ((2, goal, param, None), entered)
-                yield from self.exec_goal(store, witnesses, body, height + 1,
-                                          ((1, goal, clause.name, None), entered))
+                entered = applied
+                for param in clause.params:
+                    entered = ((2, goal, param, env), entered)
+                yield from self.exec_goal(store, witnesses, clause.body, height + 1,
+                                          ((1, goal, clause.name, env), entered),
+                                          dict(zip(clause.params, args)))
         else:
             raise TypeError(f"not a goal: {goal!r}")
 

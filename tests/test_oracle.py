@@ -35,7 +35,7 @@ from choo import (
 from choo.derivation import DerivationNode, format_tree, tree_of
 from choo.gen import gen_program, shrink
 from choo.oracle import _Enumerator
-from test_interp import validate_shape
+from test_interp import call_with_headroom, validate_shape
 
 
 def goal_solutions(source, scope=()):
@@ -77,9 +77,9 @@ def test_set_elements_are_deduplicated_in_linear_time(monkeypatch):
     assert calls <= 4 * n
 
 
-def test_substitution_rebuilds_only_what_a_chosen_value_reaches(monkeypatch):
-    # rebuilding the whole body at every substitution made 30,144 of these
-    # nodes; z reaches only z * z + 8 and the Seq and Compare above it
+def test_enumeration_builds_no_goal_or_expression_nodes(monkeypatch):
+    # the body runs in an environment of the chosen values; rebuilding the
+    # whole body at every substitution made 30,144 of these nodes
     goal = parse_goal("choose(x in {1..12}) choose(y in {1..12}) choose(z in {0..11}) "
                       "(x * x + y * y == z * z + 8; x <= y)")
     built = 0
@@ -91,7 +91,7 @@ def test_substitution_rebuilds_only_what_a_chosen_value_reaches(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting_init)
     solutions, _ = enumerate_solutions(SourceProgram((), goal))
     assert len(solutions) == 4
-    assert built <= 30_144 // 2
+    assert built == 0
 
 
 def test_a_call_examines_only_clauses_of_its_name_and_arity():
@@ -121,9 +121,11 @@ def test_a_call_examines_only_clauses_of_its_name_and_arity():
 def test_set_elements_keep_their_first_appearance_and_must_be_ground():
     enumerator = _Enumerator(())
     elements = (Int(2), Atom("a"), Int(2), Compound("f", (Int(1),)), Atom("a"))
-    assert enumerator._set_members(Enum(elements)) == [Int(2), Atom("a"), Compound("f", (Int(1),))]
+    assert enumerator._set_members(Enum(elements), {}) == [Int(2), Atom("a"), Compound("f", (Int(1),))]
+    unbound_y = Enum((Int(1), Compound("f", (Var("y"),)), Int(1)))
     with pytest.raises(OracleRunError, match="not ground"):
-        enumerator._set_members(Enum((Int(1), Compound("f", (Var("y"),)), Int(1))))
+        enumerator._set_members(unbound_y, {})
+    assert enumerator._set_members(unbound_y, {"y": Int(1)}) == [Int(1), Compound("f", (Int(1),))]
 
 
 def test_empty_range_has_no_solutions():
@@ -222,6 +224,13 @@ def test_unpinned_choice_is_out_of_bounds():
         program_solutions("p(y) { s = y + 1 } main { choose(x) (p(x); x == 1) }")
 
 
+def test_a_call_on_a_free_variable_is_out_of_bounds():
+    # parse_goal with a scope leaves z free: no binder gives it a value
+    clauses = parse_program("p(a) { a == 1 } main { p(1) }").clauses
+    with pytest.raises(OutOfBounds):
+        enumerate_solutions(SourceProgram(clauses, parse_goal("p(z)", frozenset({"z"}))))
+
+
 def test_choice_pinned_only_inside_a_call_is_out_of_bounds():
     source = "p(x) { x == 3 } main { choose(y) p(y) }"
     with pytest.raises(OutOfBounds):
@@ -285,6 +294,14 @@ def test_deep_derivations_are_out_of_bounds():
         goal_solutions(chain(51))
     with pytest.raises(OutOfBounds):
         program_solutions("loop() { loop() } main { loop() }")
+
+
+def test_a_nest_past_the_height_bound_needs_no_stack_per_level():
+    # substituting into the body once took a frame per nested choose
+    chooses = " ".join(f"choose(x{i} in {{1}})" for i in range(450))
+    program = parse_program(f"main {{ {chooses} s = 1 }}")
+    report = call_with_headroom(lambda: check_equivalence(program), 150)
+    assert report.describe() == "excluded: derivation height"
 
 
 def test_runtime_errors_surface_as_oracle_run_errors():
@@ -351,7 +368,7 @@ def test_an_error_on_one_side_only_is_a_mismatch(monkeypatch):
 
 
 def test_an_oracle_error_against_engine_solutions_is_a_mismatch(monkeypatch):
-    def failing_oracle(self, store, witnesses, goal, height, applied=None):
+    def failing_oracle(self, store, witnesses, goal, height, applied=None, env=None):
         raise OracleRunError("injected")
         yield
 
