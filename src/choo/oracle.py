@@ -424,11 +424,19 @@ class EquivalenceReport:
         lines = ["mismatch:"]
         if self.reason:
             lines.append(f"  {self.reason}")
-        for sol in sorted((engine - oracle).elements(), key=repr):
-            lines.append(f"  engine only: {sol!r}")
-        for sol in sorted((oracle - engine).elements(), key=repr):
-            lines.append(f"  oracle only: {sol!r}")
+        for text in sorted(map(_solution_text, (engine - oracle).elements())):
+            lines.append(f"  engine only: {text}")
+        for text in sorted(map(_solution_text, (oracle - engine).elements())):
+            lines.append(f"  oracle only: {text}")
         return "\n".join(lines)
+
+
+def _solution_text(solution) -> str:
+    """repr of a (witnesses, store items) solution with the store's items
+    sorted by name, where a frozenset's repr follows string hashing."""
+    witnesses, store = solution
+    items = ", ".join(map(repr, sorted(store, key=lambda item: item[0])))
+    return f"({witnesses!r}, frozenset({{{items}}}))" if items else f"({witnesses!r}, frozenset())"
 
 
 def check_equivalence(program) -> EquivalenceReport:

@@ -1,11 +1,16 @@
 """Reference enumerator and the differential check against the engine."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import choo
 from choo import (
     Atom,
     BinOp,
@@ -431,6 +436,34 @@ def test_report_text_shows_witnesses_nested_past_the_recursion_limit():
         f"  engine only: ((('x', {deep_repr}),), frozenset())",
         "  oracle only: ((('x', Atom(name='z')),), frozenset())",
     ]
+
+
+def test_report_text_is_the_same_under_every_string_hash_seed():
+    # a frozenset's repr, and a sort by it, follow string hashing
+    script = (
+        "from collections import Counter\n"
+        "from choo import EquivalenceReport, Int\n"
+        "stores = [{'s': Int(1), 't': Int(2), 'u': Int(3)}, {'u': Int(1), 'b': Int(2)}, {}]\n"
+        "solutions = Counter(((('x', Int(i)),), frozenset(s.items())) for i, s in enumerate(stores))\n"
+        "print(EquivalenceReport(False, engine_solutions=solutions, oracle_solutions=Counter({\n"
+        "    ((), frozenset({'k': Int(7), 'a': Int(8)}.items())): 1})).describe())\n"
+    )
+    src = str(Path(choo.__file__).resolve().parent.parent)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(1, 5)
+    }
+    assert outputs == {"\n".join([
+        "mismatch:",
+        "  engine only: ((('x', Int(value=0)),), frozenset({('s', Int(value=1)),"
+        " ('t', Int(value=2)), ('u', Int(value=3))}))",
+        "  engine only: ((('x', Int(value=1)),), frozenset({('b', Int(value=2)), ('u', Int(value=1))}))",
+        "  engine only: ((('x', Int(value=2)),), frozenset())",
+        "  oracle only: ((), frozenset({('a', Int(value=8)), ('k', Int(value=7))}))",
+    ]) + "\n"}
 
 
 def test_equivalence_checking_builds_no_derivation_tree(monkeypatch):
