@@ -319,10 +319,11 @@ def eval_store_value(store, subst, expr, env=_NO_ENV):
 # eval_int, the reference, makes of the whole expression. What a search
 # compiles lives in a dict that the search makes and drops.
 
-# evaluations of one BinOp in one search before it is compiled: compiling
-# takes 160-340 µs and saves 0.6-1.5 µs an evaluation (Python 3.11.7, a
-# shared 2-core host), so it pays after 190-280, and an expression in the
-# body of nested chooses is usually evaluated many times that
+# evaluations of one BinOp in one search before it is compiled. Compiling
+# one costs as much as 100-210 evaluations by eval_int (Python 3.11.7, a
+# shared 2-core host), so compiling at the 128th costs an expression at
+# most 1.8-2.6 times what eval_int alone would, however often it then
+# runs. ROADMAP.md gives the per-search counts this was checked against.
 _HOT_AFTER = 128
 _RANGE_CAP = 4096  # the widest range whose elements a search keeps
 _NOT_INT = object()
