@@ -47,7 +47,6 @@ from .syntax import (
     VarRef,
     format_goal,
     format_program,
-    subst_goal,
 )
 from .terms import (
     Atom,

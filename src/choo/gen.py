@@ -28,8 +28,8 @@ from .syntax import (
     SourceProgram,
     TermLit,
     VarRef,
+    mentions,
     seq_of,
-    subst_goal,
 )
 from .terms import Atom, Compound, Int, Var
 
@@ -252,8 +252,8 @@ _MAX_ROUNDS = 200
 def _goal_size(goal) -> int:
     if isinstance(goal, Seq):
         return 1 + _goal_size(goal.first) + _goal_size(goal.second)
-    if isinstance(goal, (Choose,)):
-        return 1 + _goal_size(goal.body)
+    if isinstance(goal, Choose):  # weighed as a range, so narrowing it to {1} shrinks it
+        return 3 + _goal_size(goal.body)
     if isinstance(goal, BoundedChoose):
         n = len(goal.cset.elements) if isinstance(goal.cset, Enum) else 2
         return 1 + n + _goal_size(goal.body)
@@ -273,10 +273,14 @@ def _goal_variants(goal):
         for v in _goal_variants(goal.second):
             yield Seq(goal.first, v)
     elif isinstance(goal, Choose):
-        yield subst_goal(goal.body, goal.var, Int(1))
+        if not mentions(goal.var, (goal.body,)):
+            yield goal.body
+        yield BoundedChoose(goal.var, Enum((Int(1),)), goal.body)
         for v in _goal_variants(goal.body):
             yield Choose(goal.var, v)
     elif isinstance(goal, BoundedChoose):
+        if not mentions(goal.var, (goal.body,)):
+            yield goal.body
         if isinstance(goal.cset, Enum) and goal.cset.elements:
             for i in range(len(goal.cset.elements)):
                 smaller = goal.cset.elements[:i] + goal.cset.elements[i + 1 :]

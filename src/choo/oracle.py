@@ -23,8 +23,12 @@ enumeration, in source order.
 
 Shared with the engine: the AST and term datatypes and the record of
 rule applications in derivation.py, from which only enumerate_solutions
-builds trees. Nothing else; term instantiation, arithmetic, builtins,
-set enumeration, and deduplication are all rebuilt here, differently.
+builds trees. From syntax.py the oracle also takes two scoping helpers
+the engine does not use: _shadow, the environment inside a binder, which
+format_goal uses too, and mentions, whether a name occurs free, which
+the shrinker uses too. Nothing else; term instantiation, arithmetic,
+builtins, set enumeration, and deduplication are all rebuilt here,
+differently.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .syntax import (
     TermLit,
     VarRef,
     _shadow,
+    mentions,
 )
 from .terms import INT64_MAX, INT64_MIN, Compound, Int, Var
 
@@ -109,31 +114,6 @@ def _instance(term, env):
         else:
             done.append(t)
     return done[0]
-
-
-def _mentions(name, nodes) -> bool:
-    """Whether the variable name occurs in nodes: terms, expressions, and
-    goals that hold no goal and bind no name."""
-    pending = list(nodes)
-    while pending:
-        node = pending.pop()
-        kind = type(node)
-        if kind is Var:
-            if node.name == name:
-                return True
-        elif kind is Compound or kind is Call:
-            pending += node.args
-        elif kind is TermLit:
-            pending.append(node.term)
-        elif kind is BinOp:
-            pending += (node.left, node.right)
-        elif kind is Compare:
-            pending += (node.lhs, node.rhs)
-        elif kind is FunCall:
-            pending.append(node.arg)
-        elif kind is Assign:
-            pending.append(node.expr)
-    return False
 
 
 # --- independent arithmetic ---
@@ -302,7 +282,7 @@ class _Enumerator:
                 pending += ((goal.second, env), (goal.first, env))
             elif kind is Choose or kind is BoundedChoose:
                 if not (pins or read) and kind is BoundedChoose and type(goal.cset) is Enum:
-                    read = _mentions(name, goal.cset.elements)
+                    read = mentions(name, goal.cset.elements)
                 if goal.var != name:
                     pending.append((goal.body, _shadow(env, goal.var)))
             elif kind is Compare and goal.op == "==":
@@ -310,9 +290,9 @@ class _Enumerator:
                     if type(a) is TermLit and (ground := self._pin_side(b, env)) is not None:
                         self._match_pins(a.term, ground, name, pins)
                 if not (pins or read):
-                    read = _mentions(name, [e for e in (goal.lhs, goal.rhs) if type(e) is not TermLit])
+                    read = mentions(name, [e for e in (goal.lhs, goal.rhs) if type(e) is not TermLit])
             elif not (pins or read):
-                read = _mentions(name, (goal,))
+                read = mentions(name, (goal,))
         return pins, read
 
     def _set_members(self, cset, env):

@@ -10,7 +10,6 @@ therefore never need scope information of their own.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .terms import Compound, Term, Var, format_term
@@ -150,106 +149,39 @@ def seq_of(goals):
     return goal
 
 
-# --- substitution ------------------------------------------------------------
+# --- free occurrences ----------------------------------------------------------
 
-def _left_spine(expr) -> list:
-    """BinOps down the left of a chain such as 1 + 2 + 3, outermost first."""
-    spine = []
-    while type(expr) is BinOp:
-        spine.append(expr)
-        expr = expr.left
-    return spine
-
-
-def _subst_term(term, name, value):
-    """term with value for the variable name; a subterm without it is shared."""
-    if type(term) is not Compound:
-        return value if type(term) is Var and term.name == name else term
-    # arguments are rebuilt before their parents from an explicit stack:
-    # substituted values nest deeper than the interpreter's recursion limit
-    done, stack = [], [term]
-    while stack:
-        t = stack.pop()
-        if type(t) is Compound:
-            stack.append((t,))  # built once its arguments are done
-            stack.extend(reversed(t.args))
-        elif type(t) is tuple:
-            c, n = t[0], len(t[0].args)
-            args = tuple(done[-n:])
-            if not all(map(operator.is_, args, c.args)):
-                c = Compound(c.functor, args)
-            done[-n:] = [c]
-        else:
-            done.append(value if type(t) is Var and t.name == name else t)
-    return done[0]
-
-
-def _subst_expr(expr, name, value):
-    kind = type(expr)
-    if kind is TermLit:
-        term = _subst_term(expr.term, name, value)
-        return expr if term is expr.term else TermLit(term)
-    if kind is BinOp:
-        spine = _left_spine(expr)
-        expr = _subst_expr(spine[-1].left, name, value)
-        for node in reversed(spine):
-            right = _subst_expr(node.right, name, value)
-            if expr is not node.left or right is not node.right:
-                node = BinOp(node.op, expr, right)
-            expr = node
-        return expr
-    if kind is FunCall:
-        arg = _subst_expr(expr.arg, name, value)
-        return expr if arg is expr.arg else FunCall(expr.name, arg)
-    return expr
-
-
-def subst_goal(goal, name, value):
-    """Replace free occurrences of the logic variable name in goal.
-
-    Only the path from the root to each occurrence is rebuilt: a subgoal,
-    expression or term the name does not occur free in is returned as the
-    same object, and so is goal itself. Inner binders of the same name
-    shadow: their bodies are left alone. A bounded choose's set lies
-    outside its own binder's scope, so the set is substituted even when
-    the binder shadows the name. The shrinker in gen.py uses this.
-    """
-    kind = type(goal)
-    if kind is Seq:  # the right spine of a ; chain, in a loop
-        spine = []
-        while type(goal) is Seq:
-            spine.append(goal)
-            goal = goal.second
-        goal = subst_goal(goal, name, value)
-        for node in reversed(spine):
-            first = subst_goal(node.first, name, value)
-            if first is not node.first or goal is not node.second:
-                node = Seq(first, goal)
-            goal = node
-        return goal
-    if kind is Compare:
-        lhs, rhs = _subst_expr(goal.lhs, name, value), _subst_expr(goal.rhs, name, value)
-        return goal if lhs is goal.lhs and rhs is goal.rhs else Compare(goal.op, lhs, rhs)
-    if kind is Assign:
-        expr = _subst_expr(goal.expr, name, value)
-        return goal if expr is goal.expr else Assign(goal.target, expr)
-    if kind is Call:
-        args = tuple(_subst_term(a, name, value) for a in goal.args)
-        return goal if all(map(operator.is_, args, goal.args)) else Call(goal.name, args)
-    if kind is Choose:
-        body = goal.body if goal.var == name else subst_goal(goal.body, name, value)
-        return goal if body is goal.body else Choose(goal.var, body)
-    if kind is BoundedChoose:
-        cset = goal.cset
-        if type(cset) is Enum:
-            elements = tuple(_subst_term(e, name, value) for e in cset.elements)
-            if not all(map(operator.is_, elements, cset.elements)):
-                cset = Enum(elements)
-        body = goal.body if goal.var == name else subst_goal(goal.body, name, value)
-        if cset is goal.cset and body is goal.body:
-            return goal
-        return BoundedChoose(goal.var, cset, body)
-    raise TypeError(f"not a goal: {goal!r}")
+def mentions(name, nodes) -> bool:
+    """Whether the logic variable name occurs free in nodes: terms,
+    expressions and goals. A binder of name hides its body, but not the
+    set of a bounded choose, which lies outside the binder's scope."""
+    pending = list(nodes)
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name == name:
+                return True
+        elif kind is Compound or kind is Call:
+            pending += node.args
+        elif kind is TermLit:
+            pending.append(node.term)
+        elif kind is BinOp:
+            pending += (node.left, node.right)
+        elif kind is Compare:
+            pending += (node.lhs, node.rhs)
+        elif kind is FunCall:
+            pending.append(node.arg)
+        elif kind is Assign:
+            pending.append(node.expr)
+        elif kind is Seq:
+            pending += (node.first, node.second)
+        elif kind is Choose or kind is BoundedChoose:
+            if kind is BoundedChoose and type(node.cset) is Enum:
+                pending += node.cset.elements
+            if node.var != name:
+                pending.append(node.body)
+    return False
 
 
 # --- canonical surface form --------------------------------------------------

@@ -26,7 +26,7 @@ from choo import (
 from choo.gen import gen_program, gen_straightline, shrink
 from choo.syntax import Choose, Compare, Seq, SourceProgram, TermLit, format_program
 from choo.terms import Var
-from termgen import cyclic_pair, ground_term, random_term, unifiable_pair
+from termgen import cyclic_pair, random_term, unifiable_pair
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
 

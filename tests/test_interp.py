@@ -368,6 +368,11 @@ def test_shadowing_inner_choose_reports_both_witnesses():
     assert outs == [Outcome((("x", Int(2)), ("x", Int(1))), {})]
 
 
+def test_a_bounded_choose_reads_its_set_outside_its_binder():
+    outs = outcomes("main { choose(x in {1, 2}) choose(x in {x, 3}) x == 1 }")
+    assert [o.witnesses for o in outs] == [(("x", Int(1)), ("x", Int(1)))]
+
+
 # --- expression evaluation -----------------------------------------------------------
 
 def test_builtin_fixed_points():

@@ -199,6 +199,9 @@ def test_oracle_verdicts_match_the_pinned_digest():
     ("main { choose(x in {1}) choose(x) (x == 2) }", "match: 1 solutions"),
     ("p(a) { choose(x) (x == g(a); a == 4) } main { choose(y in {4, 5}) p(y) }",
      "match: 1 solutions"),
+    # a bounded choose reads its set outside its own binder: the inner set holds the outer x
+    ("main { choose(x in {1, 2}) choose(x in {x, 3}) x == 1 }", "match: 1 solutions"),
+    ("p(x) { choose(x in {x, 3}) x == 1 } main { p(1) }", "match: 1 solutions"),
 ])
 def test_an_inner_binder_hides_an_outer_one_of_its_name(source, verdict):
     assert check_equivalence(parse_program(source)).describe() == verdict
@@ -650,6 +653,20 @@ def test_shrink_reduces_a_failing_program():
         return 1
 
     assert weight(small) < weight(program)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("main { choose(x in {5}) s = 1 }", "main { s = 1 }"),  # an unused binder goes
+    ("main { choose(x) (x == 1; s = 1) }", "main { s = 1 }"),
+    # y is read in the inner set, so neither header can go
+    ("main { choose(y in {2}) choose(x in {y}) s = x }",
+     "main { choose(y in {2}) choose(x in {y}) s = x }"),
+])
+def test_shrink_drops_binders_only_where_unused(source, expected):
+    def still_bad(program):
+        return any("s" in outcome.store for outcome in execute(program))
+
+    assert shrink(parse_program(source), still_bad) == parse_program(expected)
 
 
 def test_shrink_keeps_programs_parseable_and_printable():

@@ -1,6 +1,5 @@
-"""Goal substitution, free variables, and the canonical surface form."""
+"""Free variables, free occurrences, and the canonical surface form."""
 
-import dataclasses
 import random
 
 from choo import (
@@ -14,7 +13,6 @@ from choo import (
     Compound,
     Enum,
     FunCall,
-    Int,
     IntLit,
     Range,
     Seq,
@@ -22,10 +20,9 @@ from choo import (
     Var,
     VarRef,
     format_goal,
-    parse_goal,
-    subst_goal,
 )
 from choo.gen import gen_program
+from choo.syntax import mentions
 
 LOGIC_NAMES = ("x", "y", "z", "w", "k")
 
@@ -35,81 +32,10 @@ def lv(name):
     return TermLit(Var(name))
 
 
-# --- substitution ------------------------------------------------------------
-
-def test_subst_reaches_builtin_arguments():
-    g = Compare("==", IntLit(5), FunCall("fib", lv("x")))
-    expected = Compare("==", IntLit(5), FunCall("fib", TermLit(Int(6))))
-    assert subst_goal(g, "x", Int(6)) == expected
-
-
-def test_subst_stops_at_a_shadowing_binder():
-    g = Choose("x", Compare("==", lv("x"), IntLit(1)))
-    assert subst_goal(g, "x", Int(3)) == g
-
-
-def test_subst_replaces_every_free_occurrence():
-    g = Seq(
-        Compare("==", lv("x"), IntLit(1)),
-        Compare("==", lv("y"), lv("x")),
-    )
-    expected = Seq(
-        Compare("==", TermLit(Int(1)), IntLit(1)),
-        Compare("==", lv("y"), TermLit(Int(1))),
-    )
-    assert subst_goal(g, "x", Int(1)) == expected
-
-
-def test_subst_descends_into_compound_terms():
-    g = Compare("==", TermLit(Compound("f", (Var("x"), Atom("a")))), lv("y"))
-    out = subst_goal(g, "x", Atom("b"))
-    assert out == Compare("==", TermLit(Compound("f", (Atom("b"), Atom("a")))), lv("y"))
-
-
-def test_subst_reaches_a_shadowed_binders_choice_set():
-    # the set of a bounded choose is evaluated outside its own binder
-    g = BoundedChoose("x", Enum((Var("x"), Atom("a"))), Compare("==", lv("x"), lv("x")))
-    out = subst_goal(g, "x", Int(3))
-    assert out.cset == Enum((Int(3), Atom("a")))
-    assert out.body == g.body
-
-
-def test_subst_reaches_call_arguments_and_assignment_sources():
-    g = Seq(Assign("s", lv("x")), Compare("==", VarRef("s"), IntLit(0)))
-    out = subst_goal(g, "x", Int(0))
-    assert out == Seq(Assign("s", TermLit(Int(0))), Compare("==", VarRef("s"), IntLit(0)))
-
-
-def test_subst_returns_the_goal_itself_when_the_name_is_not_free():
-    g = parse_goal("choose(x in {1..3}) (s = x + fib(y); p(x, f(y)); x <= y)", {"y"})
-    assert subst_goal(g, "z", Int(1)) is g
-    assert subst_goal(g, "x", Int(1)) is g  # bound by the choose, so not free
-
-
-def test_subst_keeps_a_shadowing_binders_body():
-    body = Compare("==", lv("x"), IntLit(1))
-    g = Seq(Compare("<", lv("x"), IntLit(5)), Choose("x", body))
-    assert subst_goal(g, "x", Int(3)).second is g.second
-    bounded = BoundedChoose("x", Enum((Var("x"),)), body)
-    out = subst_goal(bounded, "x", Int(3))
-    assert out.cset == Enum((Int(3),))
-    assert out.body is body
-
-
-def test_subst_rebuilds_only_the_paths_to_the_name():
-    g = parse_goal("x * x + y * y == z * z + 3; x <= y", {"x", "y", "z"})
-    out = subst_goal(g, "z", Int(2))
-    two = TermLit(Int(2))
-    assert out == Seq(Compare("==", g.first.lhs, BinOp("+", BinOp("*", two, two), IntLit(3))), g.second)
-    assert out.first.lhs is g.first.lhs
-    assert out.first.rhs.right is g.first.rhs.right
-    assert out.second is g.second
-
-
 # --- free variables ------------------------------------------------------------
 #
-# free_vars_goal is the reference the substitution properties below are
-# checked against; nothing in the interpreter needs it
+# free_vars_goal is the reference mentions is checked against below;
+# nothing in the interpreter needs it
 
 def _expr_vars(expr, out):
     if isinstance(expr, TermLit):
@@ -179,6 +105,7 @@ def test_free_vars_sees_enum_elements_outside_the_binder():
     assert free_vars_goal(g) == {"y"}
     g2 = BoundedChoose("x", Enum((Var("x"),)), Compare("==", lv("x"), IntLit(1)))
     assert free_vars_goal(g2) == {"x"}
+    assert not mentions("x", (g,)) and mentions("x", (g2,))
 
 
 # --- properties over generated goals ---------------------------------------------
@@ -192,72 +119,12 @@ def _goals(rng, count):
             produced += 1
 
 
-def _binder_shape(goal):
-    if isinstance(goal, Seq):
-        return ("seq", _binder_shape(goal.first), _binder_shape(goal.second))
-    if isinstance(goal, Choose):
-        return ("choose", _binder_shape(goal.body))
-    if isinstance(goal, BoundedChoose):
-        return ("bounded", _binder_shape(goal.body))
-    return ()
-
-
-def test_identity_substitution_changes_nothing():
+def test_mentions_agrees_with_free_vars():
     rng = random.Random(2001)
     for goal in _goals(rng, 300):
+        free = free_vars_goal(goal)
         for name in LOGIC_NAMES:
-            assert subst_goal(goal, name, Var(name)) == goal
-
-
-def test_substitution_preserves_binder_structure():
-    rng = random.Random(2002)
-    for goal in _goals(rng, 300):
-        replacement = Compound("f", (Int(rng.randint(-5, 5)), Var("q")))
-        name = rng.choice(LOGIC_NAMES)
-        assert _binder_shape(subst_goal(goal, name, replacement)) == _binder_shape(goal)
-
-
-def test_substitution_bounds_free_variables():
-    rng = random.Random(2003)
-    for goal in _goals(rng, 300):
-        name = rng.choice(LOGIC_NAMES)
-        replacement = Compound("g", (Var("fresh"), Atom("a")))
-        repl_vars = set()
-        _term_var_names(replacement, repl_vars)
-        before = free_vars_goal(goal)
-        after = free_vars_goal(subst_goal(goal, name, replacement))
-        assert after <= (before - {name}) | repl_vars
-
-
-def _subst_everywhere(node, name, value):
-    """Reference substitution that rebuilds every node and shares none.
-
-    A name of None substitutes nothing and only copies.
-    """
-    if isinstance(node, Var):
-        return value if node.name == name else Var(node.name)
-    if isinstance(node, tuple):
-        return tuple(_subst_everywhere(n, name, value) for n in node)
-    if not dataclasses.is_dataclass(node):
-        return node  # a name, an operator or an integer
-    if isinstance(node, (Choose, BoundedChoose)) and node.var == name:
-        body = _subst_everywhere(node.body, None, value)  # copied: the binder hides name
-        if isinstance(node, Choose):
-            return Choose(name, body)
-        return BoundedChoose(name, _subst_everywhere(node.cset, name, value), body)
-    fields = dataclasses.fields(node)
-    return type(node)(*(_subst_everywhere(getattr(node, f.name), name, value) for f in fields))
-
-
-def test_substitution_agrees_with_rebuilding_everything():
-    rng = random.Random(2004)
-    for goal in _goals(rng, 300):
-        for name in LOGIC_NAMES:
-            free = name in free_vars_goal(goal)
-            for value in (Int(rng.randint(-5, 5)), Compound("f", (Atom("a"), Var("q")))):
-                out = subst_goal(goal, name, value)
-                assert repr(out) == repr(_subst_everywhere(goal, name, value))
-                assert (out is goal) == (not free)
+            assert mentions(name, (goal,)) == (name in free)
 
 
 def test_format_parenthesizes_sequence_bodies_only():
