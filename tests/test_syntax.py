@@ -20,8 +20,9 @@ from choo import (
     Var,
     VarRef,
     format_goal,
+    parse_goal,
 )
-from choo.gen import gen_program
+from choo.gen import gen_program, shrink
 from choo.syntax import mentions
 
 LOGIC_NAMES = ("x", "y", "z", "w", "k")
@@ -108,6 +109,67 @@ def test_free_vars_sees_enum_elements_outside_the_binder():
     assert not mentions("x", (g,)) and mentions("x", (g2,))
 
 
+
+# --- free occurrences ----------------------------------------------------------
+
+def test_mentions_reaches_builtin_arguments():
+    g = Compare("==", IntLit(5), FunCall("fib", lv("x")))
+    assert mentions("x", (g,))
+
+
+def test_mentions_stops_at_a_shadowing_binder():
+    g = Choose("x", Compare("==", lv("x"), IntLit(1)))
+    assert not mentions("x", (g,))
+
+
+def test_mentions_finds_an_occurrence_in_either_half_of_a_sequence():
+    first = Compare("==", lv("x"), IntLit(1))
+    other = Compare("==", lv("y"), IntLit(2))
+    assert mentions("x", (Seq(first, other),))
+    assert mentions("x", (Seq(other, first),))
+    assert not mentions("x", (Seq(other, other),))
+
+
+def test_mentions_descends_into_compound_terms():
+    g = Compare("==", TermLit(Compound("f", (Var("x"), Atom("a")))), lv("y"))
+    assert mentions("x", (g,))
+    assert not mentions("a", (g,))  # an atom is not a variable
+
+
+def test_mentions_reaches_a_shadowed_binders_choice_set():
+    # the set of a bounded choose is evaluated outside its own binder
+    g = BoundedChoose("x", Enum((Var("x"), Atom("a"))), Compare("==", lv("y"), lv("y")))
+    assert mentions("x", (g,))
+    assert not mentions("x", (BoundedChoose("x", Range(1, 3), g.body),))
+
+
+def test_mentions_reaches_call_arguments_and_assignment_sources():
+    assert mentions("x", (Call("p", (Atom("a"), Compound("f", (Var("x"),)))),))
+    assert mentions("x", (Assign("s", lv("x")),))
+    assert not mentions("s", (Assign("s", lv("x")),))  # a store target is not a logic variable
+
+
+def test_mentions_is_false_when_the_name_is_not_free():
+    g = parse_goal("choose(x in {1..3}) (s = x + fib(y); p(x, f(y)); x <= y)", {"y"})
+    assert not mentions("z", (g,))
+    assert not mentions("x", (g,))  # bound by the choose, so not free
+    assert mentions("y", (g,))
+
+
+def test_mentions_skips_a_shadowing_binders_body():
+    body = Compare("==", lv("x"), IntLit(1))
+    g = Seq(Compare("<", lv("y"), IntLit(5)), Choose("x", body))
+    assert not mentions("x", (g,))
+    assert not mentions("x", (BoundedChoose("x", Enum((Var("y"),)), body),))
+
+
+def test_mentions_reaches_arithmetic_operands():
+    g = parse_goal("x * x + y * y == z * z + 3; x <= y", {"x", "y", "z"})
+    assert mentions("z", (g,))
+    assert mentions("z", (g.first.rhs,))
+    assert not mentions("z", (g.first.lhs, g.second))
+
+
 # --- properties over generated goals ---------------------------------------------
 
 def _goals(rng, count):
@@ -125,6 +187,28 @@ def test_mentions_agrees_with_free_vars():
         free = free_vars_goal(goal)
         for name in LOGIC_NAMES:
             assert mentions(name, (goal,)) == (name in free)
+
+
+
+def _program_free_vars(program):
+    return set().union(*(free_vars_goal(g) for g in [program.main] + [c.body for c in program.clauses]))
+
+
+def test_shrink_candidates_keep_free_variables():
+    # a variant that freed a name would run its goal with that name unbound
+    rng = random.Random(2003)
+    for _ in range(60):
+        program = gen_program(rng)
+        before = _program_free_vars(program)
+        tried = []
+
+        def still_bad(candidate):
+            tried.append(candidate)
+            return False
+
+        shrink(program, still_bad)
+        for candidate in tried:
+            assert _program_free_vars(candidate) <= before
 
 
 def test_format_parenthesizes_sequence_bodies_only():
