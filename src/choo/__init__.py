@@ -58,7 +58,6 @@ from .terms import (
     format_term,
     free_vars,
     occurs,
-    unify,
 )
 
 __version__ = "0.1.0"

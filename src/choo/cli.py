@@ -99,9 +99,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    import random
-
-    from .gen import shrink
+    from .shrink import shrink
 
     program = _read_program(args.file)
     if program is None:
@@ -118,7 +116,7 @@ def _cmd_oracle_check(args) -> int:
         r = check_equivalence(candidate)
         return not r.excluded and not r.matched
 
-    minimal = shrink(program, still_bad, rng=random.Random(args.seed))
+    minimal = shrink(program, still_bad)
     print(report.describe())
     print("minimal counterexample:")
     print(format_program(minimal))
@@ -159,8 +157,6 @@ def _arg_parser() -> argparse.ArgumentParser:
         help="compare engine solutions against exhaustive enumeration",
     )
     p_oracle.add_argument("file", help="program file")
-    p_oracle.add_argument("--seed", type=int, default=0,
-                          help="seed for counterexample minimization order")
     p_oracle.set_defaults(handler=_cmd_oracle_check)
     return parser
 

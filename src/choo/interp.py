@@ -162,10 +162,6 @@ class ProgramState:
             else:
                 container[key] = previous
 
-    def snapshot(self):
-        """Observable state, for checking that failed searches change nothing."""
-        return (dict(self.store), dict(self.subst), len(self.trail), list(self.choices))
-
 
 # --- expression evaluation ---------------------------------------------------
 #
@@ -415,14 +411,8 @@ def _elements(cset, subst, env, hot):
             if cset.hi - cset.lo < _RANGE_CAP:
                 elements = hot[id(cset)] = tuple(elements)
         return elements
-    # written order, structural duplicates dropped after resolving
-    resolved, seen = [], set()
-    for e in cset.elements:
-        r = apply(subst, _instance(e, env))
-        if r not in seen:
-            seen.add(r)
-            resolved.append(r)
-    return resolved
+    # written order, structural duplicates dropped after resolving: first appearance wins
+    return list(dict.fromkeys(apply(subst, _instance(e, env)) for e in cset.elements))
 
 
 # --- the solver ---------------------------------------------------------------

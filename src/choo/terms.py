@@ -5,7 +5,7 @@ integers, and compound terms. A substitution is a dict from variable
 names to terms, kept triangular (a binding may mention other bound
 variables); ``apply`` resolves chains to a fixpoint, which the occurs
 check keeps finite. The search engine extends one substitution in place
-and undoes its bindings from a trail; ``unify`` extends a copy.
+and undoes its bindings from a trail.
 """
 
 from __future__ import annotations
@@ -101,16 +101,6 @@ def occurs(var: Var, term: Term, subst=_EMPTY) -> bool:
         elif isinstance(t, Compound):
             stack.extend(t.args)
     return False
-
-
-def unify(t1: Term, t2: Term, subst=_EMPTY) -> dict | None:
-    """Most general unifier of t1 and t2 under subst, or None.
-
-    Failure is an ordinary outcome, not an error. subst itself is left
-    as it was.
-    """
-    s = dict(subst)
-    return None if unify_in_place(t1, t2, s) is None else s
 
 
 def unify_in_place(t1: Term, t2: Term, subst: dict) -> list | None:

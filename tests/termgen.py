@@ -1,6 +1,6 @@
-"""Random terms and term pairs shared by the test modules.
+"""Random terms and term pairs shared by the test modules, and a copying unify.
 
-Everything takes an explicit random.Random so a fixed seed pins the
+Every generator takes an explicit random.Random so a fixed seed pins the
 whole corpus; no module-level state.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from choo import Atom, Compound, Int, Var
+from choo.terms import _EMPTY, unify_in_place
 
 ATOM_NAMES = ("a", "b", "c", "tom", "bob", "nil")
 VAR_NAMES = ("X", "Y", "Z", "W", "V")
@@ -74,3 +75,9 @@ def cyclic_pair(rng: random.Random):
         args.insert(rng.randint(0, len(args)), hole)
         hole = Compound(rng.choice(FUNCTORS), tuple(args))
     return v, hole
+
+
+def unify(t1, t2, subst=_EMPTY):
+    """Most general unifier of t1 and t2 under subst, or None; subst is left as it was."""
+    s = dict(subst)
+    return None if unify_in_place(t1, t2, s) is None else s

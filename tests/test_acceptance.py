@@ -21,14 +21,15 @@ from choo import (
     apply,
     check_equivalence,
     execute,
-    unify,
 )
-from choo.gen import gen_program, gen_straightline, shrink
+from choo.shrink import shrink
 from choo.syntax import Choose, Compare, Seq, SourceProgram, TermLit, format_program
 from choo.terms import Var
-from termgen import cyclic_pair, random_term, unifiable_pair
+from proggen import gen_program, gen_straightline
+from termgen import cyclic_pair, random_term, unifiable_pair, unify
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
+from test_interp import snapshot
 
 # the CLI subprocesses import the same choo as this test, installed or not
 CHOO_ENV = {**os.environ, "PYTHONPATH": str(Path(choo.__file__).resolve().parent.parent)}
@@ -193,7 +194,7 @@ def test_criterion_7_failure_purity():
         attempts += 1
         program = gen_program(rng)
         state = ProgramState(program.clauses)
-        before = state.snapshot()
+        before = snapshot(state)
         try:
             outcomes = list(Solver(state, budget=budget).solve(program.main))
         except Exception:
@@ -201,7 +202,7 @@ def test_criterion_7_failure_purity():
         if outcomes:
             continue
         checked += 1
-        if state.snapshot() != before:
+        if snapshot(state) != before:
             impure.append(format_program(program))
     ok = checked == 200 and not impure
     detail = f"{checked}/200 failing programs checked, {len(impure)} left residue"

@@ -601,6 +601,15 @@ def test_oracle_check_flags_programs_it_cannot_enumerate(program_file, capsys):
     assert err.startswith("out of oracle bounds:")
 
 
+def test_oracle_check_takes_no_seed(program_file, capsys):
+    # candidates are shrunk in source order, so there is no order to seed
+    path = program_file("main { s = 1 }")
+    with pytest.raises(SystemExit) as exit_:
+        main(["oracle-check", "--seed", "1", path])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_oracle_check_shrinks_mismatches(program_file, capsys, monkeypatch):
     # a stand-in comparison that calls any program still assigning to s a
     # mismatch exercises the reporting and minimization plumbing

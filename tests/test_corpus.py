@@ -29,8 +29,8 @@ import sys
 from pathlib import Path
 
 from choo.cli import main
-from choo.gen import gen_program
 from choo.syntax import format_program
+from proggen import gen_program
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "golden" / "corpus.sha256"

@@ -23,11 +23,14 @@ from choo import (
     EquivalenceReport,
     EvalError,
     Int,
+    IntLit,
     OracleRunError,
     OutOfBounds,
     Seq,
     SourceProgram,
     TermLit,
+    UNCONSTRAINED,
+    UndefinedProcedure,
     Var,
     check_equivalence,
     enumerate_solutions,
@@ -38,8 +41,9 @@ from choo import (
     run,
 )
 from choo.derivation import DerivationNode, format_tree, tree_of
-from choo.gen import gen_program, shrink
 from choo.oracle import _Enumerator
+from choo.shrink import shrink
+from proggen import gen_program
 from test_interp import call_with_headroom, validate_shape
 
 
@@ -239,6 +243,15 @@ def test_a_call_on_a_free_variable_is_out_of_bounds():
         enumerate_solutions(SourceProgram(clauses, parse_goal("p(z)", frozenset({"z"}))))
 
 
+def test_a_comparison_on_a_free_variable_is_out_of_bounds():
+    # a hand-built goal with x free: no binder gives it a value
+    program = SourceProgram((), Compare("==", TermLit(Var("x")), IntLit(1)))
+    with pytest.raises(OutOfBounds, match="a variable reaches a comparison unsubstituted"):
+        enumerate_solutions(program)
+    assert check_equivalence(program).describe() == (
+        "excluded: a variable reaches a comparison unsubstituted")
+
+
 def test_choice_pinned_only_inside_a_call_is_out_of_bounds():
     source = "p(x) { x == 3 } main { choose(y) p(y) }"
     with pytest.raises(OutOfBounds):
@@ -419,6 +432,18 @@ def test_report_text_names_both_sides_on_mismatch():
     assert text.startswith("mismatch")
     assert "engine only" in text
     assert "oracle only" not in text
+
+
+def test_report_text_shows_an_unconstrained_witness_as_a_blank():
+    # the oracle excludes such programs, so only the engine's side holds one
+    [outcome] = execute(parse_program("main { choose(x) x == x }"))
+    assert outcome.witnesses == (("x", UNCONSTRAINED),)
+    assert repr(UNCONSTRAINED) == "_"
+    report = EquivalenceReport(
+        matched=False,
+        engine_solutions=Counter({(outcome.witnesses, frozenset()): 1}),
+    )
+    assert report.describe() == "mismatch:\n  engine only: ((('x', _),), frozenset())"
 
 
 def test_report_text_shows_witnesses_nested_past_the_recursion_limit():
@@ -605,8 +630,8 @@ def test_duplicate_solutions_stream_alike(source, expected):
 
 
 def test_straightline_programs_agree_with_the_engine():
-    from choo.gen import gen_straightline
     from choo.syntax import SourceProgram
+    from proggen import gen_straightline
 
     rng = random.Random(5002)
     for _ in range(60):
@@ -667,6 +692,28 @@ def test_shrink_drops_binders_only_where_unused(source, expected):
         return any("s" in outcome.store for outcome in execute(program))
 
     assert shrink(parse_program(source), still_bad) == parse_program(expected)
+
+
+def test_shrink_skips_variants_whose_check_raises():
+    # dropping the clause leaves a call to nothing, and the engine raises
+    def still_bad(program):
+        return any("s" in outcome.store for outcome in execute(program))
+
+    program = parse_program("p() { s = 1 } main { p() }")
+    with pytest.raises(UndefinedProcedure):
+        still_bad(SourceProgram((), program.main))
+    assert shrink(program, still_bad) == program
+
+
+def test_shrink_takes_the_first_smallest_variant_each_round(monkeypatch):
+    # dropping any one element leaves a set of two: the first such variant wins
+    def still_bad(program):
+        return any("s" in outcome.store for outcome in execute(program))
+
+    program = parse_program("main { choose(x in {1, 2, 3}) s = x }")
+    assert shrink(program, still_bad) == parse_program("main { choose(x in {3}) s = x }")
+    monkeypatch.setattr("choo.shrink._MAX_ROUNDS", 1)
+    assert shrink(program, still_bad) == parse_program("main { choose(x in {2, 3}) s = x }")
 
 
 def test_shrink_keeps_programs_parseable_and_printable():

@@ -54,9 +54,9 @@ from choo import (
     parse_goal,
     parse_program,
 )
-from choo.gen import gen_program
 from choo.parser import lex
 from choo.terms import INT64_MAX, INT64_MIN
+from proggen import gen_program
 
 
 def lv(name):

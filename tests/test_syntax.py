@@ -13,6 +13,7 @@ from choo import (
     Compound,
     Enum,
     FunCall,
+    Int,
     IntLit,
     Range,
     Seq,
@@ -22,8 +23,9 @@ from choo import (
     format_goal,
     parse_goal,
 )
-from choo.gen import gen_program, shrink
+from choo.shrink import shrink
 from choo.syntax import mentions
+from proggen import gen_program
 
 LOGIC_NAMES = ("x", "y", "z", "w", "k")
 
@@ -181,9 +183,29 @@ def _goals(rng, count):
             produced += 1
 
 
+def _shadowing_goals(rng, count):
+    """Nests of chooses over two names whose sets read those names, such as
+    choose(x in {1}) choose(x in {x, 2}) x == 1: a set read by its own
+    binder's name, which gen_program almost never draws."""
+    names = LOGIC_NAMES[:2]
+    for _ in range(count):
+        goal = Compare("==", lv(rng.choice(names)), IntLit(1))
+        for _ in range(rng.randint(1, 3)):
+            var = rng.choice(names)
+            if rng.random() < 0.2:
+                goal = Choose(var, goal)
+                continue
+            elements = tuple(
+                Var(rng.choice(names)) if rng.random() < 0.5 else Int(rng.randint(1, 2))
+                for _ in range(rng.randint(1, 2))
+            )
+            goal = BoundedChoose(var, Enum(elements), goal)
+        yield goal
+
+
 def test_mentions_agrees_with_free_vars():
-    rng = random.Random(2001)
-    for goal in _goals(rng, 300):
+    goals = [*_goals(random.Random(2001), 300), *_shadowing_goals(random.Random(2004), 300)]
+    for goal in goals:
         free = free_vars_goal(goal)
         for name in LOGIC_NAMES:
             assert mentions(name, (goal,)) == (name in free)

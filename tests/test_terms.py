@@ -13,11 +13,10 @@ from choo import (
     format_term,
     free_vars,
     occurs,
-    unify,
 )
 from choo import terms
 from choo.terms import unify_in_place
-from termgen import FUNCTORS, cyclic_pair, ground_term, random_term, unifiable_pair
+from termgen import FUNCTORS, cyclic_pair, ground_term, random_term, unifiable_pair, unify
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
