@@ -41,7 +41,6 @@ from .syntax import (
 from .terms import (
     INT64_MAX,
     INT64_MIN,
-    Compound,
     Int,
     Var,
     apply,
@@ -80,13 +79,6 @@ class SearchBudget:
 
 class _Unconstrained:
     """Witness value of a chosen variable that no condition ever bound."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "_"
@@ -209,38 +201,20 @@ def fact(n: int) -> int:
     return r
 
 
-def _instance(term, env):
-    """term with every variable env names replaced by its value, rebuilt
-    from an explicit stack: terms nest past the recursion limit."""
-    if not isinstance(term, Compound):
-        return env.get(term.name, term) if isinstance(term, Var) else term
-    done, stack = [], [term]
-    while stack:
-        t = stack.pop()
-        if type(t) is tuple:  # a compound whose arguments are all done
-            n = len(t[0].args)
-            done[-n:] = [Compound(t[0].functor, tuple(done[-n:]))]
-        elif isinstance(t, Compound):
-            stack.append((t,))
-            stack.extend(reversed(t.args))
-        else:
-            done.append(env.get(t.name, t) if isinstance(t, Var) else t)
-    return done[0]
-
-
 def eval_int(store, subst, expr, env=_NO_ENV) -> int | None:
     """Ground integer value of expr, or None when a store read is unset.
 
     Raises EvalError when a subterm is an unbound logic variable or a
     non-integer: arithmetic has no way to proceed on those, whereas an
-    unset store name is ordinary failure.
+    unset store name is ordinary failure. env maps binder names to terms
+    over the search's own variables, as the search builds it.
     """
     kind = type(expr)
     if kind is IntLit:
         return expr.value
     if kind is TermLit:
         t = expr.term
-        t = env.get(t.name, t) if type(t) is Var else _instance(t, env)
+        t = env.get(t.name, t) if type(t) is Var else apply(env, t)
         if type(t) is Int:
             return t.value
         t = apply(subst, t)
@@ -279,14 +253,16 @@ def eval_operand(store, subst, expr, env=_NO_ENV):
     """Term value of one side of ==, or None on failure.
 
     A term is left unresolved: unification walks the bindings itself.
-    Arithmetic subexpressions still need ground integers.
+    Arithmetic subexpressions still need ground integers. env is as for
+    eval_int: binder names to terms over the search's own variables.
     """
     if type(expr) is IntLit:
         return Int(expr.value)
     if type(expr) is VarRef:
         return store.get(expr.name)
     if type(expr) is TermLit:
-        return _instance(expr.term, env)
+        t = expr.term
+        return env.get(t.name, t) if type(t) is Var else apply(env, t)
     n = eval_int(store, subst, expr, env)
     return None if n is None else Int(n)
 
@@ -412,7 +388,7 @@ def _elements(cset, subst, env, hot):
                 elements = hot[id(cset)] = tuple(elements)
         return elements
     # written order, structural duplicates dropped after resolving: first appearance wins
-    return list(dict.fromkeys(apply(subst, _instance(e, env)) for e in cset.elements))
+    return list(dict.fromkeys(apply(subst, apply(env, e)) for e in cset.elements))
 
 
 # --- the solver ---------------------------------------------------------------
@@ -559,7 +535,8 @@ class Solver:
                         params = {}
                         for param, arg in zip(alternative.params, goal.args):
                             params[param] = st.fresh_var()
-                            st.bind(params[param], _instance(arg, env))
+                            arg = env.get(arg.name, arg) if type(arg) is Var else apply(env, arg)
+                            st.bind(params[param], arg)
                             applied = ((2, goal, param, env), applied)
                             if on_rule is not None:
                                 on_rule(2, (goal, env))

@@ -46,7 +46,6 @@ time.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .syntax import (
     Assign,
@@ -89,11 +88,14 @@ class _TooDeep(ParseError):
     """Final: no reread as a condition gets past the token that raised it."""
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "keyword", "eof", or the punctuation itself
-    text: str
-    line: int
-    col: int
+class Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "ident", "int", "keyword", "eof", or the punctuation itself
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 # one match per token: the blanks before it, then the first alternative that
@@ -126,8 +128,7 @@ def lex(source: str) -> list:
             kind = text
         elif kind != "int":
             raise ParseError(line, col, f"unexpected character {text[0]!r}")
-        # tuple.__new__ skips the argument handling of Token(...)
-        tokens.append(tuple.__new__(Token, (kind, text, line, col)))
+        tokens.append(Token(kind, text, line, col))
     tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 

@@ -71,21 +71,22 @@ def shrink(program: SourceProgram, still_bad) -> SourceProgram:
     """Greedily minimize a program while still_bad(program) stays true.
 
     still_bad must be safe to call on ill-scoped variants; variants that
-    raise inside it are simply skipped. Each round takes the smallest
-    failing variant, the first in source order among equal sizes.
+    raise inside it are simply skipped. Each round takes the first of the
+    smallest failing variants, checking only those below the best so far.
     """
     current = program
     for _ in range(_MAX_ROUNDS):
-        best = None
+        best, bar = None, _program_size(current)
         for candidate in _variants(current):
-            if _program_size(candidate) >= _program_size(current):
+            size = _program_size(candidate)
+            if size >= bar:
                 continue
             try:
                 bad = still_bad(candidate)
             except Exception:
                 continue
-            if bad and (best is None or _program_size(candidate) < _program_size(best)):
-                best = candidate
+            if bad:
+                best, bar = candidate, size
         if best is None:
             return current
         current = best

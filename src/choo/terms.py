@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import is_not
 from types import MappingProxyType
 
 # all integer values in the language are signed 64-bit
@@ -137,12 +138,13 @@ def unify_in_place(t1: Term, t2: Term, subst: dict) -> list | None:
 
 
 def apply(subst, term: Term, memo: dict | None = None) -> Term:
-    """Resolve term under subst all the way down.
+    """Resolve term fully under subst, a substitution or a binder environment.
 
     A subterm that resolves to itself is shared, not copied. memo maps
     variable names to their resolved terms; one dict passed to several
     calls resolves each variable once across them, for as long as subst
-    does not change.
+    does not change. subst must be acyclic: the occurs check keeps a
+    substitution so, and the generated names an environment.
     """
     resolved = walk(subst, term)
     if type(resolved) is not Compound:
@@ -164,7 +166,7 @@ def apply(subst, term: Term, memo: dict | None = None) -> Term:
         elif type(t) is tuple:
             c, n = t[0], len(t[0].args)
             args = tuple(done[-n:])
-            if any(a is not b for a, b in zip(args, c.args)):
+            if any(map(is_not, args, c.args)):
                 c = Compound(c.functor, args)
             done[-n:] = [c]
         elif type(t) is str:

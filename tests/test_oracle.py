@@ -706,12 +706,18 @@ def test_shrink_skips_variants_whose_check_raises():
 
 
 def test_shrink_takes_the_first_smallest_variant_each_round(monkeypatch):
-    # dropping any one element leaves a set of two: the first such variant wins
+    # dropping any one element leaves a set of two: the first such variant
+    # wins, and its equal-sized siblings are not checked; then {3} beats {2}
+    # the same way, and {} is checked and passes
+    calls = []
+
     def still_bad(program):
+        calls.append(program)
         return any("s" in outcome.store for outcome in execute(program))
 
     program = parse_program("main { choose(x in {1, 2, 3}) s = x }")
     assert shrink(program, still_bad) == parse_program("main { choose(x in {3}) s = x }")
+    assert len(calls) == 3
     monkeypatch.setattr("choo.shrink._MAX_ROUNDS", 1)
     assert shrink(program, still_bad) == parse_program("main { choose(x in {2, 3}) s = x }")
 

@@ -220,6 +220,20 @@ def test_keywords_cannot_name_variables():
         parse_program("main { main = 3 }")
 
 
+@pytest.mark.parametrize("source, column", [
+    ("main { choose(_G1) _G1 == 1 }", 15),
+    ("p(_G1) { s = 1 } main { p(1) }", 3),
+    ("main { choose(x) x == _G1 }", 23),
+])
+def test_programs_cannot_write_generated_variable_names(source, column):
+    # the search names its own variables _G1, _G2, ...; since no source
+    # name can be one, a binder's value never mentions a source name
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert err.value.message == "unexpected character '_'"
+
+
 def test_missing_main_is_an_error():
     with pytest.raises(ParseError):
         parse_program("p() { 1 == 1 }")

@@ -16,7 +16,15 @@ from choo import (
 )
 from choo import terms
 from choo.terms import unify_in_place
-from termgen import FUNCTORS, cyclic_pair, ground_term, random_term, unifiable_pair, unify
+from termgen import (
+    FUNCTORS,
+    cyclic_pair,
+    ground_term,
+    random_term,
+    subst_names,
+    unifiable_pair,
+    unify,
+)
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
@@ -126,6 +134,18 @@ def test_apply_memo_resolves_each_variable_once_across_calls():
 def test_apply_resolves_chained_bindings():
     s = {"X": g(Y), "Y": Int(2)}
     assert apply(s, X) == g(Int(2))
+
+
+def test_apply_under_a_binder_environment_replaces_names_once():
+    # the search's environments map source names to terms over its own _G
+    # variables, which no source name equals, so apply never follows a
+    # value back through the environment: it is plain replacement
+    rng = random.Random(20)
+    source_names, generated = ("x", "y", "z", "w"), ("_G1", "_G2", "_G3")
+    for _ in range(2000):
+        env = {name: random_term(rng, generated) for name in source_names if rng.random() < 0.6}
+        t = random_term(rng, source_names)
+        assert apply(env, t) == subst_names(t, env)
 
 
 # --- occurs and free variables ---------------------------------------------------
