@@ -15,7 +15,6 @@ from .interp import (
     SearchBudget,
     Solver,
     UNCONSTRAINED,
-    UndefinedProcedure,
     eval_int,
     eval_operand,
     execute,

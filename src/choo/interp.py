@@ -51,12 +51,16 @@ from .terms import (
 )
 
 
+# what a runtime error is about; the oracle's errors use the same words
+ERROR_KINDS = ("division", "overflow", "domain", "unbound", "not-integer", "ground", "undefined")
+
+
 class EvalError(Exception):
     """Runtime fault that aborts the search (distinct from failure)."""
 
-
-class UndefinedProcedure(EvalError):
-    pass
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)  # str() is the message alone
+        self.kind = kind  # one of ERROR_KINDS
 
 
 class BudgetExhausted(Exception):
@@ -164,7 +168,7 @@ class ProgramState:
 
 def _divide(a: int, b: int) -> int:
     if b == 0:
-        raise EvalError("division by zero")
+        raise EvalError("division", "division by zero")
     # truncate toward zero, unlike Python's floor division
     return -(-a // b) if (a < 0) != (b < 0) else a // b
 
@@ -184,17 +188,17 @@ while len(_FIB) < 93:
 def fib(n: int) -> int:
     """fib(1) = 0, fib(2) = 1, each later value the sum of the previous two."""
     if n < 1:
-        raise EvalError(f"fib needs a positive argument, got {n}")
+        raise EvalError("domain", f"fib needs a positive argument, got {n}")
     if n > len(_FIB):
-        raise EvalError("integer overflow in fib")
+        raise EvalError("overflow", "integer overflow in fib")
     return _FIB[n - 1]
 
 
 def fact(n: int) -> int:
     if n < 0:
-        raise EvalError(f"fact needs a non-negative argument, got {n}")
+        raise EvalError("domain", f"fact needs a non-negative argument, got {n}")
     if n > 20:  # 21! exceeds signed 64-bit
-        raise EvalError("integer overflow in fact")
+        raise EvalError("overflow", "integer overflow in fact")
     r = 1
     for i in range(2, n + 1):
         r *= i
@@ -221,13 +225,14 @@ def eval_int(store, subst, expr, env=_NO_ENV) -> int | None:
         if isinstance(t, Int):
             return t.value
         if isinstance(t, Var):  # then expr.term is the variable the program wrote
-            raise EvalError(f"unbound variable '{expr.term.name}' used in arithmetic")
-        raise EvalError(f"{format_term(t)} is not an integer")
+            raise EvalError("unbound", f"unbound variable '{expr.term.name}' used in arithmetic")
+        raise EvalError("not-integer", f"{format_term(t)} is not an integer")
     if kind is VarRef:
         value = store.get(expr.name)
         if value is None or type(value) is Int:
             return value and value.value
-        raise EvalError(f"store variable '{expr.name}' holds {format_term(value)}, not an integer")
+        raise EvalError("not-integer",
+                        f"store variable '{expr.name}' holds {format_term(value)}, not an integer")
     if kind is FunCall:
         n = eval_int(store, subst, expr.arg, env)
         return None if n is None else fib(n) if expr.name == "fib" else fact(n)
@@ -243,7 +248,7 @@ def eval_int(store, subst, expr, env=_NO_ENV) -> int | None:
             return None
         a = _ARITH[expr.op](a, b)
         if not INT64_MIN <= a <= INT64_MAX:
-            raise EvalError("integer overflow")
+            raise EvalError("overflow", "integer overflow")
         if outer is None:
             return a
         expr, outer = outer
@@ -276,7 +281,7 @@ def eval_store_value(store, subst, expr, env=_NO_ENV):
         if free_vars(value):  # name the variables the program wrote
             names = sorted({v.name for v in free_vars(expr.term)
                             if free_vars(env.get(v.name, v), subst)})
-            raise EvalError(f"assigned value is not ground (unbound: {', '.join(names)})")
+            raise EvalError("ground", f"assigned value is not ground (unbound: {', '.join(names)})")
     return value
 
 
@@ -503,7 +508,7 @@ class Solver:
                         elif kind is Call:
                             clauses = table.get((goal.name, len(goal.args)))
                             if clauses is None:
-                                raise UndefinedProcedure(f"no clause for {goal.name}/{len(goal.args)}")
+                                raise EvalError("undefined", f"no clause for {goal.name}/{len(goal.args)}")
                             alternatives = iter(clauses)
                         else:
                             raise TypeError(f"not a goal: {goal!r}")

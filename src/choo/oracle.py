@@ -1,4 +1,5 @@
-"""Exhaustive ground enumeration, used to cross-check the search engine.
+"""Exhaustive ground enumeration, and the differential check of the
+search engine against it.
 
 This module re-derives solution sets from first principles instead of
 calling into the engine. Every binder has a ground value before its body
@@ -29,12 +30,15 @@ format_goal uses too, and mentions, whether a name occurs free, which
 the shrinker uses too. Nothing else; term instantiation, arithmetic,
 builtins, set enumeration, and deduplication are all rebuilt here,
 differently.
+
+check_equivalence compares what the two sides find as ordered streams:
+solutions in the order found, repeats kept, then the end or the kind of
+the runtime error that stopped the run.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -68,6 +72,10 @@ class OutOfBounds(Exception):
 
 class OracleRunError(Exception):
     """Runtime fault reached during enumeration (mirrors engine errors)."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind  # one of interp.ERROR_KINDS, as the engine's error would say
 
 
 MAX_HEIGHT = 50  # tallest derivation enumerated; a taller one is out of bounds
@@ -150,7 +158,7 @@ class _Enumerator:
                 return _FAIL
             held = store[expr.name]
             if type(held) is not Int:
-                raise OracleRunError(f"'{expr.name}' holds a non-integer")
+                raise OracleRunError("not-integer", f"'{expr.name}' holds a non-integer")
             return held.value
         if kind is TermLit:
             t = expr.term
@@ -159,8 +167,8 @@ class _Enumerator:
             if type(t) is Int:
                 return t.value
             if type(t) is Var:
-                raise OracleRunError(f"unbound '{t.name}' in arithmetic")
-            raise OracleRunError("non-integer term in arithmetic")
+                raise OracleRunError("unbound", f"unbound '{t.name}' in arithmetic")
+            raise OracleRunError("not-integer", "non-integer term in arithmetic")
         if kind is BinOp:
             # left to right: a failed read ends evaluation, as in the engine;
             # the BinOps down the left of a chain such as 1 + 2 + 3 in a loop
@@ -182,12 +190,12 @@ class _Enumerator:
                 elif op == "*":
                     a *= b
                 elif b == 0:
-                    raise OracleRunError("division by zero")
+                    raise OracleRunError("division", "division by zero")
                 else:
                     q, r = divmod(a, b)
                     a = q + 1 if r != 0 and (a < 0) != (b < 0) else q
                 if a < INT64_MIN or a > INT64_MAX:
-                    raise OracleRunError("integer overflow")
+                    raise OracleRunError("overflow", "integer overflow")
             return a
         if kind is FunCall:
             n = self._eval(store, expr.arg, env)
@@ -195,14 +203,14 @@ class _Enumerator:
                 return _FAIL
             if expr.name == "fib":
                 if n < 1:
-                    raise OracleRunError("fib argument below 1")
+                    raise OracleRunError("domain", "fib argument below 1")
                 if n >= 94:
-                    raise OracleRunError("fib overflow")
+                    raise OracleRunError("overflow", "fib overflow")
                 return oracle_fib(n)
             if n < 0:
-                raise OracleRunError("fact argument below 0")
+                raise OracleRunError("domain", "fact argument below 0")
             if n > 20:
-                raise OracleRunError("fact overflow")
+                raise OracleRunError("overflow", "fact overflow")
             return oracle_fact(n)
         raise TypeError(f"not an expression: {expr!r}")
 
@@ -297,12 +305,12 @@ class _Enumerator:
 
     def _set_members(self, cset, env):
         match cset:
-            case Range(lo, hi):
-                return [Int(i) for i in range(lo, hi + 1)]
+            case Range(lo, hi):  # one at a time: the body may end the run at the first
+                return (Int(i) for i in range(lo, hi + 1))
             case Enum(elements):
                 members = [_instance(e, env) for e in elements]
                 if any(m is None for m in members):
-                    raise OracleRunError("choice set element is not ground")
+                    raise OracleRunError("ground", "choice set element is not ground")
                 return list(dict.fromkeys(members))  # first appearance wins
         raise TypeError(f"not a choice set: {cset!r}")
 
@@ -346,7 +354,7 @@ class _Enumerator:
         elif kind is Call:
             matching = self.table.get((goal.name, len(goal.args)))
             if not matching:
-                raise OracleRunError(f"no clause for {goal.name}/{len(goal.args)}")
+                raise OracleRunError("undefined", f"no clause for {goal.name}/{len(goal.args)}")
             args = [_instance(a, env) for a in goal.args]
             if any(a is None for a in args):
                 raise OutOfBounds("a variable reaches a call unsubstituted")
@@ -371,89 +379,74 @@ def enumerate_solutions(program: SourceProgram):
     faults.
     """
     solutions, derivations = set(), []
-    for solution, applied in _solutions(program):
-        solutions.add(solution)
+    for store, witnesses, applied in _Enumerator(program.clauses).exec_goal({}, (), program.main, 1):
+        solutions.add((witnesses, frozenset(store.items())))
         derivations.append(tree_of(applied))
     return solutions, derivations
-
-
-def _solutions(program: SourceProgram):
-    """(solution, rule applications) pairs in enumeration order, repeats included."""
-    enum = _Enumerator(program.clauses)
-    for store, witnesses, applied in enum.exec_goal({}, (), program.main, 1):
-        yield (witnesses, frozenset(store.items())), applied
 
 
 # --- differential comparison ---
 
 @dataclass
 class EquivalenceReport:
+    """What check_equivalence found: engine and oracle are each side's
+    solutions (witnesses, store) in the order found, repeats kept, then
+    "end" or the kind of the error that stopped it; or, when excluded, why."""
+
     matched: bool
     excluded: bool = False
     reason: str = ""
-    # each side's solutions with how often they came up; a set counts each once
-    engine_solutions: Counter = field(default_factory=Counter)
-    oracle_solutions: Counter = field(default_factory=Counter)
+    engine: list = field(default_factory=list)
+    oracle: list = field(default_factory=list)
 
     def describe(self) -> str:
         if self.excluded:
             return f"excluded: {self.reason}"
-        engine, oracle = Counter(self.engine_solutions), Counter(self.oracle_solutions)
         if self.matched:
-            return f"match: {self.reason}" if self.reason else f"match: {engine.total()} solutions"
-        lines = ["mismatch:"]
-        if self.reason:
-            lines.append(f"  {self.reason}")
-        for text in sorted(map(_solution_text, (engine - oracle).elements())):
-            lines.append(f"  engine only: {text}")
-        for text in sorted(map(_solution_text, (oracle - engine).elements())):
-            lines.append(f"  oracle only: {text}")
-        return "\n".join(lines)
+            if self.engine[-1] != "end":
+                return "match: both raised runtime errors"
+            return f"match: {len(self.engine) - 1} solutions"
+        # each stream ends in its one "end" or kind, so both reach the parting
+        i = next(i for i, (a, b) in enumerate(zip(self.engine, self.oracle)) if a != b)
+        return (f"mismatch: the streams part at item {i + 1}\n"
+                f"  engine: {_item_text(self.engine[i])}\n  oracle: {_item_text(self.oracle[i])}")
 
 
-def _solution_text(solution) -> str:
-    """repr of a (witnesses, store items) solution with the store's items
-    sorted by name, where a frozenset's repr follows string hashing."""
-    witnesses, store = solution
-    items = ", ".join(map(repr, sorted(store, key=lambda item: item[0])))
-    return f"({witnesses!r}, frozenset({{{items}}}))" if items else f"({witnesses!r}, frozenset())"
+def _item_text(item) -> str:
+    """end, "raised" and an error kind, or a solution's repr with its store sorted by name."""
+    if type(item) is str:
+        return item if item == "end" else f"raised {item}"
+    witnesses, store = item
+    return repr((witnesses, dict(sorted(store.items()))))
+
+
+def _stream(solutions, error) -> list:
+    """The solutions, then "end", or the kind of an error of class error."""
+    stream = []
+    try:
+        stream.extend(solutions)
+        stream.append("end")
+    except error as e:
+        stream.append(e.kind)
+    return stream
 
 
 def check_equivalence(program) -> EquivalenceReport:
     """Compare engine solutions against oracle enumeration for one program.
 
-    Solutions are compared as multisets: order is ignored, repeats
-    count. The engine's and oracle's runtime faults both count as the
-    same observable, and programs the oracle cannot handle come back
-    excluded, not failed.
+    The two sides match when their streams are equal: the same
+    solutions in the same order, each as often, then both at the end or
+    both stopped by a runtime error of the same kind. Programs past the
+    engine's budget or outside the oracle's reach come back excluded,
+    not failed.
     """
-    engine_tag = None
-    engine_solutions = Counter()
     try:
-        for outcome in execute(program):
-            engine_solutions[(outcome.witnesses, frozenset(outcome.store.items()))] += 1
-    except EvalError:
-        engine_tag = "runtime-error"
+        engine = _stream(((o.witnesses, o.store) for o in execute(program)), EvalError)
     except BudgetExhausted as e:
         return EquivalenceReport(False, excluded=True, reason=f"engine budget exhausted ({e.what})")
-
-    oracle_tag = None
-    oracle_solutions = Counter()
     try:
-        oracle_solutions = Counter(solution for solution, _ in _solutions(program))
+        solutions = _Enumerator(program.clauses).exec_goal({}, (), program.main, 1)
+        oracle = _stream(((w, s) for s, w, _ in solutions), OracleRunError)
     except OutOfBounds as e:
         return EquivalenceReport(False, excluded=True, reason=str(e))
-    except OracleRunError:
-        oracle_tag = "runtime-error"
-
-    if engine_tag or oracle_tag:
-        if engine_tag == oracle_tag:
-            return EquivalenceReport(True, reason="both raised runtime errors")
-        return EquivalenceReport(
-            False,
-            reason=f"engine={engine_tag or 'solutions'} oracle={oracle_tag or 'solutions'}",
-            engine_solutions=engine_solutions,
-            oracle_solutions=oracle_solutions,
-        )
-    return EquivalenceReport(engine_solutions == oracle_solutions,
-                             engine_solutions=engine_solutions, oracle_solutions=oracle_solutions)
+    return EquivalenceReport(engine == oracle, engine=engine, oracle=oracle)
