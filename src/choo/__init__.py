@@ -18,7 +18,6 @@ from .interp import (
     eval_int,
     eval_operand,
     execute,
-    run,
 )
 from .oracle import (
     EquivalenceReport,

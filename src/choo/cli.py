@@ -19,7 +19,7 @@ from .interp import (
     EvalError,
     SearchBudget,
     UNCONSTRAINED,
-    run,
+    execute,
 )
 from .oracle import check_equivalence
 from .parser import ParseError, parse_program
@@ -41,7 +41,7 @@ def _print_outcome(outcome):
 
 def _read_program(path: str):
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        source = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read {path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
         return None
@@ -70,12 +70,12 @@ def _cmd_run(args) -> int:
 
     count = 0
     try:
-        for outcome, record in run(program, budget=budget, on_rule=on_rule):
+        for outcome in execute(program, budget=budget, on_rule=on_rule):
             if args.all_solutions and count:
                 print("---")
             _print_outcome(outcome)
             if args.trace == "full":
-                print(format_tree(tree_of(record)), file=sys.stderr)
+                print(format_tree(tree_of(outcome.record)), file=sys.stderr)
             count += 1
             if not args.all_solutions:
                 return 0

@@ -6,7 +6,8 @@ selection for a call, 4 conditions, 5 assignment, 6 sequencing, 7
 unbounded choose, 8 bounded choose. The search engine and the
 exhaustive checker both record a derivation as its rule applications,
 newest first, in a linked list ((rule, goal, label, env), older), and
-build a tree from it with tree_of only when a caller reads one.
+hand it out as it is. tree_of builds a tree from it only for `choo run
+--trace=full` and for Solver.solve.
 """
 
 from __future__ import annotations

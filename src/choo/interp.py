@@ -18,7 +18,7 @@ raise EvalError and abort the search.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator
 
@@ -93,10 +93,14 @@ UNCONSTRAINED = _Unconstrained()
 
 @dataclass(frozen=True)
 class Outcome:
-    """One solution: the chosen witnesses in dynamic order, then the store."""
+    """One solution: the chosen witnesses in dynamic order, then the store.
+
+    record is its derivation as Solver.records yields it. Outcomes
+    compare and print by witnesses and store alone."""
 
     witnesses: tuple  # tuple[(name, Term | UNCONSTRAINED), ...]
     store: dict  # name -> ground Term
+    record: tuple | None = field(default=None, compare=False, repr=False)
 
 
 _MISSING = object()
@@ -403,7 +407,7 @@ _RULE = {Call: 3, Compare: 4, Assign: 5, Seq: 6, Choose: 7, BoundedChoose: 8}  #
 
 class Solver:
     """Depth-first search; records() yields each solution's rule
-    applications, solve() its DerivationNode.
+    applications, and solve() builds each one's tree from them.
 
     One loop runs the search, so depth costs memory, not interpreter
     stack. As in Warren's abstract machine, bounded chooses and calls
@@ -421,7 +425,8 @@ class Solver:
         self.on_rule = on_rule
 
     def solve(self, goal) -> Iterator[DerivationNode]:
-        """The derivation tree of each solution that records() finds."""
+        """The tree of each solution that records() finds; only the
+        benchmark's layer replay (bench/layers.py) reads trees this way."""
         records = self.records(goal)
         try:
             for applied in records:
@@ -564,20 +569,14 @@ def _witness_value(subst, term, memo):
     return UNCONSTRAINED if isinstance(resolved, Var) else resolved
 
 
-def run(program: SourceProgram, budget: SearchBudget | None = None, on_rule=None):
-    """Iterate (Outcome, record) pairs of program's main goal in search
-    order, where tree_of(record) is the solution's derivation tree."""
+def execute(program: SourceProgram, budget: SearchBudget | None = None, on_rule=None) -> Iterator[Outcome]:
+    """Lazy stream of the program's solutions in search order, each
+    Outcome carrying its derivation's record; empty iteration means no
+    derivation exists. on_rule is Solver's trace hook."""
     state = ProgramState(program.clauses)
-    solver = Solver(state, budget, on_rule)
-    for applied in solver.records(program.main):
+    for applied in Solver(state, budget, on_rule).records(program.main):
         memo = {}  # one per outcome: the bindings differ between solutions
         witnesses = tuple(
             (name, _witness_value(state.subst, term, memo)) for name, term in state.choices
         )
-        yield Outcome(witnesses, dict(state.store)), applied
-
-
-def execute(program: SourceProgram, budget: SearchBudget | None = None, on_rule=None) -> Iterator[Outcome]:
-    """Lazy stream of solutions; empty iteration means no derivation exists."""
-    for outcome, _ in run(program, budget, on_rule):
-        yield outcome
+        yield Outcome(witnesses, dict(state.store), applied)

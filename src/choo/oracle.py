@@ -22,14 +22,15 @@ rejected as out of bounds rather than guessed at. Calls select their
 clauses from a table keyed by (name, arity), built once per
 enumeration, in source order.
 
-Shared with the engine: the AST and term datatypes and the record of
-rule applications in derivation.py, from which only enumerate_solutions
-builds trees. From syntax.py the oracle also takes two scoping helpers
-the engine does not use: _shadow, the environment inside a binder, which
-format_goal uses too, and mentions, whether a name occurs free, which
-the shrinker uses too. Nothing else; term instantiation, arithmetic,
-builtins, set enumeration, and deduplication are all rebuilt here,
-differently.
+Shared with the engine: the AST and term datatypes, and the form of a
+derivation's record, the linked list of rule applications that
+derivation.tree_of reads; the oracle builds no tree and imports nothing
+from derivation.py. From syntax.py the oracle also takes two scoping
+helpers the engine does not use: _shadow, the environment inside a
+binder, which format_goal uses too, and mentions, whether a name occurs
+free, which the shrinker uses too. Nothing else; term instantiation,
+arithmetic, builtins, set enumeration, and deduplication are all
+rebuilt here, differently.
 
 check_equivalence compares what the two sides find as ordered streams:
 solutions in the order found, repeats kept, then the end or the kind of
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .derivation import tree_of
 from .interp import BudgetExhausted, EvalError, execute
 from .syntax import (
     Assign,
@@ -371,18 +371,19 @@ class _Enumerator:
 
 
 def enumerate_solutions(program: SourceProgram):
-    """All solutions of the program as a set, plus every derivation tree.
+    """All solutions of the program as a set, plus every derivation's record.
 
-    Returns (solutions, derivations) where each solution is
-    (witnesses, frozenset of store items). Raises OutOfBounds when the
-    program is outside the oracle's reach and OracleRunError on runtime
-    faults.
+    Returns (solutions, records) where each solution is (witnesses,
+    frozenset of store items) and records holds each success's rule
+    applications in the order found, as the engine's Solver.records
+    yields them. Raises OutOfBounds when the program is outside the
+    oracle's reach and OracleRunError on runtime faults.
     """
-    solutions, derivations = set(), []
+    solutions, records = set(), []
     for store, witnesses, applied in _Enumerator(program.clauses).exec_goal({}, (), program.main, 1):
         solutions.add((witnesses, frozenset(store.items())))
-        derivations.append(tree_of(applied))
-    return solutions, derivations
+        records.append(applied)
+    return solutions, records
 
 
 # --- differential comparison ---

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Compound, Term, Var, format_term
+from .terms import Compound, Term, Var, apply, format_term
 
 
 # --- expressions -----------------------------------------------------------
@@ -199,7 +199,7 @@ def format_expr(expr: Expr, env: dict | None = None, _min_prec: int = 0) -> str:
     if isinstance(expr, VarRef):
         return expr.name
     if isinstance(expr, TermLit):
-        return format_term(expr.term, env)
+        return format_term(apply(env, expr.term) if env else expr.term)
     if isinstance(expr, FunCall):
         return f"{expr.name}({format_expr(expr.arg, env)})"
     if isinstance(expr, BinOp):
@@ -222,7 +222,7 @@ def format_expr(expr: Expr, env: dict | None = None, _min_prec: int = 0) -> str:
 def format_set(cset: ChoiceSet, env: dict | None = None) -> str:
     if isinstance(cset, Range):
         return f"{{{cset.lo}..{cset.hi}}}"
-    return f"{{{','.join(format_term(e, env) for e in cset.elements)}}}"
+    return f"{{{','.join(format_term(apply(env, e) if env else e) for e in cset.elements)}}}"
 
 
 def _shadow(env, name):
@@ -233,7 +233,7 @@ def _shadow(env, name):
 def format_goal(goal: Goal, env: dict | None = None) -> str:
     """Text of goal with the variables env names replaced by their values."""
     if isinstance(goal, Call):
-        return f"{goal.name}({','.join(format_term(a, env) for a in goal.args)})"
+        return f"{goal.name}({','.join(format_term(apply(env, a) if env else a) for a in goal.args)})"
     if isinstance(goal, Compare):
         return f"{format_expr(goal.lhs, env)} {goal.op} {format_expr(goal.rhs, env)}"
     if isinstance(goal, Assign):

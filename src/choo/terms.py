@@ -189,25 +189,19 @@ def free_vars(term: Term, subst=_EMPTY) -> set:
 
 
 
-def format_term(term: Term, env: dict | None = None, memo: dict | None = None) -> str:
+def format_term(term: Term, memo: dict | None = None) -> str:
     """Render a term the way the parser reads it back.
 
     Atoms print bare, integers in decimal, compounds as f(a,b) with no
-    spaces. Variables print as their name, or as their value when env
-    names them; the caller decides how to show unbound results. memo
-    maps id(compound) to (compound, text, start, end), where
-    text[start:end] is that compound's rendering; one dict passed to
-    several calls with the same env renders each compound once across them.
+    spaces, and variables as their name; the caller decides how to show
+    unbound results, and shows a binder's value by formatting
+    apply(env, term). memo maps id(compound) to (compound, text, start,
+    end), where text[start:end] is that compound's rendering; one dict
+    passed to several calls renders each compound once across them.
     """
-    if env and isinstance(term, Var) and term.name in env:
-        term, env = env[term.name], None  # the value is printed as it is
     if not isinstance(term, Compound):
         return _leaf_text(term)
-    leaf = _leaf_text
-    if env:
-        def leaf(t):
-            return format_term(env[t.name]) if isinstance(t, Var) and t.name in env else _leaf_text(t)
-    return _render(term, leaf, "{}(", ",", (")", ")"), memo)
+    return _render(term, _leaf_text, "{}(", ",", (")", ")"), memo)
 
 
 def _leaf_text(t) -> str:

@@ -196,7 +196,7 @@ def test_criterion_7_failure_purity():
         state = ProgramState(program.clauses)
         before = snapshot(state)
         try:
-            outcomes = list(Solver(state, budget=budget).solve(program.main))
+            outcomes = list(Solver(state, budget=budget).records(program.main))
         except Exception:
             continue
         if outcomes:

@@ -167,6 +167,17 @@ def test_a_file_that_is_not_utf8_is_reported(capsys, tmp_path):
     assert err.startswith(f"cannot read {path}: ")
 
 
+@pytest.mark.parametrize("command", ["run", "parse", "oracle-check"])
+def test_a_leading_byte_order_mark_is_dropped(program_file, capsys, command):
+    source = "main {\n  choose(x in {1..3}) x > 1\n}\n"
+    plain = invoke(capsys, [command, program_file(source)])
+    assert plain[0] == 0
+    assert invoke(capsys, [command, program_file("\ufeff" + source, "bom.choo")]) == plain
+    # only the mark that opens the file is dropped; one later is a character like any other
+    assert invoke(capsys, [command, program_file("main {\n  s = 1;\ufeff t = 2 }\n", "mid.choo")]) == (
+        2, "", "parse error at 2:9: unexpected character '\\ufeff'\n")
+
+
 def test_nonpositive_budgets_are_rejected(program_file, capsys):
     path = program_file("main { s = 1 }")
     code, _, err = invoke(capsys, ["run", path, "--max-depth=0"])

@@ -24,7 +24,6 @@ from choo import (
     execute,
     parse_goal,
     parse_program,
-    run,
 )
 from choo.derivation import RULE_CHILDREN, DerivationNode, format_tree, tree_of
 from choo.syntax import SourceProgram
@@ -211,7 +210,7 @@ def test_sequence_fails_without_side_effects():
     program = parse_program("main { 1 == 2; s = 1 }")
     state = ProgramState(program.clauses)
     before = snapshot(state)
-    assert list(Solver(state).solve(program.main)) == []
+    assert list(Solver(state).records(program.main)) == []
     assert snapshot(state) == before
 
 
@@ -305,8 +304,8 @@ def test_a_search_builds_no_goal_syntax_per_alternative(monkeypatch):
             init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
-    solutions = list(run(program))  # what an untraced `choo run --all` does
-    assert [o.witnesses for o, _ in solutions] == [
+    solutions = list(execute(program))  # what an untraced `choo run --all` does
+    assert [o.witnesses for o in solutions] == [
         (("a", Int(3)), ("b", Int(4)), ("c", Int(5))),
     ]
     assert built == []
@@ -333,7 +332,7 @@ def test_a_recursive_build_and_check_builds_linearly_many_compounds(monkeypatch)
 
         with monkeypatch.context() as patch:
             patch.setattr(Compound, "__init__", counting_init)
-            outcome, _ = next(run(program))
+            outcome = next(execute(program))
         peano = Atom("z")
         for _ in range(n):
             peano = Compound("s", (peano,))
@@ -513,8 +512,8 @@ def test_repeated_runs_are_identical():
     def observe(program):
         try:
             return [
-                (o, format_tree(tree_of(record)))
-                for o, record in run(program, budget=SearchBudget(2000, 50_000))
+                (o, format_tree(tree_of(o.record)))
+                for o in execute(program, budget=SearchBudget(2000, 50_000))
             ]
         except (EvalError, BudgetExhausted) as err:
             return [type(err).__name__, str(err)]
@@ -537,7 +536,7 @@ def test_failing_searches_leave_no_trace():
         program = parse_program(source)
         state = ProgramState(program.clauses)
         before = snapshot(state)
-        assert list(Solver(state).solve(program.main)) == []
+        assert list(Solver(state).records(program.main)) == []
         assert snapshot(state) == before, source
 
 
@@ -545,7 +544,7 @@ def test_abandoning_the_stream_restores_state():
     program = parse_program("main { choose(x in {1..3}) (s = x; x == x) }")
     state = ProgramState(program.clauses)
     before = snapshot(state)
-    stream = Solver(state).solve(program.main)
+    stream = Solver(state).records(program.main)
     next(stream)
     assert state.store  # mid-solution the write is visible
     stream.close()
@@ -569,7 +568,7 @@ def test_a_search_that_raises_leaves_no_trace(source, budget, error, what):
     state.choices.append(("outer", Int(1)))
     before = snapshot(state)
     with pytest.raises(error) as err:
-        for _ in Solver(state, budget).solve(program.main):
+        for _ in Solver(state, budget).records(program.main):
             pass
     assert (err.value.kind if error is EvalError else err.value.what) == what
     assert snapshot(state) == before
@@ -664,8 +663,8 @@ def test_derivation_trees_match_the_rule_arities():
     for _ in range(80):
         program = gen_program(rng)
         try:
-            for _, record in run(program, budget=SearchBudget(2000, 50_000)):
-                validate_shape(tree_of(record))
+            for outcome in execute(program, budget=SearchBudget(2000, 50_000)):
+                validate_shape(tree_of(outcome.record))
                 checked += 1
         except (EvalError, BudgetExhausted):
             continue
@@ -674,8 +673,8 @@ def test_derivation_trees_match_the_rule_arities():
 
 def test_derivation_chain_for_a_call():
     program = parse_program("p(x) { x == 3 } main { p(3) }")
-    [(_, record)] = list(run(program))
-    node = tree_of(record)
+    [outcome] = list(execute(program))
+    node = tree_of(outcome.record)
     assert node.rule == 3
     (passing,) = node.children
     assert passing.rule == 2
@@ -683,6 +682,15 @@ def test_derivation_chain_for_a_call():
     assert body.rule == 1
     (cond,) = body.children
     assert cond.rule == 4 and cond.children == ()
+
+
+def test_outcomes_compare_and_print_without_their_records():
+    # two clauses derive one solution twice: the records differ, the answers do not
+    program = parse_program("p(x) { x == 1 } p(x) { 1 == x } main { choose(y in {1}) p(y) }")
+    first, second = execute(program)
+    assert format_tree(tree_of(first.record)) != format_tree(tree_of(second.record))
+    assert first == second == Outcome((("y", Int(1)),), {})
+    assert repr(first) == repr(second) == "Outcome(witnesses=(('y', Int(value=1)),), store={})"
 
 
 def test_rule_hook_sees_the_attempt_order():
@@ -698,8 +706,8 @@ def test_rule_hook_sees_the_attempt_order():
 
 def test_format_tree_is_indented_by_rule():
     program = parse_program("main { s = 1; t = 2 }")
-    [(_, record)] = list(run(program))
-    lines = format_tree(tree_of(record)).splitlines()
+    [outcome] = list(execute(program))
+    lines = format_tree(tree_of(outcome.record)).splitlines()
     assert lines[0].startswith("[rule 6]")
     assert lines[1].startswith("  [rule 5]")
     assert lines[2].startswith("  [rule 5]")
@@ -739,6 +747,6 @@ def test_a_search_builds_only_the_trees_it_reports(monkeypatch):
 
     monkeypatch.setattr(DerivationNode, "__init__", counting_init)
     program = parse_program("main { choose(x in {1..50}) (s = x; t = s + 1; x == 50) }")
-    outcome, record = next(run(program))
+    outcome = next(execute(program))
     assert outcome.witnesses == (("x", Int(50)),) and built == []
-    assert format_tree(tree_of(record)).count("[rule") == len(built) == 6
+    assert format_tree(tree_of(outcome.record)).count("[rule") == len(built) == 6

@@ -15,6 +15,7 @@ import choo
 from choo import (
     Atom,
     BinOp,
+    BudgetExhausted,
     Compare,
     Compound,
     Enum,
@@ -36,7 +37,6 @@ from choo import (
     format_program,
     parse_goal,
     parse_program,
-    run,
 )
 from choo.derivation import DerivationNode, format_tree, tree_of
 from choo.interp import ERROR_KINDS
@@ -177,25 +177,25 @@ def test_builtins_agree_with_their_definitions():
 def test_derivations_come_back_validated():
     source = "p(x) { x == 3 } main { p(3) }"
     program = parse_program(source)
-    _, derivations = enumerate_solutions(program)
-    assert derivations
-    for node in derivations:
-        validate_shape(node)
+    _, records = enumerate_solutions(program)
+    assert records
+    for record in records:
+        validate_shape(tree_of(record))
 
 
 def test_oracle_derivations_match_the_pinned_digest():
-    # one SHA-256 over every tree the oracle reports for gen_program
-    # seeds 0-299, or the class of what it raised; the engine's trees are
-    # pinned by the .full goldens and corpus.sha256, these by nothing else
+    # one SHA-256 over the tree of every record the oracle reports for
+    # gen_program seeds 0-299, or the class of what it raised; the
+    # engine's trees are pinned by the .full goldens and corpus.sha256
     digest = hashlib.sha256()
     for seed in range(300):
         try:
-            _, derivations = enumerate_solutions(gen_program(random.Random(seed)))
+            _, records = enumerate_solutions(gen_program(random.Random(seed)))
         except (OutOfBounds, OracleRunError) as e:
             digest.update(type(e).__name__.encode() + b"\n")
             continue
-        for node in derivations:
-            digest.update(format_tree(node).encode() + b"\n")
+        for record in records:
+            digest.update(format_tree(tree_of(record)).encode() + b"\n")
     assert digest.hexdigest() == "d122e6b2aaa086503f9ba523ac447aaacaa23e233ca3345e4accba32bd0c68d9"
 
 
@@ -207,6 +207,43 @@ def test_oracle_verdicts_match_the_pinned_digest():
     for seed in range(3000):
         digest.update(check_equivalence(gen_program(random.Random(seed))).describe().encode() + b"\n")
     assert digest.hexdigest() == "24755ceab1e81c36be911f15b57151f143720ca0fb665a6d1759e14beb350c76"
+
+
+def _rule_applications(records, error):
+    """Each record of a stream as its (rule, goal, label) applications,
+    goals by identity, then "end" or the kind of an error of class error."""
+    stream = []
+    try:
+        for applied in records:
+            steps = []
+            while applied is not None:
+                (rule, goal, label, _), applied = applied
+                steps.append((rule, id(goal), label))
+            stream.append(steps)
+        stream.append("end")
+    except error as e:
+        stream.append(e.kind)
+    return stream
+
+
+def test_engine_and_oracle_derive_each_solution_by_the_same_rules():
+    # both sides run the same parsed goals and differ only in their
+    # environments, so each solution's derivation applies the same rules
+    # to the same goals in the same order, whatever the values
+    compared = solutions = 0
+    for seed in range(3000):
+        program = gen_program(random.Random(seed))
+        try:
+            engine = _rule_applications((o.record for o in execute(program)), EvalError)
+            oracle = _rule_applications(
+                (a for _, _, a in _Enumerator(program.clauses).exec_goal({}, (), program.main, 1)),
+                OracleRunError)
+        except (BudgetExhausted, OutOfBounds):
+            continue
+        assert engine == oracle, seed
+        compared += 1
+        solutions += len(engine) - 1
+    assert (compared, solutions) == (2989, 2829)  # every in-bounds seed
 
 
 @pytest.mark.parametrize("source, verdict", [
@@ -298,9 +335,9 @@ def test_pin_on_a_closed_expression_is_in_bounds():
 
 def test_engine_and_oracle_conclude_a_call_alike():
     program = parse_program("p(x) { x == 3 } main { p(3) }")
-    [(_, record)] = list(run(program))
-    engine = tree_of(record)
-    _, [oracle] = enumerate_solutions(program)
+    [outcome] = list(execute(program))
+    _, [record] = enumerate_solutions(program)
+    engine, oracle = tree_of(outcome.record), tree_of(record)
 
     def call_chain(node):
         # rules 3, 2 and 1 conclude the call itself; the body below

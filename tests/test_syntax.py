@@ -21,7 +21,9 @@ from choo import (
     Var,
     VarRef,
     format_goal,
+    format_program,
     parse_goal,
+    parse_program,
 )
 from choo.shrink import shrink
 from choo.syntax import mentions
@@ -263,3 +265,26 @@ def test_format_ranges_and_enums():
     assert format_goal(g2) == "choose(x in {tom,bob}) x == bob"
     g3 = BoundedChoose("x", Enum(()), Compare("==", lv("x"), lv("x")))
     assert format_goal(g3) == "choose(x in {}) x == x"
+
+
+def test_format_under_an_environment_prints_each_binders_value():
+    # the search's environments map source names to terms over generated
+    # _G variables, which are never keys; a binder hides its name in its
+    # body but not in its own choice set
+    value = Compound("f", (Var("_G3"),))
+    g = parse_goal("choose(x) (choose(x in {x, g(x)}) (x == f(x); p(x)); x == y)", frozenset({"y"}))
+    assert format_goal(g.body, {"x": value, "y": Int(2)}) == (
+        "choose(x in {f(_G3),g(f(_G3))}) (x == f(x); p(x)); f(_G3) == 2")
+    g = parse_goal("p(x, g(y, x), z); s = x + y; x == f(y)", frozenset({"x", "y", "z"}))
+    assert format_goal(g, {"x": value, "y": Var("_G7"), "z": Int(4)}) == (
+        "p(f(_G3),g(_G7,f(_G3)),4); s = f(_G3) + _G7; f(_G3) == f(_G7)")
+
+
+def test_format_program_prints_the_source_names():
+    program = parse_program(
+        "p(x, y) { x == f(y, g(x)); choose(z in {x, 1}) q(z) } q(x) { x == a }"
+        " main { choose(x) choose(x in {x, f(x)}) (s = 1 + 2 * 3; p(x, x)) }")
+    assert format_program(program) == (
+        "p(x,y) {\n  x == f(y,g(x)); choose(z in {x,1}) q(z)\n}\n\n"
+        "q(x) {\n  x == a\n}\n\n"
+        "main {\n  choose(x) choose(x in {x,f(x)}) (s = 1 + 2 * 3; p(x,x))\n}")
