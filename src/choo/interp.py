@@ -113,6 +113,9 @@ class ProgramState:
     Every write the search makes leaves one trail entry, (container,
     key, previous value or _MISSING), so undo_to(mark) rolls all three
     back to any earlier point the same way.
+
+    young names the choose variables made since the last binding, which
+    unify_in_place may bind without an occurs check (see there).
     """
 
     def __init__(self, clauses=()):
@@ -121,6 +124,7 @@ class ProgramState:
         self.subst = {}
         self.trail = []
         self.choices = []  # [(source name, chosen term)], innermost last
+        self.young = set()
         self._fresh = 0
 
     def fresh_var(self) -> Var:
@@ -136,16 +140,25 @@ class ProgramState:
 
     def unify(self, t1, t2) -> bool:
         """Bind logic variables so that t1 and t2 are equal, if they can be."""
-        bound = unify_in_place(t1, t2, self.subst)
+        bound = unify_in_place(t1, t2, self.subst, self.young)
         if bound is None:
             return False
+        if bound:
+            self.young.clear()  # a new binding may hold a young variable
         for name in bound:
             self.trail.append((self.subst, name, _MISSING))
         return True
 
     def bind(self, var, term):
         """Bind a variable that occurs nowhere yet, so that no occurs check
-        is needed; binding to the walked term keeps chains short."""
+        is needed; binding to the walked term keeps chains short.
+
+        It also ends every young variable's youth. unify_in_place binds
+        a young variable to a term reached through a binding without a
+        walk, since every binding was made before the variable was; this
+        binding is newer and may hold it, as p(f(y), y) binds one
+        parameter to f(y)."""
+        self.young.clear()
         self.trail.append((self.subst, var.name, _MISSING))
         self.subst[var.name] = walk(self.subst, term)
 
@@ -154,6 +167,10 @@ class ProgramState:
         self.choices.append((name, term))
 
     def undo_to(self, mark: int):
+        # young stays as it is. Undoing only removes bindings, so each
+        # young variable is still younger than every binding left; one
+        # that the undo makes younger than all of them again stays out of
+        # the set, which costs only a walk.
         trail = self.trail
         while len(trail) > mark:
             container, key, previous = trail.pop()
@@ -500,9 +517,11 @@ class Solver:
                             applied = ((5, goal, None, env), applied)
                             continue
                     elif kind is Choose:
-                        # a fresh variable, for unification to bind; if
-                        # nothing does, the witness is UNCONSTRAINED
+                        # a fresh variable, for unification to bind, and
+                        # young until the next binding; if nothing binds
+                        # it, the witness is UNCONSTRAINED
                         fresh = st.fresh_var()
+                        st.young.add(fresh.name)
                         st.choose(goal.var, fresh)
                         applied = ((7, goal, None, env), applied)
                         frames = [goal.body, {**env, goal.var: fresh}, depth + 1, frames]

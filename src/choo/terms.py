@@ -4,8 +4,9 @@ Terms are the data values of the language: logic variables, atoms,
 integers, and compound terms. A substitution is a dict from variable
 names to terms, kept triangular (a binding may mention other bound
 variables); ``apply`` resolves chains to a fixpoint, which the occurs
-check keeps finite. The search engine extends one substitution in place
-and undoes its bindings from a trail.
+check keeps finite. The check is kept, and skipped only where it cannot
+fire: see ``unify_in_place``. The search engine extends one substitution
+in place and undoes its bindings from a trail.
 """
 
 from __future__ import annotations
@@ -104,30 +105,42 @@ def occurs(var: Var, term: Term, subst=_EMPTY) -> bool:
     return False
 
 
-def unify_in_place(t1: Term, t2: Term, subst: dict) -> list | None:
+def unify_in_place(t1: Term, t2: Term, subst: dict, young=frozenset()) -> list | None:
     """Extend subst with the most general unifier of t1 and t2.
 
     Returns the names bound, or None with nothing bound. The occurs
     check runs against resolved terms, so subst stays acyclic and
     ``apply`` on it terminates.
+
+    The check is skipped only where it cannot fire. Binding a variable
+    to an Int, an Atom or another unbound variable needs none. young
+    names variables made after every binding now in subst: such a
+    variable cannot occur in a term reached through a binding, since
+    every binding, and every term it reaches, was built before the
+    variable existed. So binding a young variable to such a term, or to
+    a subterm of one, needs no walk, as long as this call has bound
+    nothing yet; a binding made here could hold the young variable.
     """
-    bound, stack = [], [(t1, t2)]
+    bound, stack = [], [(t1, t2, False, False)]
     while stack:
-        a, b = stack.pop()
-        a = walk(subst, a)
-        b = walk(subst, b)
+        a, b, a_bound, b_bound = stack.pop()  # flags: reached through a binding
+        t = walk(subst, a)
+        a, a_bound = t, a_bound or t is not a
+        t = walk(subst, b)
+        b, b_bound = t, b_bound or t is not b
         if a is b or (not isinstance(a, Compound) and a == b):
             continue  # compounds descend: comparing them whole at every level is quadratic
         if isinstance(b, Var) and not isinstance(a, Var):
-            a, b = b, a
+            a, b, b_bound = b, a, a_bound
         if isinstance(a, Var):
-            if occurs(a, b, subst):
+            if (type(b) is Compound and not (b_bound and not bound and a.name in young)
+                    and occurs(a, b, subst)):
                 break
             subst[a.name] = b
             bound.append(a.name)
         elif (isinstance(a, Compound) and isinstance(b, Compound)
               and a.functor == b.functor and len(a.args) == len(b.args)):
-            stack.extend(zip(a.args, b.args))
+            stack.extend((x, y, a_bound, b_bound) for x, y in zip(a.args, b.args))
         else:
             break
     else:
@@ -144,10 +157,22 @@ def apply(subst, term: Term, memo: dict | None = None) -> Term:
     variable names to their resolved terms; one dict passed to several
     calls resolves each variable once across them, for as long as subst
     does not change. subst must be acyclic: the occurs check keeps a
-    substitution so, and the generated names an environment.
+    substitution so, and the generated names an environment. A compound
+    whose arguments resolve to leaves is built in one pass, with no memo.
     """
     resolved = walk(subst, term)
     if type(resolved) is not Compound:
+        return resolved
+    args = []
+    for a in resolved.args:  # a compound of leaves resolves in one pass
+        while type(a) is Var and (b := subst.get(a.name)) is not None:
+            a = b
+        if type(a) is Compound:
+            break
+        args.append(a)
+    else:
+        if any(map(is_not, args, resolved.args)):
+            return Compound(resolved.functor, tuple(args))
         return resolved
     if memo is None:
         memo = {}

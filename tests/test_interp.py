@@ -25,9 +25,10 @@ from choo import (
     parse_goal,
     parse_program,
 )
+from choo import interp, terms
 from choo.derivation import RULE_CHILDREN, DerivationNode, format_tree, tree_of
 from choo.syntax import SourceProgram
-from choo.terms import INT64_MAX, INT64_MIN, free_vars
+from choo.terms import INT64_MAX, INT64_MIN, free_vars, unify_in_place
 from proggen import gen_program
 
 # the first two values of the builtin sequence are 0 and 1; everything
@@ -311,17 +312,22 @@ def test_a_search_builds_no_goal_syntax_per_alternative(monkeypatch):
     assert built == []
 
 
+def peano_program(n):
+    """Build the numeral of n with mk, then check it with nat."""
+    return parse_program(
+        "mk(n, x) { n == 0; x == z } "
+        "mk(n, x) { n > 0; choose(p) choose(y) (p == n - 1; x == s(y); mk(p, y)) } "
+        "nat(x) { x == z } nat(x) { choose(y) (x == s(y); nat(y)) } "
+        f"main {{ choose(x) (mk({n}, x); nat(x)) }}"
+    )
+
+
 def test_a_recursive_build_and_check_builds_linearly_many_compounds(monkeypatch):
     # unification walks bound terms where they stand and resolution
     # shares what it does not change; rebuilding resolved terms at every
     # level made this count grow as n^2, 29,400 compounds at n = 120
     def built(n):
-        program = parse_program(
-            "mk(n, x) { n == 0; x == z } "
-            "mk(n, x) { n > 0; choose(p) choose(y) (p == n - 1; x == s(y); mk(p, y)) } "
-            "nat(x) { x == z } nat(x) { choose(y) (x == s(y); nat(y)) } "
-            f"main {{ choose(x) (mk({n}, x); nat(x)) }}"
-        )
+        program = peano_program(n)
         count = 0
         init = Compound.__init__
 
@@ -369,6 +375,90 @@ def test_witnesses_keep_binder_entry_order():
 def test_shadowing_inner_choose_reports_both_witnesses():
     outs = goal_outcomes("choose(x) (choose(x) x == 1; x == 2)")
     assert outs == [Outcome((("x", Int(2)), ("x", Int(1))), {})]
+
+
+def test_a_recursive_build_and_check_walks_linearly_many_terms(monkeypatch):
+    # nat binds each young y to a subterm of x's numeral; walking that
+    # subterm for the occurs check made 141,765, 533,515 and 2,067,015
+    # walk calls at n = 500, 1,000 and 2,000
+    count = 0
+    walk = terms.walk
+
+    def counting_walk(subst, term):
+        nonlocal count
+        count += 1
+        return walk(subst, term)
+
+    monkeypatch.setattr(terms, "walk", counting_walk)
+    monkeypatch.setattr(interp, "walk", counting_walk)
+    counts = {}
+    for n in (500, 1000, 2000):
+        count = 0
+        next(execute(peano_program(n), SearchBudget(max_depth=100_000)))
+        counts[n] = count
+    assert all(c <= 40 * n for n, c in counts.items()), counts
+    assert counts[1000] <= 2.1 * counts[500] and counts[2000] <= 2.1 * counts[1000], counts
+
+
+# each of these would bind a variable to a term that holds it: the occurs
+# check must fire, or the substitution becomes cyclic and resolving it
+# never ends. The search is run for its records alone, which resolve
+# nothing, so a cycle shows as a solution, not as a hang.
+CYCLES = [
+    "main { choose(x) x == f(x) }",
+    "main { choose(x) choose(y) (y == f(x); x == y) }",
+    "p(a, b) { a == f(b) } main { choose(x) p(x, x) }",
+    # a binding made by a call holds y: bind ends y's youth
+    "p(a, b) { b == a } main { choose(y) p(f(y), y) }",
+    # z == g(x) holds x: a unify that binds ends every variable's youth
+    "main { choose(x) choose(y) choose(z) (z == g(x); y == h(z); x == y) }",
+    # w = g(v) is bound first, then v meets it through that binding
+    "main { choose(v) choose(w) (f(v, w) == f(w, g(v))) }",
+    # x == 3 is undone before the second element; x is not young again,
+    # although no binding now holds a value for it
+    "main { choose(x) choose(y) (y == f(x); choose(k in {3, x}) (x == k; x == y)) }",
+]
+
+
+@pytest.mark.parametrize("source", CYCLES)
+def test_a_binding_that_would_make_a_cycle_fails(source):
+    program = parse_program(source)
+    state = ProgramState(program.clauses)
+    assert next(Solver(state).records(program.main), None) is None
+    assert state.subst == {}
+
+
+def records_of(applied):
+    """The rule applications of a record as a list, newest first; == on
+    the nested pairs would recurse once per application."""
+    out = []
+    while applied is not None:
+        head, applied = applied
+        out.append(head)
+    return out
+
+
+def test_skipping_the_occurs_check_changes_nothing_a_search_shows(monkeypatch):
+    # the walks skipped for young variables could never have found them:
+    # with every occurs check run in full, each search reports the same
+    def observe(program):
+        state = ProgramState(program.clauses)
+        solver = Solver(state, SearchBudget(2000, 50_000))
+        seen = []
+        try:
+            for applied in solver.records(program.main):
+                seen.append((dict(state.subst), dict(state.store), records_of(applied)))
+        except (EvalError, BudgetExhausted) as err:
+            seen.append(type(err).__name__)
+        return seen, solver.steps
+
+    programs = [gen_program(random.Random(seed)) for seed in range(3000)]
+    programs += [peano_program(60), peano_program(120)]
+    skipping = [observe(program) for program in programs]
+    assert all(type(seen[0]) is tuple for seen, _ in skipping[-2:])  # each numeral checks
+    monkeypatch.setattr(interp, "unify_in_place",
+                        lambda t1, t2, subst, young: unify_in_place(t1, t2, subst))
+    assert [observe(program) for program in programs] == skipping
 
 
 def test_a_bounded_choose_reads_its_set_outside_its_binder():
