@@ -308,43 +308,67 @@ def eval_store_value(store, subst, expr, env=_NO_ENV):
 
 # --- the hot tier ---------------------------------------------------------------
 #
-# A search runs the body of a bounded choose once per element, so it
-# evaluates the same few expressions at every leaf of its choice tree.
-# Once a search has evaluated one BinOp _HOT_AFTER times, it compiles it
-# into a Python function of straight-line code. That function handles
-# only the case where every leaf is an integer and nothing overflows;
-# for any other case it returns _NOT_INT, and the caller returns what
-# eval_int, the reference, makes of the whole expression. What a search
-# compiles lives in a dict that the search makes and drops.
+# A search runs the body of a bounded choose once per element, and in
+# the paper's pattern-matching examples almost every such leaf fails in
+# its first condition. Once a search has taken _HOT_AFTER leaves of one
+# bounded choose, it compiles the leading run of that choose's body, the
+# integer conditions and assignments before any other kind of goal, into
+# one function of straight-line code, filter(store, subst, env, value),
+# where value stands in for the choose variable. It returns k when the
+# leaf certainly fails in that run after k steps (Seq nodes entered plus
+# goals run) with no error, and None otherwise: the run holds, an
+# operand is not an Int, an operation overflows or divides by zero, a
+# store read is unset, or the run reaches a goal it does not compile.
+# On k the search counts the leaf's 1 + k steps and takes the next
+# alternative at once, with no trail entry, env, frame or record, as
+# compiled Prolog rejects a clause in its guard before committing to it.
+#
+# This is exact. A filter has no side effect: an assignment goes to a
+# local that later reads of its name use, and nothing is bound, chosen or
+# made fresh, so the state after a skipped leaf is the state that running
+# and undoing it leaves. Where it returns k, running the leaf reads the
+# same values and fails after the same k steps, and a failed leaf leaves
+# nothing in any record. Three conditions keep a filter out, and the
+# leaf runs as it always does: a trace hook is set, which must see every
+# step; steps + k would pass max_steps; or depth + 1 + the run's Seq
+# nesting would pass max_depth. So outcomes, errors, traces, steps and
+# records are what they are without the tier. What a search compiles
+# lives in a dict that the search makes and drops.
 
-# evaluations of one BinOp in one search before it is compiled. Compiling
-# one costs as much as 100-210 evaluations by eval_int (Python 3.11.7, a
-# shared 2-core host), so compiling at the 128th costs an expression at
-# most 1.8-2.6 times what eval_int alone would, however often it then
-# runs. ROADMAP.md gives the per-search counts this was checked against.
+# leaves of one bounded choose that a search takes before it compiles the
+# choose's filter. Compiling one costs as much as 46-67 leaf runs, and
+# the filter repays that after 57-112 leaves (quartiles over the seed-3
+# choice pools; Python 3.11.7, a shared 2-core host), so a choose that
+# stops right after compiling costs at most about 1.5 times what it
+# would without the tier. ROADMAP.md gives the per-search leaf counts.
 _HOT_AFTER = 128
 _RANGE_CAP = 4096  # the widest range whose elements a search keeps
-_NOT_INT = object()
+_COUNTING = object()  # a choice point whose search is still counting its choose's leaves
 
-# code for each operator; the operator only selects it, so no program
-# text reaches the generated source
-_ARITH_CODE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "divide({}, {})"}
+# code for each operator, and for each comparison the test that it
+# fails; the operator only selects it, so no program text reaches the
+# generated source
+_ARITH_CODE = {"+": "{r} = {a} + {b}", "-": "{r} = {a} - {b}", "*": "{r} = {a} * {b}",
+               "/": "if not {b}: return None\n    {r} = divide({a}, {b})"}
+_FAILS_CODE = {"==": "{} != {}", "!=": "{} == {}", "<": "{} >= {}", "<=": "{} > {}",
+               ">": "{} <= {}", ">=": "{} < {}"}
 
 
-def _compile_int(expr):
-    """A function (store, subst, env) -> eval_int(store, subst, expr, env)
-    or _NOT_INT, or None when expr holds a call or a term that is not a
-    variable.
+def _emit_int(expr, var, lines, namespace, local_of):
+    """Append to lines the code that computes expr's value as a Python
+    int, and return the name that holds it; None when expr holds a call
+    or a term that is not a variable.
 
-    The function reads the leaves in eval_int's order: a literal, a
-    binder in env (through one subst step for a clause parameter), a
-    store name. It returns _NOT_INT at the first leaf that is not an Int
-    and after an operation that overflows; / goes through _divide. Names
-    and literal values reach it only through its namespace.
+    The code reads each leaf in eval_int's order: a literal; the choose
+    variable var, as value; another binder in env, through one subst
+    step for a clause parameter; a store name. It returns None at a leaf
+    that is not an Int, at a division by zero and after an operation
+    that leaves signed 64-bit; / goes through _divide. local_of maps
+    each leaf read so far, (VarRef or TermLit, name), to its local, and
+    a store name assigned earlier in the run to the assigned value's.
+    Names and literal values reach the code only through namespace.
     """
-    namespace = {"Int": Int, "Var": Var, "NOT_INT": _NOT_INT, "divide": _divide}
-    reads, ops, operands, local_of = [], [], [], {}
-    stack = [expr]
+    operands, stack = [], [expr]
     while stack:
         e = stack.pop()
         kind = type(e)
@@ -352,9 +376,8 @@ def _compile_int(expr):
             stack += (_ARITH_CODE[e.op], e.right, e.left)
         elif kind is str:  # an operation whose operands are done
             b, a = operands.pop(), operands.pop()
-            r = f"r{len(ops)}"
-            ops.append(f"{r} = {e.format(a, b)}\n"
-                       f"    if not {INT64_MIN} <= {r} <= {INT64_MAX}: return NOT_INT")
+            r = f"r{len(lines)}"
+            lines += (e.format(r=r, a=a, b=b), f"if not {INT64_MIN} <= {r} <= {INT64_MAX}: return None")
             operands.append(r)
         elif kind is IntLit:
             operands.append(f"k{len(namespace)}")
@@ -366,38 +389,81 @@ def _compile_int(expr):
                 k = f"k{len(namespace)}"
                 namespace[k] = key[1]
                 if kind is VarRef:
-                    reads.append(f"{v} = store.get({k})\n"
-                                 f"    if type({v}) is not Int: return NOT_INT")
+                    lines += (f"{v} = store.get({k})", f"if type({v}) is not Int: return None")
                 else:
-                    reads.append(f"{v} = env.get({k})\n"
-                                 f"    if type({v}) is not Int:\n"
-                                 f"        {v} = subst.get({v}.name) if type({v}) is Var else None\n"
-                                 f"        if type({v}) is not Int: return NOT_INT")
-                reads.append(f"{v} = {v}.value")
+                    lines += (f"{v} = {'value' if key[1] == var else f'env.get({k})'}",
+                              f"if type({v}) is not Int:",
+                              f"    {v} = subst.get({v}.name) if type({v}) is Var else None",
+                              f"    if type({v}) is not Int: return None")
+                lines.append(f"{v} = {v}.value")
             operands.append(local_of[key])
         else:
             return None
-    source = "\n    ".join(["def compiled(store, subst, env):", *reads, *ops, f"return {operands[0]}"])
-    exec(compile(source, "<choo expression>", "exec"), namespace)
-    return namespace.pop("compiled")  # a function its own namespace held would be freed only by gc
+    return operands[0]
 
 
-def _hot_eval_int(hot, store, subst, expr, env):
-    """eval_int(store, subst, expr, env) of a BinOp, by its compiled
-    function once this search has evaluated it _HOT_AFTER times.
+def _compile_filter(goal):
+    """(filter, deepest) for the leaves of the bounded choose goal.
 
-    hot maps id(expr) to the evaluations so far, then to the compiled
-    function, or to None when expr cannot be compiled.
+    The walk follows the body's Seq spine in execution order, from an
+    explicit stack, and counts each Seq node and goal as the search's
+    step would. It compiles Compare and Assign goals whose sides are
+    integer expressions of literals, variables and + - * /, and ends at
+    the first goal of any other kind. == compiles like the order
+    comparisons: of two Ints, unification and equality are both equality.
+    The filter stops after the last condition; deepest is the Seq
+    nesting of the deepest node up to it. filter is None when the run
+    holds no condition.
     """
-    code = hot.get(id(expr), 0)
-    if type(code) is int:
-        if code + 1 < _HOT_AFTER:
-            hot[id(expr)] = code + 1
-            return eval_int(store, subst, expr, env)
-        code = hot[id(expr)] = _compile_int(expr)
-    if code is not None and (n := code(store, subst, env)) is not _NOT_INT:
-        return n
-    return eval_int(store, subst, expr, env)
+    namespace = {"Int": Int, "Var": Var, "divide": _divide}
+    lines, local_of = [], {}
+    stack, steps, reach = [(goal.body, 0)], 0, 0
+    kept = deepest = 0  # the lines up to the last condition, and its nesting
+    while stack:
+        node, nesting = stack.pop()
+        steps, reach = steps + 1, max(reach, nesting)
+        kind = type(node)
+        if kind is Seq:
+            stack += ((node.second, nesting + 1), (node.first, nesting + 1))
+        elif kind is Compare:
+            a = _emit_int(node.lhs, goal.var, lines, namespace, local_of)
+            b = None if a is None else _emit_int(node.rhs, goal.var, lines, namespace, local_of)
+            if b is None:
+                break
+            lines.append(f"if {_FAILS_CODE[node.op].format(a, b)}: return {steps}")
+            kept, deepest = len(lines), reach
+        elif kind is Assign and (a := _emit_int(node.expr, goal.var, lines, namespace, local_of)):
+            local_of[(VarRef, node.target)] = a
+        else:
+            break
+    if not kept:
+        return None, 0
+    source = "\n    ".join(["def leaf_filter(store, subst, env, value):", *lines[:kept], "return None"])
+    exec(compile(source, "<choo leaf filter>", "exec"), namespace)
+    # a function its own namespace held would be freed only by gc
+    return namespace.pop("leaf_filter"), deepest
+
+
+def _leaf_filter(hot, point, max_depth):
+    """The filter for the leaf that point, a bounded choose's choice
+    point, takes next, or None.
+
+    hot maps id(goal) to the leaves of goal this search has taken, then
+    to (filter, deepest) from _compile_filter. While the count is below
+    _HOT_AFTER this counts the leaf; once the filter is compiled, point
+    keeps it, or None when its leaves are too deep for it: one that
+    passes max_depth must reach its depth check.
+    """
+    goal, depth = point[2], point[4]
+    seen = hot.get(id(goal), 0)
+    if type(seen) is int:
+        if seen < _HOT_AFTER:
+            hot[id(goal)] = seen + 1
+            return None
+        seen = hot[id(goal)] = _compile_filter(goal)
+    leaf_filter, deepest = seen
+    point[8] = leaf_filter if depth + 1 + deepest <= max_depth else None
+    return point[8]
 
 
 def _elements(cset, subst, env, hot):
@@ -428,9 +494,11 @@ class Solver:
 
     One loop runs the search, so depth costs memory, not interpreter
     stack. As in Warren's abstract machine, bounded chooses and calls
-    push choice points that save what backtracking restores. After
-    exhaustion, abandonment or an exception, the state is back to what
-    the caller saw.
+    push choice points that save what backtracking restores. A bounded
+    choose's point also holds its leaf filter once the search has one
+    (see the hot tier), and a leaf the filter rejects costs only its
+    steps. After exhaustion, abandonment or an exception, the state is
+    back to what the caller saw.
     """
 
     def __init__(self, state: ProgramState, budget: SearchBudget | None = None, on_rule=None):
@@ -459,14 +527,17 @@ class Solver:
         table = {}  # (name, arity) -> the clauses a call tries, in source order
         for clause in st.clauses:
             table.setdefault((clause.name, len(clause.params)), []).append(clause)
-        # id(node) -> what this search has learnt of it: a BinOp's evaluations
-        # or compiled function (_hot_eval_int), a range's elements (_elements)
+        # id(node) -> what this search has learnt of it: a bounded choose's
+        # leaves taken or compiled filter (_leaf_filter), a range's elements
+        # (_elements)
         hot = {}
         base_mark = st.mark()
         # frames [goal, env, depth, next] each run goal in env; applied holds
         # the rule applications so far, newest first, as tree_of reads them
         frames, applied = [goal, {}, 1, None], None
-        points = []  # [alternatives, next one, goal, env, depth, frames, applied, trail mark]
+        # [alternatives, next one, goal, env, depth, frames, applied, trail mark,
+        #  leaf filter or None or _COUNTING]
+        points = []
         try:
             while True:
                 if frames is None:
@@ -490,12 +561,8 @@ class Solver:
                         lhs, rhs = goal.lhs, goal.rhs
                         if goal.op != "==" or not (type(lhs) in _TERM_SIDES or type(rhs) in _TERM_SIDES):
                             # == of two integers is equality
-                            store, subst = st.store, st.subst
-                            a = (_hot_eval_int(hot, store, subst, lhs, env) if type(lhs) is BinOp
-                                 else eval_int(store, subst, lhs, env))
-                            b = None if a is None else (
-                                _hot_eval_int(hot, store, subst, rhs, env) if type(rhs) is BinOp
-                                else eval_int(store, subst, rhs, env))
+                            a = eval_int(st.store, st.subst, lhs, env)
+                            b = None if a is None else eval_int(st.store, st.subst, rhs, env)
                             held = b is not None and _ORDER[goal.op](a, b)
                         else:  # unification; of two store values, which are ground, it is equality
                             a = eval_operand(st.store, st.subst, lhs, env)
@@ -506,12 +573,7 @@ class Solver:
                             applied = ((4, goal, None, env), applied)
                             continue
                     elif kind is Assign:
-                        expr = goal.expr
-                        if type(expr) is BinOp:
-                            value = _hot_eval_int(hot, st.store, st.subst, expr, env)
-                            value = None if value is None else Int(value)
-                        else:
-                            value = eval_store_value(st.store, st.subst, expr, env)
+                        value = eval_store_value(st.store, st.subst, goal.expr, env)
                         if value is not None:
                             st.set_store(goal.target, value)
                             applied = ((5, goal, None, env), applied)
@@ -527,8 +589,11 @@ class Solver:
                         frames = [goal.body, {**env, goal.var: fresh}, depth + 1, frames]
                         continue
                     else:
+                        leaf = None  # a call's alternatives are clauses, never filtered
                         if kind is BoundedChoose:
                             alternatives = iter(_elements(goal.cset, st.subst, env, hot))
+                            if on_rule is None:  # a traced search runs every leaf
+                                leaf = _COUNTING
                         elif kind is Call:
                             clauses = table.get((goal.name, len(goal.args)))
                             if clauses is None:
@@ -539,19 +604,34 @@ class Solver:
                         first = next(alternatives, None)
                         if first is not None:
                             points.append([alternatives, first, goal, env, depth,
-                                           frames, applied, st.mark()])
+                                           frames, applied, st.mark(), leaf])
                 # backtrack into the newest choice point; one whose last
                 # alternative is taken is dropped then, as WAM's trust does
                 while points:
                     point = points[-1]
-                    alternatives, alternative, goal, env, depth, frames, applied, mark = point
+                    alternatives, alternative, goal, env, depth, frames, applied, mark, leaf = point
                     st.undo_to(mark)
-                    point[1] = next(alternatives, None)
-                    if point[1] is None:
-                        points.pop()
-                    steps += 1
-                    if steps > max_steps:
-                        raise BudgetExhausted("steps")
+                    # a leaf its filter shows failing in k steps costs them
+                    # and nothing else: it writes nothing, so the next
+                    # alternative needs no undo and is taken here
+                    while True:
+                        point[1] = next(alternatives, None)
+                        if point[1] is None:
+                            points.pop()
+                        steps += 1
+                        if steps > max_steps:
+                            raise BudgetExhausted("steps")
+                        if leaf is _COUNTING:
+                            leaf = _leaf_filter(hot, point, max_depth)
+                        if (leaf is None or (k := leaf(st.store, st.subst, env, alternative)) is None
+                                or steps + k > max_steps):
+                            break
+                        steps += k
+                        alternative = point[1]
+                        if alternative is None:
+                            break
+                    if alternative is None:
+                        continue  # every alternative failed in the filter
                     bounded = type(goal) is BoundedChoose
                     if on_rule is not None:
                         on_rule(8 if bounded else 3, (goal, env))
