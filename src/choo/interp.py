@@ -454,7 +454,7 @@ def _leaf_filter(hot, point, max_depth):
     keeps it, or None when its leaves are too deep for it: one that
     passes max_depth must reach its depth check.
     """
-    goal, depth = point[2], point[4]
+    goal, depth = point[1], point[3]
     seen = hot.get(id(goal), 0)
     if type(seen) is int:
         if seen < _HOT_AFTER:
@@ -462,25 +462,29 @@ def _leaf_filter(hot, point, max_depth):
             return None
         seen = hot[id(goal)] = _compile_filter(goal)
     leaf_filter, deepest = seen
-    point[8] = leaf_filter if depth + 1 + deepest <= max_depth else None
-    return point[8]
+    point[7] = leaf_filter if depth + 1 + deepest <= max_depth else None
+    return point[7]
 
 
 def _elements(cset, subst, env, hot):
     """The elements of a choice set in env, in the order they are tried.
 
-    A range's are made once per search, and hot maps id(cset) to them;
-    one wider than _RANGE_CAP makes them one at a time instead.
+    A set that names no binder is made once per search, and hot maps
+    id(cset) to them; a range wider than _RANGE_CAP is made one at a time.
     """
-    if type(cset) is Range:
-        elements = hot.get(id(cset))
-        if elements is None:
+    elements = hot.get(id(cset))
+    if elements is None:
+        if type(cset) is Range:
             elements = map(Int, range(cset.lo, cset.hi + 1))
-            if cset.hi - cset.lo < _RANGE_CAP:
-                elements = hot[id(cset)] = tuple(elements)
-        return elements
-    # written order, structural duplicates dropped after resolving: first appearance wins
-    return list(dict.fromkeys(apply(subst, apply(env, e)) for e in cset.elements))
+            if cset.hi - cset.lo >= _RANGE_CAP:
+                return elements
+        else:
+            # written order, structural duplicates dropped after resolving: first appearance wins
+            elements = dict.fromkeys(apply(subst, apply(env, e)) for e in cset.elements)
+            if any(map(free_vars, cset.elements)):
+                return elements
+        elements = hot[id(cset)] = tuple(elements)
+    return elements
 
 
 # --- the solver ---------------------------------------------------------------
@@ -494,11 +498,12 @@ class Solver:
 
     One loop runs the search, so depth costs memory, not interpreter
     stack. As in Warren's abstract machine, bounded chooses and calls
-    push choice points that save what backtracking restores. A bounded
-    choose's point also holds its leaf filter once the search has one
-    (see the hot tier), and a leaf the filter rejects costs only its
-    steps. After exhaustion, abandonment or an exception, the state is
-    back to what the caller saw.
+    push choice points that save what backtracking restores; a point
+    takes its alternatives in one for-loop and goes once its last one is
+    taken. A bounded choose's point also holds its leaf filter once the
+    search has one (see the hot tier), and a leaf the filter rejects
+    costs only its steps. After exhaustion, abandonment or an exception,
+    the state is back to what the caller saw.
     """
 
     def __init__(self, state: ProgramState, budget: SearchBudget | None = None, on_rule=None):
@@ -528,15 +533,14 @@ class Solver:
         for clause in st.clauses:
             table.setdefault((clause.name, len(clause.params)), []).append(clause)
         # id(node) -> what this search has learnt of it: a bounded choose's
-        # leaves taken or compiled filter (_leaf_filter), a range's elements
-        # (_elements)
+        # leaves taken or compiled filter (_leaf_filter), a ground set's
+        # elements (_elements)
         hot = {}
         base_mark = st.mark()
         # frames [goal, env, depth, next] each run goal in env; applied holds
         # the rule applications so far, newest first, as tree_of reads them
         frames, applied = [goal, {}, 1, None], None
-        # [alternatives, next one, goal, env, depth, frames, applied, trail mark,
-        #  leaf filter or None or _COUNTING]
+        # [alternatives, goal, env, depth, frames, applied, trail mark, leaf filter or None or _COUNTING]
         points = []
         try:
             while True:
@@ -591,33 +595,25 @@ class Solver:
                     else:
                         leaf = None  # a call's alternatives are clauses, never filtered
                         if kind is BoundedChoose:
-                            alternatives = iter(_elements(goal.cset, st.subst, env, hot))
+                            alternatives = _elements(goal.cset, st.subst, env, hot)
                             if on_rule is None:  # a traced search runs every leaf
                                 leaf = _COUNTING
                         elif kind is Call:
-                            clauses = table.get((goal.name, len(goal.args)))
-                            if clauses is None:
+                            alternatives = table.get((goal.name, len(goal.args)))
+                            if alternatives is None:
                                 raise EvalError("undefined", f"no clause for {goal.name}/{len(goal.args)}")
-                            alternatives = iter(clauses)
                         else:
                             raise TypeError(f"not a goal: {goal!r}")
-                        first = next(alternatives, None)
-                        if first is not None:
-                            points.append([alternatives, first, goal, env, depth,
-                                           frames, applied, st.mark(), leaf])
-                # backtrack into the newest choice point; one whose last
-                # alternative is taken is dropped then, as WAM's trust does
+                        points.append([iter(alternatives), goal, env, depth, frames, applied, st.mark(), leaf])
+                # backtrack into the newest choice point
                 while points:
                     point = points[-1]
-                    alternatives, alternative, goal, env, depth, frames, applied, mark, leaf = point
+                    alternatives, goal, env, depth, frames, applied, mark, leaf = point
                     st.undo_to(mark)
                     # a leaf its filter shows failing in k steps costs them
                     # and nothing else: it writes nothing, so the next
                     # alternative needs no undo and is taken here
-                    while True:
-                        point[1] = next(alternatives, None)
-                        if point[1] is None:
-                            points.pop()
+                    for alternative in alternatives:
                         steps += 1
                         if steps > max_steps:
                             raise BudgetExhausted("steps")
@@ -627,11 +623,13 @@ class Solver:
                                 or steps + k > max_steps):
                             break
                         steps += k
-                        alternative = point[1]
-                        if alternative is None:
-                            break
-                    if alternative is None:
-                        continue  # every alternative failed in the filter
+                    else:
+                        points.pop()  # run out, or empty from the start
+                        continue
+                    # one whose last alternative is taken goes now, as WAM's trust does;
+                    # a range too wide to keep is a map, which goes once it runs out
+                    if not operator.length_hint(alternatives, 1):
+                        points.pop()
                     bounded = type(goal) is BoundedChoose
                     if on_rule is not None:
                         on_rule(8 if bounded else 3, (goal, env))

@@ -129,6 +129,16 @@ def test_run_all_on_an_empty_search_reports_zero(program_file, capsys):
     assert out == "solutions: 0\n"
 
 
+def test_run_chooses_over_the_whole_signed_64_bit_range(program_file, capsys):
+    # too wide to keep, and too wide for len() or length_hint() of a range
+    path = program_file("main { choose(x in {-9223372036854775808..9223372036854775807})"
+                        " x == -9223372036854775807 }")
+    solution = "x = -9223372036854775807\nstore: {}\n"
+    assert invoke(capsys, ["run", path]) == (0, solution, "")
+    assert invoke(capsys, ["run", "--all", "--max-steps", "1000", path]) == (
+        3, solution, "budget exhausted: maximum steps reached\n")
+
+
 def test_run_failure_prints_nothing(program_file, capsys):
     path = program_file("main { 1 == 2 }")
     code, out, err = invoke(capsys, ["run", path])

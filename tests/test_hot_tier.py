@@ -1,6 +1,6 @@
 """The hot tier: a bounded choose's leading conditions compiled into one
-leaf filter once a search finds the choose hot, and range elements made
-once per search.
+leaf filter once a search finds the choose hot, and the elements of a
+set that names no binder made once per search.
 
 A filter's verdict is checked against running its leaf without it, and
 every pinned output is checked again with each filter compiled at its
@@ -360,6 +360,23 @@ def test_a_filter_is_compiled_once_its_choose_is_hot_and_only_for_its_search(mon
     assert made == [("y", True), ("x", False)] * 2
 
 
+@pytest.mark.parametrize("source,compiled", [
+    ((PROGRAMS / "backtracking.choo").read_text(), 0),
+    ("main { " + "; ".join(["choose(x in {1..2}) (x > 1; s = x)"] * 300) + " }", 0),
+    ("main { choose(y in {1..200}) choose(x in {1..2}) (x > 1; s = x + y) }", 2),
+], ids=["backtracking", "300_cold_chooses", "one_hot_choose"])
+def test_a_search_compiles_only_the_chooses_it_finds_hot(monkeypatch, source, compiled):
+    # compile() takes about 350 of the about 380 us that one filter costs:
+    # with _HOT_AFTER at 0, backtracking.choo's search took 268 us, not 33
+    # (Python 3.11.7, a shared 2-core host), although nested_choice ran
+    # faster; a change to the threshold is measured on both
+    made = []
+    compile_filter = interp._compile_filter
+    monkeypatch.setattr(interp, "_compile_filter", lambda goal: made.append(goal) or compile_filter(goal))
+    assert list(execute(parse_program(source)))
+    assert len(made) == compiled
+
+
 def test_pythagorean_triples_skip_the_leaves_their_filter_rejects(monkeypatch):
     # every leaf used to make a choice; now only the leaves run before the
     # filter, the leaves it passes and the two outer levels do
@@ -416,9 +433,40 @@ def test_a_huge_range_builds_only_the_elements_it_tries(monkeypatch):
     outs = execute(program)
     assert next(outs).witnesses == witnesses
     outs.close()
-    # the element tried, the next one (a choice point takes it to know
-    # whether it has another), and the literal 7
-    assert made == [7, 8, 7]
+    # the element tried and the literal 7; a choice point reads no element
+    # ahead of the one it takes
+    assert made == [7, 7]
+
+
+def test_a_ground_set_is_resolved_once_per_element_per_search(monkeypatch):
+    resolved = collections.Counter()
+    apply = interp.apply
+
+    def counting(mapping, term, *memo):
+        resolved[id(term)] += 1
+        return apply(mapping, term, *memo)
+
+    monkeypatch.setattr(interp, "apply", counting)
+
+    def resolutions(entries, searches=1):
+        program = parse_program(
+            f"main {{ choose(x in {{1..{entries}}}) choose(y in {{4, f(5), 4}}) y == 0 }}")
+        resolved.clear()
+        for _ in range(searches):
+            assert list(execute(program)) == []
+        return [resolved[id(e)] for e in program.main.body.cset.elements]
+
+    once = resolutions(1)
+    assert all(once) and resolutions(5) == once
+    assert resolutions(5, searches=2) == [2 * n for n in once]  # nothing is kept between searches
+
+
+def test_a_set_that_names_a_binder_is_resolved_at_each_entry():
+    for source in ("main { choose(x in {1..3}) choose(y in {x, 9}) y == x }",
+                   "p(x) { choose(y in {x, 9}) y == x } main { choose(x in {1..3}) p(x) }"):
+        program = parse_program(source)
+        assert [o.witnesses[0] for o in execute(program)] == [("x", Int(n)) for n in (1, 2, 3)]
+        assert check_equivalence(program).describe() == "match: 3 solutions"
 
 
 def test_a_range_makes_its_elements_once_per_search(monkeypatch, compiled):

@@ -595,6 +595,22 @@ def test_budget_growth_preserves_the_outcome_prefix():
     assert compared >= 100
 
 
+@pytest.mark.parametrize("clauses,held", [
+    ("down(n) { n == 0 } down(n) { n > 0; choose(m) (m == n - 1; down(m)) }", 1),
+    ("down(n) { n > 0; choose(m) (m == n - 1; down(m)) } down(n) { n == 0 }", 2000),
+])
+def test_a_choice_point_goes_once_its_last_alternative_is_taken(clauses, held):
+    # as WAM's trust, a call keeps its point only while a clause is left:
+    # with the base clause first, only down(0)'s; with it second, those of
+    # the 2,000 calls that took the recursive clause. Points kept until
+    # backtracking reaches them would number 2,001 either way
+    program = parse_program(f"{clauses} main {{ down(2000) }}")
+    records = Solver(ProgramState(program.clauses), SearchBudget(max_depth=100_000)).records(program.main)
+    next(records)
+    assert len(records.gi_frame.f_locals["points"]) == held
+    records.close()
+
+
 # --- determinism and state discipline --------------------------------------------------
 
 def test_repeated_runs_are_identical():
