@@ -1,0 +1,343 @@
+"""The hot tier: settle functions, and the element tuples a search keeps.
+
+A search runs the body of a bounded choose once per element, and in
+the paper's pattern-matching examples almost every such leaf fails in
+its first condition. Once a search has backtracked _HOT_AFTER times
+into the choice points of one bounded choose, each time for at most one
+leaf, it compiles the leading run of that choose's body, the integer
+conditions and assignments before any other kind of goal, into one
+settle function, settle(store, subst, env, alternatives, steps,
+max_steps). A choice point calls it each time the search backtracks
+into the point, with the alternatives it has left. Its prologue
+computes, once per call, each value of the run that does not read the
+choose variable v: outer binders, store reads, and what is computed
+from them alone. Its loop then runs, per alternative, only the code
+that reads v. A leaf that certainly fails in the run after k steps
+(Seq nodes entered plus goals run), with no error, costs its 1 + k
+steps and nothing else: no trail entry, env, frame or record, as
+compiled Prolog rejects a clause in its guard before committing to it.
+The function returns (alternative, steps) at the first leaf it does not
+reject, with that leaf's own step counted, and (None, steps) once the
+alternatives run out.
+
+It does not reject a leaf where the run holds, an operand is not an
+Int, an operation overflows or divides by zero, a store read is unset,
+or the run reaches a goal it does not compile. A v-free value that
+meets one of these is None in the prologue, and the loop tests it where
+the run first uses it, so a leaf that an earlier condition rejects is
+still rejected: choose(z in {0..200}) (z < 3; s / 0 == 1) rejects z = 3
+to 200 and hands back z = 0 to 2.
+
+The first condition may be == with both sides affine in v (v only under
++ and -, and under * by a v-free factor; never under /), every value
+computed before it affine too, and the set kept as a tuple of Ints. Then
+the prologue evaluates lhs - rhs at the set's least and greatest value.
+That difference is affine in v, so it is zero at one value, at none or
+at all, and every value the run computes up to the condition takes its
+extremes at those two ends: where both ends have a value, so does every
+element between. After a leaf fails the condition, _jump moves the
+iterator to the one element that may pass it, or to the end, and
+charges each skipped leaf its 1 + k steps. Where an end has no value,
+the loop takes the leaves one at a time.
+
+This is exact. A settle function has no side effect: an assignment goes
+to a local that later reads of its name use, and nothing is bound,
+chosen or made fresh, so the state after a rejected leaf is the state
+that running and undoing it leaves. Where it rejects a leaf, running the
+leaf reads the same values and fails after the same k steps, and a
+failed leaf leaves nothing in any record. Three conditions keep it out,
+and the leaf runs as it always does: a trace hook is set, which must see
+every step; steps + 1 + k would pass max_steps, where the leaf is handed
+back and a jump across it is not taken; or depth + 1 + the run's Seq
+nesting would pass max_depth. So outcomes, errors, traces, steps and
+records are what they are without the tier. What a search compiles
+lives in a dict that the search makes and drops.
+"""
+
+from __future__ import annotations
+
+import operator
+
+from .syntax import Assign, BinOp, Compare, IntLit, Range, Seq, TermLit, VarRef
+from .terms import INT64_MAX, INT64_MIN, Int, Var, apply, free_vars
+
+# times a search backtracks into the choice points of one bounded choose
+# before it compiles the choose's settle function. Compiling one costs as
+# much as 68-96 leaf runs, and the function repays that after 79-114
+# leaves (quartiles over the innermost chooses of the seed-3 choice pools;
+# Python 3.11.7, a shared 2-core host), so a choose that stops right after
+# compiling costs at most about 1.75 times what it would without the
+# tier. ROADMAP.md gives the per-search leaf counts.
+_HOT_AFTER = 128
+_RANGE_CAP = 4096  # the widest range whose elements a search keeps
+COUNTING = object()  # a choice point whose search is still counting its choose's visits
+_PER_ENTRY = object()  # what hot holds for a set that names a binder: it is made at each entry
+
+# code for each operator, and for each comparison the test that it
+# fails; the operator only selects it, so no program text reaches the
+# generated source
+_ARITH_CODE = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
+               "/": "({0} // {1} if ({0} < 0) == ({1} < 0) else -(-{0} // {1}))"}  # toward zero
+_FAILS_CODE = {"==": "{} != {}", "!=": "{} == {}", "<": "{} >= {}", "<=": "{} > {}",
+               ">": "{} <= {}", ">=": "{} < {}"}
+_OUT_OF_RANGE = f"not {INT64_MIN} <= {{}} <= {INT64_MAX}"
+
+
+def _compile_settle(goal, kept):
+    """(settle, deepest) for the leaves of the bounded choose goal, or
+    (None, 0) when its leading run holds no condition. kept is the tuple
+    of the set's elements that the search keeps, or None.
+
+    The walk follows the body's Seq spine in execution order, from an
+    explicit stack, and counts each Seq node and goal as the search's step
+    would. It compiles Compare and Assign goals whose sides are integer
+    expressions of literals, variables and + - * /, and ends at the first
+    goal of any other kind. == compiles like the order comparisons: of two
+    Ints, unification and equality are both equality. The code ends after
+    the last condition; deepest is the Seq nesting of the deepest node up
+    to it.
+
+    Expressions are emitted from an explicit stack too. Each leaf is read
+    as eval_int reads it, and once: a literal; the choose variable, as
+    value; another binder in env, through one subst step for a clause
+    parameter; a store name, or the local of a value the run assigned to
+    it. Names and literal values reach the code only through namespace.
+    A v-free value goes to the prologue, where it is None at any point
+    where eval_int would give None or raise. Code that reads v goes to the
+    loop and hands the leaf back at such a point: "{fail}" in its lines.
+    """
+    var = goal.var
+    namespace = {"number": _number, "bounded": _bounded, "jump": _jump}
+    ints = type(goal.cset) is Range or (kept is not None and all(type(e) is Int for e in kept))
+    jumps = ints and kept is not None and len(kept) > 1  # so far as the set goes
+    prologue, loop = [], []  # code run once per call, and once per leaf
+    # each leaf read, (VarRef or TermLit, name), and each store name assigned -> its local
+    local_of = {}
+    nullable = {}  # the local of each v-free value -> whether it may be None
+    affine = set()  # the locals that read v and are affine in it
+    guards, checked = [], set()  # v-free values tested before the loop, and all those tested
+    first = None  # the loop's lines up to the first condition, and lhs - rhs there
+
+    def use(a):
+        # a v-free value that may be None is tested where the run first uses it
+        if nullable.get(a) and a not in checked:
+            checked.add(a)
+            if first is None:  # nothing before the first condition can reject the leaf
+                guards.append(a)
+            else:
+                loop.append(f"if {a} is None: {{fail}}")
+
+    def read(kind, name):
+        key = (kind, name)
+        if key not in local_of:
+            x = local_of[key] = f"x{len(local_of)}"
+            k = f"k{len(namespace)}"
+            namespace[k] = name
+            if kind is TermLit and name == var:
+                affine.add(x)
+                loop.extend([f"{x} = value.value"] if ints else [
+                    f"{x} = number(value, subst)", f"if {x} is None: {{fail}}"])
+            else:
+                nullable[x] = True
+                prologue.append(f"{x} = number({'store' if kind is VarRef else 'env'}.get({k}), subst)")
+        return local_of[key]
+
+    def operate(op, a, b):
+        nonlocal jumps
+        r = f"r{len(prologue) + len(loop)}"
+        code = _ARITH_CODE[op].format(a, b)
+        if a in nullable and b in nullable:
+            unknown = [f"{x} is None" for x in (a, b) if nullable[x]] + [f"not {b}"] * (op == "/")
+            prologue.append(f"{r} = None if {' or '.join(unknown)} else bounded({code})" if unknown
+                            else f"{r} = bounded({code})")
+            nullable[r] = True
+            return r
+        use(a)
+        use(b)
+        if op == "/":
+            loop.append(f"if not {b}: {{fail}}")
+        loop.extend((f"{r} = {code}", f"if {_OUT_OF_RANGE.format(r)}: {{fail}}"))
+        if (op != "/" and (op != "*" or a in nullable or b in nullable)
+                and all(x in affine or x in nullable for x in (a, b))):
+            affine.add(r)
+        elif first is None:
+            jumps = False
+        return r
+
+    def emit(expr):
+        # the local that holds expr's value, or None when expr holds a call
+        # or a term that is not a variable
+        operands, stack = [], [expr]
+        while stack:
+            e = stack.pop()
+            kind = type(e)
+            if kind is BinOp:
+                stack += (e.op, e.right, e.left)
+            elif kind is str:  # an operation whose operands are done
+                b = operands.pop()
+                operands.append(operate(e, operands.pop(), b))
+            elif kind is IntLit:
+                operands.append(f"k{len(namespace)}")
+                namespace[operands[-1]] = e.value
+                nullable[operands[-1]] = False
+            elif kind is VarRef or (kind is TermLit and type(e.term) is Var):
+                operands.append(read(kind, e.name if kind is VarRef else e.term.name))
+            else:
+                return None
+        return operands[0]
+
+    cut = None
+    stack, steps, reach = [(goal.body, 0)], 0, 0
+    while stack:
+        node, nesting = stack.pop()
+        steps, reach = steps + 1, max(reach, nesting)
+        kind = type(node)
+        if kind is Seq:
+            stack += ((node.second, nesting + 1), (node.first, nesting + 1))
+        elif kind is Compare:
+            a = emit(node.lhs)
+            b = None if a is None else emit(node.rhs)
+            if b is None:
+                break
+            use(a)
+            use(b)
+            prologue.append(f"m{steps} = max_steps - {1 + steps}")
+            reject = [f"if {_FAILS_CODE[node.op].format(a, b)}:",
+                      f"    if steps > m{steps}: {{fail}}",
+                      f"    steps += {1 + steps}"]
+            if first is None:
+                jumps = jumps and node.op == "=="
+                first = list(loop), f"{a} - {b}"
+                if jumps:
+                    reject.append(f"    if ends_at: steps = jump(alternatives, span, ends_at, {1 + steps}, "
+                                  "steps, max_steps)")
+            loop += reject + ["    continue"]
+            cut, deepest = (len(prologue), len(loop)), reach
+        elif kind is Assign and (a := emit(node.expr)):
+            use(a)
+            local_of[(VarRef, node.target)] = a
+        else:
+            break
+    if cut is None:
+        return None, 0
+    del prologue[cut[0]:], loop[cut[1]:]
+    lines = ["def settle(store, subst, env, alternatives, steps, max_steps):", *prologue]
+    if guards:  # then no leaf is rejected
+        lines += (f"if {' or '.join(f'{g} is None' for g in guards)}:", "    for value in alternatives:",
+                  "        return value, steps + 1", "    return None, steps")
+    if jumps:
+        values = [e.value for e in kept]
+        least, greatest = min(values), max(values)
+        position = None if type(goal.cset) is Range else {v: i for i, v in enumerate(values)}
+        namespace.update(span=(least, greatest, len(kept), position), ends=(least, greatest))
+        v = local_of.get((TermLit, var), "_")  # read as value.value, if read at all
+        lines += ("ends_at = []", f"for {v} in ends:",
+                  *("    " + line.format(fail="break") for line in first[0] if line != f"{v} = value.value"),
+                  f"    ends_at.append({first[1]})", "if len(ends_at) < 2: ends_at = None")
+    lines += ("for value in alternatives:",
+              *("    " + line.format(fail="return value, steps + 1") for line in loop),
+              "    return value, steps + 1", "return None, steps")
+    exec(compile("\n    ".join(lines), "<choo settle function>", "exec"), namespace)
+    # a function its own namespace held would be freed only by gc
+    return namespace.pop("settle"), deepest
+
+
+def _number(term, subst):
+    """The int that term, a binder's or a store name's value, stands for
+    through at most one subst step, or None."""
+    if type(term) is not Int:
+        term = subst.get(term.name) if type(term) is Var else None
+    return term.value if type(term) is Int else None
+
+
+def _bounded(n):
+    """n where it is a signed 64-bit integer, else None."""
+    return n if INT64_MIN <= n <= INT64_MAX else None
+
+
+def _jump(alternatives, span, ends_at, each, steps, max_steps):
+    """steps once alternatives, an iterator over a kept tuple of Ints, has
+    skipped the elements up to the next one that may pass the leading ==
+    of its settle function, each skipped leaf at each steps.
+
+    span is (least, greatest, size, position): the least and greatest
+    element's values, the tuple's length, and None for a range, whose
+    element at index i is least + i, or else a dict from each value to
+    its index. ends_at holds lhs - rhs at least and at greatest; it is
+    affine in the element's value, so zero at one value, at none or at
+    all. Where the skipped leaves would pass max_steps, none is skipped,
+    and the loop takes them one at a time.
+    """
+    least, greatest, size, position = span
+    low, high = ends_at
+    slope = (high - low) // (greatest - least)  # exact: the coefficients are integers
+    if slope:
+        offset, rest = divmod(-low, slope)
+        if rest:
+            passes = size
+        elif position is None:
+            passes = offset if 0 <= offset < size else size
+        else:
+            passes = position.get(least + offset, size)
+    elif low:
+        passes = size
+    else:
+        return steps  # every element passes
+    at = size - operator.length_hint(alternatives)
+    if passes < at:  # the one that passes is taken already
+        passes = size
+    skipped = (passes - at) * each
+    if skipped and steps + skipped <= max_steps:
+        alternatives.__setstate__(passes)
+        steps += skipped
+    return steps
+
+
+def settle_function(hot, point, max_depth):
+    """The settle function for point, a bounded choose's choice point, or
+    None.
+
+    hot maps id(goal) to the times this search has backtracked into
+    goal's points, then to (settle, deepest) from _compile_settle. While
+    the count is below _HOT_AFTER this counts the visit; once the function
+    is compiled, point keeps it, or None when its leaves are too deep for
+    it: one that passes max_depth must reach its depth check.
+    """
+    goal, depth = point[1], point[3]
+    seen = hot.get(id(goal), 0)
+    if type(seen) is int:
+        if seen < _HOT_AFTER:
+            hot[id(goal)] = seen + 1
+            return None
+        kept = hot.get(id(goal.cset))
+        seen = hot[id(goal)] = _compile_settle(goal, kept if type(kept) is tuple else None)
+    settle, deepest = seen
+    point[7] = settle if depth + 1 + deepest <= max_depth else None
+    return point[7]
+
+
+def set_elements(cset, subst, env, hot):
+    """The elements of a choice set in env, in the order they are tried.
+
+    A set that names no binder is made once per search, and hot maps
+    id(cset) to its elements; a range wider than _RANGE_CAP is made one
+    at a time. A set that names a binder is made at each entry, and hot
+    maps id(cset) to _PER_ENTRY once the first entry has found that.
+    """
+    elements = hot.get(id(cset))
+    if type(elements) is tuple:
+        return elements
+    if type(cset) is Range:
+        elements = map(Int, range(cset.lo, cset.hi + 1))
+        if cset.hi - cset.lo >= _RANGE_CAP:
+            return elements
+    else:
+        if elements is None and any(map(free_vars, cset.elements)):
+            elements = hot[id(cset)] = _PER_ENTRY
+        # written order, structural duplicates dropped after resolving: first appearance wins
+        resolved = dict.fromkeys(apply(subst, apply(env, e)) for e in cset.elements)
+        if elements is _PER_ENTRY:
+            return resolved
+        elements = resolved
+    elements = hot[id(cset)] = tuple(elements)
+    return elements

@@ -23,6 +23,7 @@ from types import MappingProxyType
 from typing import Iterator
 
 from .derivation import DerivationNode, tree_of
+from .hot import COUNTING, set_elements, settle_function
 from .syntax import (
     Assign,
     BinOp,
@@ -32,7 +33,6 @@ from .syntax import (
     Compare,
     FunCall,
     IntLit,
-    Range,
     Seq,
     SourceProgram,
     TermLit,
@@ -306,187 +306,6 @@ def eval_store_value(store, subst, expr, env=_NO_ENV):
     return value
 
 
-# --- the hot tier ---------------------------------------------------------------
-#
-# A search runs the body of a bounded choose once per element, and in
-# the paper's pattern-matching examples almost every such leaf fails in
-# its first condition. Once a search has taken _HOT_AFTER leaves of one
-# bounded choose, it compiles the leading run of that choose's body, the
-# integer conditions and assignments before any other kind of goal, into
-# one function of straight-line code, filter(store, subst, env, value),
-# where value stands in for the choose variable. It returns k when the
-# leaf certainly fails in that run after k steps (Seq nodes entered plus
-# goals run) with no error, and None otherwise: the run holds, an
-# operand is not an Int, an operation overflows or divides by zero, a
-# store read is unset, or the run reaches a goal it does not compile.
-# On k the search counts the leaf's 1 + k steps and takes the next
-# alternative at once, with no trail entry, env, frame or record, as
-# compiled Prolog rejects a clause in its guard before committing to it.
-#
-# This is exact. A filter has no side effect: an assignment goes to a
-# local that later reads of its name use, and nothing is bound, chosen or
-# made fresh, so the state after a skipped leaf is the state that running
-# and undoing it leaves. Where it returns k, running the leaf reads the
-# same values and fails after the same k steps, and a failed leaf leaves
-# nothing in any record. Three conditions keep a filter out, and the
-# leaf runs as it always does: a trace hook is set, which must see every
-# step; steps + k would pass max_steps; or depth + 1 + the run's Seq
-# nesting would pass max_depth. So outcomes, errors, traces, steps and
-# records are what they are without the tier. What a search compiles
-# lives in a dict that the search makes and drops.
-
-# leaves of one bounded choose that a search takes before it compiles the
-# choose's filter. Compiling one costs as much as 46-67 leaf runs, and
-# the filter repays that after 57-112 leaves (quartiles over the seed-3
-# choice pools; Python 3.11.7, a shared 2-core host), so a choose that
-# stops right after compiling costs at most about 1.5 times what it
-# would without the tier. ROADMAP.md gives the per-search leaf counts.
-_HOT_AFTER = 128
-_RANGE_CAP = 4096  # the widest range whose elements a search keeps
-_COUNTING = object()  # a choice point whose search is still counting its choose's leaves
-
-# code for each operator, and for each comparison the test that it
-# fails; the operator only selects it, so no program text reaches the
-# generated source
-_ARITH_CODE = {"+": "{r} = {a} + {b}", "-": "{r} = {a} - {b}", "*": "{r} = {a} * {b}",
-               "/": "if not {b}: return None\n    {r} = divide({a}, {b})"}
-_FAILS_CODE = {"==": "{} != {}", "!=": "{} == {}", "<": "{} >= {}", "<=": "{} > {}",
-               ">": "{} <= {}", ">=": "{} < {}"}
-
-
-def _emit_int(expr, var, lines, namespace, local_of):
-    """Append to lines the code that computes expr's value as a Python
-    int, and return the name that holds it; None when expr holds a call
-    or a term that is not a variable.
-
-    The code reads each leaf in eval_int's order: a literal; the choose
-    variable var, as value; another binder in env, through one subst
-    step for a clause parameter; a store name. It returns None at a leaf
-    that is not an Int, at a division by zero and after an operation
-    that leaves signed 64-bit; / goes through _divide. local_of maps
-    each leaf read so far, (VarRef or TermLit, name), to its local, and
-    a store name assigned earlier in the run to the assigned value's.
-    Names and literal values reach the code only through namespace.
-    """
-    operands, stack = [], [expr]
-    while stack:
-        e = stack.pop()
-        kind = type(e)
-        if kind is BinOp:
-            stack += (_ARITH_CODE[e.op], e.right, e.left)
-        elif kind is str:  # an operation whose operands are done
-            b, a = operands.pop(), operands.pop()
-            r = f"r{len(lines)}"
-            lines += (e.format(r=r, a=a, b=b), f"if not {INT64_MIN} <= {r} <= {INT64_MAX}: return None")
-            operands.append(r)
-        elif kind is IntLit:
-            operands.append(f"k{len(namespace)}")
-            namespace[operands[-1]] = e.value
-        elif kind is VarRef or (kind is TermLit and type(e.term) is Var):
-            key = (kind, e.name if kind is VarRef else e.term.name)
-            if key not in local_of:  # a leaf read twice is read once
-                v = local_of[key] = f"v{len(local_of)}"
-                k = f"k{len(namespace)}"
-                namespace[k] = key[1]
-                if kind is VarRef:
-                    lines += (f"{v} = store.get({k})", f"if type({v}) is not Int: return None")
-                else:
-                    lines += (f"{v} = {'value' if key[1] == var else f'env.get({k})'}",
-                              f"if type({v}) is not Int:",
-                              f"    {v} = subst.get({v}.name) if type({v}) is Var else None",
-                              f"    if type({v}) is not Int: return None")
-                lines.append(f"{v} = {v}.value")
-            operands.append(local_of[key])
-        else:
-            return None
-    return operands[0]
-
-
-def _compile_filter(goal):
-    """(filter, deepest) for the leaves of the bounded choose goal.
-
-    The walk follows the body's Seq spine in execution order, from an
-    explicit stack, and counts each Seq node and goal as the search's
-    step would. It compiles Compare and Assign goals whose sides are
-    integer expressions of literals, variables and + - * /, and ends at
-    the first goal of any other kind. == compiles like the order
-    comparisons: of two Ints, unification and equality are both equality.
-    The filter stops after the last condition; deepest is the Seq
-    nesting of the deepest node up to it. filter is None when the run
-    holds no condition.
-    """
-    namespace = {"Int": Int, "Var": Var, "divide": _divide}
-    lines, local_of = [], {}
-    stack, steps, reach = [(goal.body, 0)], 0, 0
-    kept = deepest = 0  # the lines up to the last condition, and its nesting
-    while stack:
-        node, nesting = stack.pop()
-        steps, reach = steps + 1, max(reach, nesting)
-        kind = type(node)
-        if kind is Seq:
-            stack += ((node.second, nesting + 1), (node.first, nesting + 1))
-        elif kind is Compare:
-            a = _emit_int(node.lhs, goal.var, lines, namespace, local_of)
-            b = None if a is None else _emit_int(node.rhs, goal.var, lines, namespace, local_of)
-            if b is None:
-                break
-            lines.append(f"if {_FAILS_CODE[node.op].format(a, b)}: return {steps}")
-            kept, deepest = len(lines), reach
-        elif kind is Assign and (a := _emit_int(node.expr, goal.var, lines, namespace, local_of)):
-            local_of[(VarRef, node.target)] = a
-        else:
-            break
-    if not kept:
-        return None, 0
-    source = "\n    ".join(["def leaf_filter(store, subst, env, value):", *lines[:kept], "return None"])
-    exec(compile(source, "<choo leaf filter>", "exec"), namespace)
-    # a function its own namespace held would be freed only by gc
-    return namespace.pop("leaf_filter"), deepest
-
-
-def _leaf_filter(hot, point, max_depth):
-    """The filter for the leaf that point, a bounded choose's choice
-    point, takes next, or None.
-
-    hot maps id(goal) to the leaves of goal this search has taken, then
-    to (filter, deepest) from _compile_filter. While the count is below
-    _HOT_AFTER this counts the leaf; once the filter is compiled, point
-    keeps it, or None when its leaves are too deep for it: one that
-    passes max_depth must reach its depth check.
-    """
-    goal, depth = point[1], point[3]
-    seen = hot.get(id(goal), 0)
-    if type(seen) is int:
-        if seen < _HOT_AFTER:
-            hot[id(goal)] = seen + 1
-            return None
-        seen = hot[id(goal)] = _compile_filter(goal)
-    leaf_filter, deepest = seen
-    point[7] = leaf_filter if depth + 1 + deepest <= max_depth else None
-    return point[7]
-
-
-def _elements(cset, subst, env, hot):
-    """The elements of a choice set in env, in the order they are tried.
-
-    A set that names no binder is made once per search, and hot maps
-    id(cset) to them; a range wider than _RANGE_CAP is made one at a time.
-    """
-    elements = hot.get(id(cset))
-    if elements is None:
-        if type(cset) is Range:
-            elements = map(Int, range(cset.lo, cset.hi + 1))
-            if cset.hi - cset.lo >= _RANGE_CAP:
-                return elements
-        else:
-            # written order, structural duplicates dropped after resolving: first appearance wins
-            elements = dict.fromkeys(apply(subst, apply(env, e)) for e in cset.elements)
-            if any(map(free_vars, cset.elements)):
-                return elements
-        elements = hot[id(cset)] = tuple(elements)
-    return elements
-
-
 # --- the solver ---------------------------------------------------------------
 
 _RULE = {Call: 3, Compare: 4, Assign: 5, Seq: 6, Choose: 7, BoundedChoose: 8}  # for on_rule
@@ -499,11 +318,13 @@ class Solver:
     One loop runs the search, so depth costs memory, not interpreter
     stack. As in Warren's abstract machine, bounded chooses and calls
     push choice points that save what backtracking restores; a point
-    takes its alternatives in one for-loop and goes once its last one is
-    taken. A bounded choose's point also holds its leaf filter once the
-    search has one (see the hot tier), and a leaf the filter rejects
-    costs only its steps. After exhaustion, abandonment or an exception,
-    the state is back to what the caller saw.
+    takes its alternatives one at a time and goes once its last one is
+    taken. A bounded choose's point also holds its settle function once
+    the search has one (see hot.py): each backtrack into the point
+    calls it once, and it takes the point's alternatives up to the first
+    leaf it does not reject, each rejected leaf costing only its steps.
+    After exhaustion, abandonment or an exception, the state is back to
+    what the caller saw.
     """
 
     def __init__(self, state: ProgramState, budget: SearchBudget | None = None, on_rule=None):
@@ -532,15 +353,15 @@ class Solver:
         table = {}  # (name, arity) -> the clauses a call tries, in source order
         for clause in st.clauses:
             table.setdefault((clause.name, len(clause.params)), []).append(clause)
-        # id(node) -> what this search has learnt of it: a bounded choose's
-        # leaves taken or compiled filter (_leaf_filter), a ground set's
-        # elements (_elements)
+        # id(node) -> what the hot tier has learnt of it in this search: a
+        # bounded choose's visits counted or compiled settle function
+        # (settle_function), a set's elements (set_elements)
         hot = {}
         base_mark = st.mark()
         # frames [goal, env, depth, next] each run goal in env; applied holds
         # the rule applications so far, newest first, as tree_of reads them
         frames, applied = [goal, {}, 1, None], None
-        # [alternatives, goal, env, depth, frames, applied, trail mark, leaf filter or None or _COUNTING]
+        # [alternatives, goal, env, depth, frames, applied, trail mark, settle function or None or COUNTING]
         points = []
         try:
             while True:
@@ -593,39 +414,41 @@ class Solver:
                         frames = [goal.body, {**env, goal.var: fresh}, depth + 1, frames]
                         continue
                     else:
-                        leaf = None  # a call's alternatives are clauses, never filtered
+                        settle = None  # a call's alternatives are clauses, never settled
                         if kind is BoundedChoose:
-                            alternatives = _elements(goal.cset, st.subst, env, hot)
+                            alternatives = set_elements(goal.cset, st.subst, env, hot)
                             if on_rule is None:  # a traced search runs every leaf
-                                leaf = _COUNTING
+                                settle = COUNTING
                         elif kind is Call:
                             alternatives = table.get((goal.name, len(goal.args)))
                             if alternatives is None:
                                 raise EvalError("undefined", f"no clause for {goal.name}/{len(goal.args)}")
                         else:
                             raise TypeError(f"not a goal: {goal!r}")
-                        points.append([iter(alternatives), goal, env, depth, frames, applied, st.mark(), leaf])
+                        points.append([iter(alternatives), goal, env, depth, frames, applied, st.mark(), settle])
                 # backtrack into the newest choice point
                 while points:
                     point = points[-1]
-                    alternatives, goal, env, depth, frames, applied, mark, leaf = point
+                    alternatives, goal, env, depth, frames, applied, mark, settle = point
                     st.undo_to(mark)
-                    # a leaf its filter shows failing in k steps costs them
-                    # and nothing else: it writes nothing, so the next
-                    # alternative needs no undo and is taken here
-                    for alternative in alternatives:
-                        steps += 1
-                        if steps > max_steps:
-                            raise BudgetExhausted("steps")
-                        if leaf is _COUNTING:
-                            leaf = _leaf_filter(hot, point, max_depth)
-                        if (leaf is None or (k := leaf(st.store, st.subst, env, alternative)) is None
-                                or steps + k > max_steps):
+                    if settle is COUNTING:
+                        settle = settle_function(hot, point, max_depth)
+                    if settle is None:
+                        for alternative in alternatives:
+                            steps += 1
                             break
-                        steps += k
+                        else:
+                            points.pop()  # run out, or empty from the start
+                            continue
                     else:
-                        points.pop()  # run out, or empty from the start
-                        continue
+                        # the leaves it rejects cost their steps and nothing
+                        # else: they write nothing, so none needs an undo
+                        alternative, steps = settle(st.store, st.subst, env, alternatives, steps, max_steps)
+                        if alternative is None:
+                            points.pop()
+                            continue
+                    if steps > max_steps:
+                        raise BudgetExhausted("steps")
                     # one whose last alternative is taken goes now, as WAM's trust does;
                     # a range too wide to keep is a map, which goes once it runs out
                     if not operator.length_hint(alternatives, 1):
