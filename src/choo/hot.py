@@ -28,18 +28,6 @@ the run first uses it, so a leaf that an earlier condition rejects is
 still rejected: choose(z in {0..200}) (z < 3; s / 0 == 1) rejects z = 3
 to 200 and hands back z = 0 to 2.
 
-The first condition may be == with both sides affine in v (v only under
-+ and -, and under * by a v-free factor; never under /), every value
-computed before it affine too, and the set kept as a tuple of Ints. Then
-the prologue evaluates lhs - rhs at the set's least and greatest value.
-That difference is affine in v, so it is zero at one value, at none or
-at all, and every value the run computes up to the condition takes its
-extremes at those two ends: where both ends have a value, so does every
-element between. After a leaf fails the condition, _jump moves the
-iterator to the one element that may pass it, or to the end, and
-charges each skipped leaf its 1 + k steps. Where an end has no value,
-the loop takes the leaves one at a time.
-
 This is exact. A settle function has no side effect: an assignment goes
 to a local that later reads of its name use, and nothing is bound,
 chosen or made fresh, so the state after a rejected leaf is the state
@@ -48,26 +36,24 @@ leaf reads the same values and fails after the same k steps, and a
 failed leaf leaves nothing in any record. Three conditions keep it out,
 and the leaf runs as it always does: a trace hook is set, which must see
 every step; steps + 1 + k would pass max_steps, where the leaf is handed
-back and a jump across it is not taken; or depth + 1 + the run's Seq
-nesting would pass max_depth. So outcomes, errors, traces, steps and
-records are what they are without the tier. What a search compiles
-lives in a dict that the search makes and drops.
+back; or depth + 1 + the run's Seq nesting would pass max_depth. So
+outcomes, errors, traces, steps and records are what they are without
+the tier. What a search compiles lives in a dict that the search makes
+and drops.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .syntax import Assign, BinOp, Compare, IntLit, Range, Seq, TermLit, VarRef
 from .terms import INT64_MAX, INT64_MIN, Int, Var, apply, free_vars
 
 # times a search backtracks into the choice points of one bounded choose
 # before it compiles the choose's settle function. Compiling one costs as
-# much as 68-96 leaf runs, and the function repays that after 79-114
+# much as 61-74 leaf runs, and the function repays that after 76-88
 # leaves (quartiles over the innermost chooses of the seed-3 choice pools;
 # Python 3.11.7, a shared 2-core host), so a choose that stops right after
-# compiling costs at most about 1.75 times what it would without the
-# tier. ROADMAP.md gives the per-search leaf counts.
+# compiling costs at most about 1.6 times what it would without the tier.
+# ROADMAP.md gives the per-search leaf counts.
 _HOT_AFTER = 128
 _RANGE_CAP = 4096  # the widest range whose elements a search keeps
 COUNTING = object()  # a choice point whose search is still counting its choose's visits
@@ -86,7 +72,8 @@ _OUT_OF_RANGE = f"not {INT64_MIN} <= {{}} <= {INT64_MAX}"
 def _compile_settle(goal, kept):
     """(settle, deepest) for the leaves of the bounded choose goal, or
     (None, 0) when its leading run holds no condition. kept is the tuple
-    of the set's elements that the search keeps, or None.
+    of the set's elements that the search keeps, or None; it tells only
+    whether every element is an Int.
 
     The walk follows the body's Seq spine in execution order, from an
     explicit stack, and counts each Seq node and goal as the search's step
@@ -107,22 +94,20 @@ def _compile_settle(goal, kept):
     loop and hands the leaf back at such a point: "{fail}" in its lines.
     """
     var = goal.var
-    namespace = {"number": _number, "bounded": _bounded, "jump": _jump}
+    namespace = {"number": _number, "bounded": _bounded}
     ints = type(goal.cset) is Range or (kept is not None and all(type(e) is Int for e in kept))
-    jumps = ints and kept is not None and len(kept) > 1  # so far as the set goes
     prologue, loop = [], []  # code run once per call, and once per leaf
     # each leaf read, (VarRef or TermLit, name), and each store name assigned -> its local
     local_of = {}
     nullable = {}  # the local of each v-free value -> whether it may be None
-    affine = set()  # the locals that read v and are affine in it
     guards, checked = [], set()  # v-free values tested before the loop, and all those tested
-    first = None  # the loop's lines up to the first condition, and lhs - rhs there
+    cut = None  # where the code ends, once the walk has met a condition
 
     def use(a):
         # a v-free value that may be None is tested where the run first uses it
         if nullable.get(a) and a not in checked:
             checked.add(a)
-            if first is None:  # nothing before the first condition can reject the leaf
+            if cut is None:  # nothing before the first condition can reject the leaf
                 guards.append(a)
             else:
                 loop.append(f"if {a} is None: {{fail}}")
@@ -134,7 +119,6 @@ def _compile_settle(goal, kept):
             k = f"k{len(namespace)}"
             namespace[k] = name
             if kind is TermLit and name == var:
-                affine.add(x)
                 loop.extend([f"{x} = value.value"] if ints else [
                     f"{x} = number(value, subst)", f"if {x} is None: {{fail}}"])
             else:
@@ -143,7 +127,6 @@ def _compile_settle(goal, kept):
         return local_of[key]
 
     def operate(op, a, b):
-        nonlocal jumps
         r = f"r{len(prologue) + len(loop)}"
         code = _ARITH_CODE[op].format(a, b)
         if a in nullable and b in nullable:
@@ -157,11 +140,6 @@ def _compile_settle(goal, kept):
         if op == "/":
             loop.append(f"if not {b}: {{fail}}")
         loop.extend((f"{r} = {code}", f"if {_OUT_OF_RANGE.format(r)}: {{fail}}"))
-        if (op != "/" and (op != "*" or a in nullable or b in nullable)
-                and all(x in affine or x in nullable for x in (a, b))):
-            affine.add(r)
-        elif first is None:
-            jumps = False
         return r
 
     def emit(expr):
@@ -186,7 +164,6 @@ def _compile_settle(goal, kept):
                 return None
         return operands[0]
 
-    cut = None
     stack, steps, reach = [(goal.body, 0)], 0, 0
     while stack:
         node, nesting = stack.pop()
@@ -202,16 +179,10 @@ def _compile_settle(goal, kept):
             use(a)
             use(b)
             prologue.append(f"m{steps} = max_steps - {1 + steps}")
-            reject = [f"if {_FAILS_CODE[node.op].format(a, b)}:",
-                      f"    if steps > m{steps}: {{fail}}",
-                      f"    steps += {1 + steps}"]
-            if first is None:
-                jumps = jumps and node.op == "=="
-                first = list(loop), f"{a} - {b}"
-                if jumps:
-                    reject.append(f"    if ends_at: steps = jump(alternatives, span, ends_at, {1 + steps}, "
-                                  "steps, max_steps)")
-            loop += reject + ["    continue"]
+            loop += [f"if {_FAILS_CODE[node.op].format(a, b)}:",
+                     f"    if steps > m{steps}: {{fail}}",
+                     f"    steps += {1 + steps}",
+                     "    continue"]
             cut, deepest = (len(prologue), len(loop)), reach
         elif kind is Assign and (a := emit(node.expr)):
             use(a)
@@ -225,15 +196,6 @@ def _compile_settle(goal, kept):
     if guards:  # then no leaf is rejected
         lines += (f"if {' or '.join(f'{g} is None' for g in guards)}:", "    for value in alternatives:",
                   "        return value, steps + 1", "    return None, steps")
-    if jumps:
-        values = [e.value for e in kept]
-        least, greatest = min(values), max(values)
-        position = None if type(goal.cset) is Range else {v: i for i, v in enumerate(values)}
-        namespace.update(span=(least, greatest, len(kept), position), ends=(least, greatest))
-        v = local_of.get((TermLit, var), "_")  # read as value.value, if read at all
-        lines += ("ends_at = []", f"for {v} in ends:",
-                  *("    " + line.format(fail="break") for line in first[0] if line != f"{v} = value.value"),
-                  f"    ends_at.append({first[1]})", "if len(ends_at) < 2: ends_at = None")
     lines += ("for value in alternatives:",
               *("    " + line.format(fail="return value, steps + 1") for line in loop),
               "    return value, steps + 1", "return None, steps")
@@ -253,44 +215,6 @@ def _number(term, subst):
 def _bounded(n):
     """n where it is a signed 64-bit integer, else None."""
     return n if INT64_MIN <= n <= INT64_MAX else None
-
-
-def _jump(alternatives, span, ends_at, each, steps, max_steps):
-    """steps once alternatives, an iterator over a kept tuple of Ints, has
-    skipped the elements up to the next one that may pass the leading ==
-    of its settle function, each skipped leaf at each steps.
-
-    span is (least, greatest, size, position): the least and greatest
-    element's values, the tuple's length, and None for a range, whose
-    element at index i is least + i, or else a dict from each value to
-    its index. ends_at holds lhs - rhs at least and at greatest; it is
-    affine in the element's value, so zero at one value, at none or at
-    all. Where the skipped leaves would pass max_steps, none is skipped,
-    and the loop takes them one at a time.
-    """
-    least, greatest, size, position = span
-    low, high = ends_at
-    slope = (high - low) // (greatest - least)  # exact: the coefficients are integers
-    if slope:
-        offset, rest = divmod(-low, slope)
-        if rest:
-            passes = size
-        elif position is None:
-            passes = offset if 0 <= offset < size else size
-        else:
-            passes = position.get(least + offset, size)
-    elif low:
-        passes = size
-    else:
-        return steps  # every element passes
-    at = size - operator.length_hint(alternatives)
-    if passes < at:  # the one that passes is taken already
-        passes = size
-    skipped = (passes - at) * each
-    if skipped and steps + skipped <= max_steps:
-        alternatives.__setstate__(passes)
-        steps += skipped
-    return steps
 
 
 def settle_function(hot, point, max_depth):

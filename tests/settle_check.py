@@ -10,8 +10,8 @@ with the standard library alone:
     PYTHONPATH=src python tests/settle_check.py SEEDS
 
 checks `gen_program` seeds 0 to SEEDS - 1 and `programs/*.choo` at three
-budgets, and each choice shape and jump edge under its budget sweep. It
-prints what the settle functions did and exits 1 at the first
+budgets, and each choice shape and edge program under its budget
+sweep. It prints what the settle functions did and exits 1 at the first
 difference.
 """
 
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import copy
-import math
 import operator
 import random
 import sys
@@ -33,8 +31,7 @@ from proggen import gen_program
 PROGRAMS = Path(__file__).parent.parent / "programs"
 
 # the paper's pattern-matching examples, and a leaf that writes the store
-# first; change and rollback lead with an == affine in the innermost
-# variable, so their settle functions jump
+# first
 SHAPES = {
     "pyth": "main { choose(a in {1..8}) choose(b in {1..8}) choose(c in {1..10})"
             " (a * a + b * b == c * c; a <= b) }",
@@ -44,16 +41,16 @@ SHAPES = {
                 " (acc = acc + x * y + z; acc == 20) }",
 }
 
-# programs at the edges of a jump, each swept like a shape
-JUMP_EDGES = {
-    # z = 17 overflows, past the one z that passes: no jump, and the leaf raises
+# programs at the edges of a settle loop, each swept like a shape
+SETTLE_EDGES = {
+    # z = 17 overflows, past the one z that passes, and the leaf raises
     "overflows_high": "main { s = 9223372036854775790; choose(x in {1..3}) choose(z in {0..20})"
                       " s + x + z == 9223372036854775800 }",
     "overflows_low": "main { s = 0 - 9223372036854775790; choose(x in {1..3}) choose(z in {0..20})"
                      " s - x - z == 0 - 9223372036854775800 }",
-    # a ground set of Ints, written with a duplicate, jumps through its
-    # value-to-position dict; one with an atom in it takes the loop, and
-    # the atom raises when the loop reaches it
+    # a ground set of Ints, written with a duplicate, is read as Ints; one
+    # with an atom in it reads each element through number(), and the atom
+    # raises when the loop reaches it
     "ground_set": "main { choose(x in {1..3}) choose(z in {7, 3, 7, 9, 5, 1, 2})"
                   " (x + z * 2 == 11; s = z) }",
     "atom_in_set": "main { choose(x in {1..3}) choose(z in {7, 3, 7, 5, red, 1})"
@@ -65,7 +62,7 @@ JUMP_EDGES = {
 
 BUDGETS = [SearchBudget(2000, 50_000), SearchBudget(2000, 10), SearchBudget(4, 50_000)]
 # each shape's leaf condition nests 5 or 6 deep; max_steps lands inside
-# many a skipped span
+# many a point's run of rejected leaves
 SWEEP = [SearchBudget(100, steps) for steps in range(1, 601)] + [
     SearchBudget(depth, 50_000) for depth in range(1, 9)]
 
@@ -112,11 +109,10 @@ def forced_and_forbidden(observe_all):
     """What observe_all() shows with each settle function compiled at its
     choose's first visit, checked equal to what it shows with none; and
     what the settle functions did, counted: "calls"; leaves rejected,
-    "fails", and handed back, "unknown"; leaves "skipped" by jumps; and
-    jumps "held back" because they would pass max_steps. Sets too wide to
-    keep are not counted."""
+    "fails", and handed back, "unknown". Sets too wide to keep are not
+    counted."""
     verdicts = collections.Counter()
-    compile_settle, jump = hot._compile_settle, hot._jump
+    compile_settle = hot._compile_settle
 
     def counting(goal, kept):
         settle, deepest = compile_settle(goal, kept)
@@ -132,15 +128,7 @@ def forced_and_forbidden(observe_all):
             return alternative, steps
         return counted, deepest
 
-    def jumping(alternatives, span, ends_at, each, steps, max_steps):
-        left = operator.length_hint(alternatives)
-        unbounded = jump(copy.copy(alternatives), span, ends_at, each, steps, math.inf)
-        steps_after = jump(alternatives, span, ends_at, each, steps, max_steps)
-        verdicts["skipped"] += left - operator.length_hint(alternatives)
-        verdicts["held back"] += steps_after != unbounded
-        return steps_after
-
-    with patched(_HOT_AFTER=0, _compile_settle=counting, _jump=jumping):
+    with patched(_HOT_AFTER=0, _compile_settle=counting):
         settled = observe_all()
     with patched(_compile_settle=lambda goal, kept: (None, 0)):
         if observe_all() != settled:
@@ -168,7 +156,7 @@ def main(argv):
                                   for path in sorted(PROGRAMS.glob("*.choo"))])
     total += verdicts
     print(f"gen_program seeds 0-{seeds - 1} and programs/: {dict(sorted(total.items()))}")
-    for name, source in {**SHAPES, **JUMP_EDGES}.items():
+    for name, source in {**SHAPES, **SETTLE_EDGES}.items():
         _, verdicts = check_sweep(source)
         print(f"{name}, {len(SWEEP)} budgets: {dict(sorted(verdicts.items()))}")
     print("settle functions change nothing a search shows")
