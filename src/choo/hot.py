@@ -1,4 +1,5 @@
-"""The hot tier: settle functions, and the element tuples a search keeps.
+"""The hot tier: settle functions, clause indexes, and the element tuples
+a search keeps.
 
 A search runs the body of a bounded choose once per element, and in
 the paper's pattern-matching examples almost every such leaf fails in
@@ -38,14 +39,44 @@ and the leaf runs as it always does: a trace hook is set, which must see
 every step; steps + 1 + k would pass max_steps, where the leaf is handed
 back; or depth + 1 + the run's Seq nesting would pass max_depth. So
 outcomes, errors, traces, steps and records are what they are without
-the tier. What a search compiles lives in a dict that the search makes
-and drops.
+the tier.
+
+A call selects its clauses by their leading condition, as Prolog
+indexes on the first argument (Warren's switch_on_constant), with the key
+read from the body, since a clause head holds only variables. A clause
+is keyed when the leftmost goal of its body's ; spine is == between a
+parameter and an integer or an atom. Where the argument at the indexed
+position walks to an Int or an Atom, a clause keyed on another constant
+cannot match, and where it walks to a Compound no keyed clause can: its
+attempt would make a fresh variable per parameter, bind them, fail in
+unification with no error, and be undone. The call takes the clauses
+that may match, in source order, and each run of others between them as
+one skip record, (fresh, steps), which the search charges exactly: the
+run's parameters to the fresh-variable count, so _G names do not shift,
+and its attempts' steps, up to max_steps + 1 where they would pass
+max_steps. It writes no trail entry, record, env or choice, and leaves
+young as it is: undo removes bindings only, so each young variable is
+still younger than every binding left, and the skipped bindings would
+only have cleared the set. A call selects nothing when its argument
+walks to an unbound variable, when a trace hook is set, or when a keyed
+clause's condition would lie past max_depth, where its attempt must
+reach its depth check. The unkeyed clauses before the first keyed one
+are taken first whatever the argument, so a call takes them as they
+are, the index's lead, and selects the rest only if the search comes
+back to its point, in the state the call saw: a countdown whose
+recursive clause comes first selects nothing on its way down. A call
+site keeps what it takes, its clauses, lead or index, from its first
+call.
+
+What a search compiles lives in a dict that the search makes and drops.
 """
 
 from __future__ import annotations
 
+import collections
+
 from .syntax import Assign, BinOp, Compare, IntLit, Range, Seq, TermLit, VarRef
-from .terms import INT64_MAX, INT64_MIN, Int, Var, apply, free_vars
+from .terms import INT64_MAX, INT64_MIN, Atom, Int, Var, apply, free_vars, walk
 
 # times a search backtracks into the choice points of one bounded choose
 # before it compiles the choose's settle function. Compiling one costs as
@@ -265,3 +296,113 @@ def set_elements(cset, subst, env, hot):
         elements = resolved
     elements = hot[id(cset)] = tuple(elements)
     return elements
+
+
+def _leading_key(clause):
+    """(position, key, nesting) where the leftmost goal of clause's body
+    is == between its parameter at position and an integer or an atom,
+    key, nesting Seq nodes down; else None. key is the integer, or the
+    atom's name."""
+    goal, nesting = clause.body, 0
+    while type(goal) is Seq:
+        goal, nesting = goal.first, nesting + 1
+    if type(goal) is not Compare or goal.op != "==":
+        return None
+    for side, other in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)):
+        if type(side) is TermLit and type(side.term) is Var and side.term.name in clause.params:
+            if type(other) is IntLit:
+                return clause.params.index(side.term.name), other.value, nesting
+            if type(other) is TermLit and type(other.term) is Atom:
+                return clause.params.index(side.term.name), other.term.name, nesting
+    return None
+
+
+class ClauseIndex:
+    """What the calls to one clause list take past its lead, selected by
+    the argument at position: lists maps each key to what a call whose
+    argument is that constant takes, default is what one with any other
+    constant or a compound takes, and unbound what one whose argument is
+    unbound takes, or one whose keyed clauses' conditions, deepest Seq
+    nodes down in their bodies, would lie past max_depth. lead counts the
+    unkeyed clauses before the first keyed one, which every call takes
+    first."""
+
+    __slots__ = ("position", "lists", "default", "unbound", "deepest", "lead")
+
+    def select(self, args, env, subst, depth, max_depth):
+        """The clauses and skip records past the lead that a call with args
+        in env, at depth, takes."""
+        if depth + self.deepest > max_depth:
+            return self.unbound
+        arg = args[self.position]
+        if type(arg) is Var:
+            arg = walk(subst, env.get(arg.name, arg))
+        kind = type(arg)
+        if kind is Int:
+            return self.lists.get(arg.value, self.default)
+        if kind is Atom:
+            return self.lists.get(arg.name, self.default)
+        return self.unbound if kind is Var else self.default
+
+
+def _index_clauses(clauses):
+    """The ClauseIndex of a clause list, or None when no clause is keyed.
+    It is indexed on the parameter position that most clauses are keyed
+    on, the first such clause's among equals; a clause keyed elsewhere
+    counts as unkeyed."""
+    keys = [_leading_key(clause) for clause in clauses]
+    positions = [key[0] for key in keys if key is not None]
+    if not positions:
+        return None
+    index = ClauseIndex()
+    index.position = position = collections.Counter(positions).most_common(1)[0][0]
+    groups, unkeyed, index.deepest = {}, [], 0
+    fresh, steps = [0], [0]  # the parameters and steps of the keyed clauses before each one
+    for i, (clause, key) in enumerate(zip(clauses, keys)):
+        keyed = key is not None and key[0] == position
+        if keyed:
+            groups.setdefault(key[1], []).append(i)
+            index.deepest = max(index.deepest, 1 + key[2])
+        else:
+            unkeyed.append(i)
+        # an attempt costs the backtrack step, a step per Seq and the condition
+        fresh.append(fresh[-1] + len(clause.params) * keyed)
+        steps.append(steps[-1] + (2 + key[2] if keyed else 0))
+    lead = 0
+    while lead < len(unkeyed) and unkeyed[lead] == lead:
+        lead += 1
+
+    def entries(kept):
+        # the kept clauses past the lead in source order, each run of
+        # others between them as one skip record: its parameters, and its
+        # attempts' steps less the backtrack step that takes the record
+        out, start = [], lead
+        for i in (*sorted(kept)[lead:], len(clauses)):
+            if start < i:
+                out.append((fresh[i] - fresh[start], steps[i] - steps[start] - 1))
+            if i < len(clauses):
+                out.append(clauses[i])
+            start = i + 1
+        return out
+    index.lists = {key: entries(unkeyed + group) for key, group in groups.items()}
+    index.default, index.unbound, index.lead = entries(unkeyed), clauses[lead:], lead
+    return index
+
+
+def call_site(hot, table, goal, traced):
+    """What a call from goal takes, kept at hot[id(goal)] from its first
+    call: the clauses of its name and arity; or, where two or more of
+    them have a ClauseIndex and no trace hook is set, the index, or the
+    clauses of its lead and then (index,), the mark at which the search
+    selects the rest. None when no clause has that name and arity. hot
+    maps id(clauses) to their index, or None, from their first call."""
+    site = clauses = table.get((goal.name, len(goal.args)))
+    if clauses is not None and not traced and len(clauses) > 1:
+        index = hot.get(id(clauses), clauses)
+        if index is clauses:
+            index = hot[id(clauses)] = _index_clauses(clauses)
+        if index is not None:
+            site = (*clauses[:index.lead], (index,)) if index.lead else index
+    if site is not None:
+        hot[id(goal)] = site
+    return site

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterator
 
 from .derivation import DerivationNode, tree_of
-from .hot import COUNTING, set_elements, settle_function
+from .hot import COUNTING, ClauseIndex, call_site, set_elements, settle_function
 from .syntax import (
     Assign,
     BinOp,
@@ -323,8 +323,10 @@ class Solver:
     the search has one (see hot.py): each backtrack into the point
     calls it once, and it takes the point's alternatives up to the first
     leaf it does not reject, each rejected leaf costing only its steps.
-    After exhaustion, abandonment or an exception, the state is back to
-    what the caller saw.
+    A call's point takes the clauses its clause index keeps, and a run of
+    skipped ones costs only its fresh variables and steps. After
+    exhaustion, abandonment or an exception, the state is back to what
+    the caller saw.
     """
 
     def __init__(self, state: ProgramState, budget: SearchBudget | None = None, on_rule=None):
@@ -355,7 +357,8 @@ class Solver:
             table.setdefault((clause.name, len(clause.params)), []).append(clause)
         # id(node) -> what the hot tier has learnt of it in this search: a
         # bounded choose's visits counted or compiled settle function
-        # (settle_function), a set's elements (set_elements)
+        # (settle_function), a set's elements (set_elements), a clause
+        # list's index and what a call site takes (call_site)
         hot = {}
         base_mark = st.mark()
         # frames [goal, env, depth, next] each run goal in env; applied holds
@@ -420,9 +423,12 @@ class Solver:
                             if on_rule is None:  # a traced search runs every leaf
                                 settle = COUNTING
                         elif kind is Call:
-                            alternatives = table.get((goal.name, len(goal.args)))
+                            # its clauses, their index's lead, or their index (hot.py)
+                            alternatives = hot.get(id(goal)) or call_site(hot, table, goal, on_rule is not None)
                             if alternatives is None:
                                 raise EvalError("undefined", f"no clause for {goal.name}/{len(goal.args)}")
+                            if type(alternatives) is ClauseIndex:
+                                alternatives = alternatives.select(goal.args, env, st.subst, depth, max_depth)
                         else:
                             raise TypeError(f"not a goal: {goal!r}")
                         points.append([iter(alternatives), goal, env, depth, frames, applied, st.mark(), settle])
@@ -439,6 +445,19 @@ class Solver:
                             break
                         else:
                             points.pop()  # run out, or empty from the start
+                            continue
+                        if type(alternative) is tuple:
+                            if len(alternative) == 1:  # the end of a lead: what the call takes past it
+                                point[0] = iter(alternative[0].select(goal.args, env, st.subst, depth, max_depth))
+                                steps -= 1
+                                continue
+                            # clauses that cannot match, skipped: their attempts' fresh
+                            # variables and steps, and nothing else (hot.py says why)
+                            st._fresh += alternative[0]
+                            steps += alternative[1]
+                            if steps > max_steps:
+                                steps = max_steps + 1
+                                raise BudgetExhausted("steps")
                             continue
                     else:
                         # the leaves it rejects cost their steps and nothing

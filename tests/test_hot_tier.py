@@ -1,12 +1,14 @@
 """The hot tier: a bounded choose's leading conditions compiled into one
-settle function once a search finds the choose hot, and the elements of
-a set that names no binder made once per search.
+settle function once a search finds the choose hot, a call's clauses
+selected by their leading param == constant, and the elements of a set
+that names no binder made once per search.
 
 A settle function's verdict on each leaf is checked against running the
 leaf without it, and every pinned output is checked again with each
 settle function compiled at its choose's first visit. Forcing settle
-functions from the first visit, or forbidding them, changes no outcome,
-error, step count or record (settle_check.py holds that comparison).
+functions from the first visit, or forbidding them, and forbidding
+clause selection change no outcome, error, step count or record
+(settle_check.py holds that comparison).
 """
 
 import collections
@@ -24,9 +26,11 @@ import test_corpus
 import test_golden
 import test_oracle
 from choo import (
+    Atom,
     BinOp,
     BoundedChoose,
     Compare,
+    Compound,
     Int,
     IntLit,
     Range,
@@ -43,6 +47,8 @@ from choo.interp import ProgramState, SearchBudget, Solver
 from choo.terms import INT64_MAX, INT64_MIN
 from proggen import gen_program
 from settle_check import (
+    CLAUSE_SHAPES,
+    FACTS,
     PROGRAMS,
     SETTLE_EDGES,
     SHAPES,
@@ -50,6 +56,7 @@ from settle_check import (
     check_sweep,
     forced_and_forbidden,
     observe,
+    records_of,
 )
 
 
@@ -414,6 +421,115 @@ def test_no_filter_or_element_tuple_outlives_its_search(compiled):
     outs.close()
     assert all(ref() is None for ref in compiled)
     assert element_tuples() == []
+
+
+# --- clause selection against trying every clause --------------------------------------
+
+@pytest.mark.parametrize("shape", CLAUSE_SHAPES)
+def test_clause_selection_changes_no_budget_exhaustion(shape):
+    # max_steps 1-600, and max_depth 1-8 around each call's depth plus its
+    # keyed clauses' spines, where a call selects nothing
+    seen, verdicts = check_sweep(CLAUSE_SHAPES[shape])
+    kinds = ends(seen)
+    assert kinds["steps"] >= 25 and kinds["depth"] >= 2 and kinds["end"] >= 2, kinds
+    assert verdicts["skipped"] > 0
+
+
+# CLAUSE_SHAPES with each unbound choose the oracle cannot pin given a
+# set, or pinned; the oracle reaches no clause that pins a choose to a
+# parameter's value, so the compound and Peano shapes are not here
+ORACLE_SHAPES = {
+    "int_keys": CLAUSE_SHAPES["int_keys"].replace("choose(y)", "choose(y in {0, 10, 20, 30, 40, 50, 60})"),
+    "atom_keys": CLAUSE_SHAPES["atom_keys"].replace("choose(n)", "choose(n in {1..4})"),
+    "second_param": CLAUSE_SHAPES["second_param"].replace("choose(a)", "choose(a in {5, 10, 11, 20})"),
+    "mixed_positions": CLAUSE_SHAPES["mixed_positions"],
+    "unbound": CLAUSE_SHAPES["unbound"].replace("(p(x);", "(x == 2; p(x);"),
+    "down_base_first": CLAUSE_SHAPES["down_base_first"],
+    "down_base_last": CLAUSE_SHAPES["down_base_last"],
+    "fact_base": FACTS + "main { s = 0; choose(k in {38, 3, 41, 17, 0})"
+                         " choose(v in {76, 6, 34, 0, 1}) (f(k, v); s = s + v) }",
+    "clause_order": CLAUSE_SHAPES["clause_order"],
+}
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_clause_selection_matches_the_oracle(shape):
+    report = check_equivalence(parse_program(ORACLE_SHAPES[shape]))
+    assert report.matched and len(report.engine) >= 2, report.describe()
+
+
+def test_a_call_selects_by_what_its_argument_walks_to():
+    program = parse_program(CLAUSE_SHAPES["atom_keys"])
+    clauses = list(program.clauses)
+    red1, green, unkeyed, red4 = clauses
+    index = hot._index_clauses(clauses)
+
+    def selected(arg, subst=None, depth=1):
+        return index.select((arg, Var("n")), {}, subst or {}, depth, 100)
+
+    # the first clause is keyed, so there is no lead; a skip record is
+    # (fresh variables, steps past the backtrack step that takes it)
+    assert index.lead == 0 and index.unbound == clauses
+    assert selected(Atom("red")) == [red1, (2, 2), unkeyed, red4]
+    assert selected(Var("x"), {"x": Var("y"), "y": Atom("green")}) == [(2, 2), green, unkeyed, (2, 2)]
+    assert selected(Atom("blue")) == selected(Int(7)) == selected(Compound("pair", (Atom("red"),))) == [
+        (4, 5), unkeyed, (2, 2)]
+    assert selected(Var("x")) == selected(Var("x"), {"x": Var("y")}) == clauses
+    # where a keyed clause's condition would pass max_depth, it selects nothing
+    assert selected(Atom("red"), depth=99) == clauses
+
+
+def test_a_call_takes_the_clauses_before_the_first_keyed_one_as_they_are():
+    program = parse_program(CLAUSE_SHAPES["int_keys"])
+    clauses = list(program.clauses)
+    index = hot._index_clauses(clauses)
+    # the lead: a clause keyed on the other position and an unkeyed one
+    assert index.lead == 2 and index.unbound == clauses[2:]
+    assert index.select((Int(-2), Var("v")), {}, {}, 1, 100) == [(2, 2), clauses[3], (2, 2), clauses[5]]
+    # a countdown whose recursive clause comes first takes it as it is,
+    # then the mark at which the search selects the rest
+    down = parse_program(CLAUSE_SHAPES["down_base_last"])
+    table = {("down", 1): list(down.clauses)}
+    site = hot.call_site({}, table, down.main, False)
+    assert site[0] is down.clauses[0] and type(site[1][0]) is hot.ClauseIndex and len(site) == 2
+
+
+def test_a_traced_search_tries_every_clause(monkeypatch):
+    def refuse(clauses):
+        raise AssertionError("a clause index built under a trace")
+
+    monkeypatch.setattr(hot, "_index_clauses", refuse)
+    rules = []
+    outs = list(execute(parse_program(CLAUSE_SHAPES["clause_order"]),
+                        on_rule=lambda rule, at: rules.append(rule)))
+    assert len(outs) == 2 and rules.count(1) == 6 * 2  # a body entered for both clauses at each y
+
+
+def test_fact_lookups_bind_linearly_many_parameters(monkeypatch):
+    # n facts f(k, v) and n lookups: a call that tries every clause binds
+    # both parameters of each clause up to the one that matches, n(n + 1) in
+    # all; one that selects binds those of the matching clause alone
+    binds = []
+    bind = ProgramState.bind
+    monkeypatch.setattr(ProgramState, "bind", lambda st, var, term: binds.append(var) or bind(st, var, term))
+
+    def search(program):
+        solver = Solver(ProgramState(program.clauses), SearchBudget(10_000, 10**8))
+        binds.clear()
+        records = [(rule, id(goal), label, env)
+                   for rule, goal, label, env in records_of(next(solver.records(program.main)))]
+        return records, solver.steps, len(binds)
+
+    for n in (100, 200, 400):
+        program = parse_program("".join(f"f(k, v) {{ k == {i}; v == {2 * i} }}\n" for i in range(n))
+                                + "main { s = 0; " + "; ".join(
+                                    f"choose(v{i}) (f({i}, v{i}); s = s + v{i})" for i in range(n)) + " }")
+        selected, steps, bound = search(program)
+        with monkeypatch.context() as patch:
+            patch.setattr(hot, "_index_clauses", lambda clauses: None)
+            tried, tried_steps, tried_bound = search(program)
+        assert bound == 2 * n and tried_bound == n * (n + 1)
+        assert steps == tried_steps and selected == tried
 
 
 # --- ranges -------------------------------------------------------------------------
