@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .derivation import format_tree, tree_of
 from .interp import (
@@ -41,7 +40,8 @@ def _print_outcome(outcome):
 
 def _read_program(path: str):
     try:
-        source = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+        with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
+            source = f.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read {path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
         return None

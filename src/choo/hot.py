@@ -60,15 +60,11 @@ still younger than every binding left, and the skipped bindings would
 only have cleared the set. A call selects nothing when its argument
 walks to an unbound variable, when a trace hook is set, or when a keyed
 clause's condition would lie past max_depth, where its attempt must
-reach its depth check. The unkeyed clauses before the first keyed one
-are taken first whatever the argument, so a call takes them as they
-are, the index's lead, and selects the rest only if the search comes
-back to its point, in the state the call saw: a countdown whose
-recursive clause comes first selects nothing on its way down. A call
-site keeps what it takes, its clauses, lead or index, from its first
-call.
+reach its depth check. A search indexes its clause lists once, when it
+builds its clause table.
 
-What a search compiles lives in a dict that the search makes and drops.
+What a search compiles, and its clause table, live in dicts that the
+search makes and drops.
 """
 
 from __future__ import annotations
@@ -318,20 +314,18 @@ def _leading_key(clause):
 
 
 class ClauseIndex:
-    """What the calls to one clause list take past its lead, selected by
-    the argument at position: lists maps each key to what a call whose
-    argument is that constant takes, default is what one with any other
-    constant or a compound takes, and unbound what one whose argument is
-    unbound takes, or one whose keyed clauses' conditions, deepest Seq
-    nodes down in their bodies, would lie past max_depth. lead counts the
-    unkeyed clauses before the first keyed one, which every call takes
-    first."""
+    """What the calls to one clause list take, selected by the argument at
+    position: lists maps each key to what a call whose argument is that
+    constant takes, default is what one with any other constant or a
+    compound takes, and unbound, the whole list, what one whose argument
+    is unbound takes, or one whose keyed clauses' conditions, deepest Seq
+    nodes down in their bodies, would lie past max_depth."""
 
-    __slots__ = ("position", "lists", "default", "unbound", "deepest", "lead")
+    __slots__ = ("position", "lists", "default", "unbound", "deepest")
 
     def select(self, args, env, subst, depth, max_depth):
-        """The clauses and skip records past the lead that a call with args
-        in env, at depth, takes."""
+        """The clauses and skip records that a call with args in env, at
+        depth, takes."""
         if depth + self.deepest > max_depth:
             return self.unbound
         arg = args[self.position]
@@ -368,16 +362,13 @@ def _index_clauses(clauses):
         # an attempt costs the backtrack step, a step per Seq and the condition
         fresh.append(fresh[-1] + len(clause.params) * keyed)
         steps.append(steps[-1] + (2 + key[2] if keyed else 0))
-    lead = 0
-    while lead < len(unkeyed) and unkeyed[lead] == lead:
-        lead += 1
 
     def entries(kept):
-        # the kept clauses past the lead in source order, each run of
-        # others between them as one skip record: its parameters, and its
-        # attempts' steps less the backtrack step that takes the record
-        out, start = [], lead
-        for i in (*sorted(kept)[lead:], len(clauses)):
+        # the kept clauses in source order, each run of others between
+        # them as one skip record: its parameters, and its attempts' steps
+        # less the backtrack step that takes the record
+        out, start = [], 0
+        for i in (*sorted(kept), len(clauses)):
             if start < i:
                 out.append((fresh[i] - fresh[start], steps[i] - steps[start] - 1))
             if i < len(clauses):
@@ -385,24 +376,19 @@ def _index_clauses(clauses):
             start = i + 1
         return out
     index.lists = {key: entries(unkeyed + group) for key, group in groups.items()}
-    index.default, index.unbound, index.lead = entries(unkeyed), clauses[lead:], lead
+    index.default, index.unbound = entries(unkeyed), clauses
     return index
 
 
-def call_site(hot, table, goal, traced):
-    """What a call from goal takes, kept at hot[id(goal)] from its first
-    call: the clauses of its name and arity; or, where two or more of
-    them have a ClauseIndex and no trace hook is set, the index, or the
-    clauses of its lead and then (index,), the mark at which the search
-    selects the rest. None when no clause has that name and arity. hot
-    maps id(clauses) to their index, or None, from their first call."""
-    site = clauses = table.get((goal.name, len(goal.args)))
-    if clauses is not None and not traced and len(clauses) > 1:
-        index = hot.get(id(clauses), clauses)
-        if index is clauses:
-            index = hot[id(clauses)] = _index_clauses(clauses)
-        if index is not None:
-            site = (*clauses[:index.lead], (index,)) if index.lead else index
-    if site is not None:
-        hot[id(goal)] = site
-    return site
+def clause_table(clauses, traced):
+    """A search's clause table: (name, arity) -> the clauses a call tries,
+    in source order; or, where two or more of them have a ClauseIndex and
+    no trace hook is set, the index."""
+    table = {}
+    for clause in clauses:
+        table.setdefault((clause.name, len(clause.params)), []).append(clause)
+    if not traced:
+        for key, listed in table.items():
+            if len(listed) > 1:
+                table[key] = _index_clauses(listed) or listed
+    return table

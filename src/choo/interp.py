@@ -18,12 +18,12 @@ raise EvalError and abort the search.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator
 
 from .derivation import DerivationNode, tree_of
-from .hot import COUNTING, ClauseIndex, call_site, set_elements, settle_function
+from .hot import COUNTING, ClauseIndex, clause_table, set_elements, settle_function
 from .syntax import (
     Assign,
     BinOp,
@@ -352,13 +352,10 @@ class Solver:
         linked list ((rule, goal, label, env), older) that tree_of reads."""
         st, on_rule, steps = self.state, self.on_rule, self.steps
         max_depth, max_steps = self.budget.max_depth, self.budget.max_steps
-        table = {}  # (name, arity) -> the clauses a call tries, in source order
-        for clause in st.clauses:
-            table.setdefault((clause.name, len(clause.params)), []).append(clause)
+        table = clause_table(st.clauses, on_rule is not None)
         # id(node) -> what the hot tier has learnt of it in this search: a
         # bounded choose's visits counted or compiled settle function
-        # (settle_function), a set's elements (set_elements), a clause
-        # list's index and what a call site takes (call_site)
+        # (settle_function), or a set's elements (set_elements)
         hot = {}
         base_mark = st.mark()
         # frames [goal, env, depth, next] each run goal in env; applied holds
@@ -423,8 +420,8 @@ class Solver:
                             if on_rule is None:  # a traced search runs every leaf
                                 settle = COUNTING
                         elif kind is Call:
-                            # its clauses, their index's lead, or their index (hot.py)
-                            alternatives = hot.get(id(goal)) or call_site(hot, table, goal, on_rule is not None)
+                            # its clauses, or their index (hot.py)
+                            alternatives = table.get((goal.name, len(goal.args)))
                             if alternatives is None:
                                 raise EvalError("undefined", f"no clause for {goal.name}/{len(goal.args)}")
                             if type(alternatives) is ClauseIndex:
@@ -447,10 +444,6 @@ class Solver:
                             points.pop()  # run out, or empty from the start
                             continue
                         if type(alternative) is tuple:
-                            if len(alternative) == 1:  # the end of a lead: what the call takes past it
-                                point[0] = iter(alternative[0].select(goal.args, env, st.subst, depth, max_depth))
-                                steps -= 1
-                                continue
                             # clauses that cannot match, skipped: their attempts' fresh
                             # variables and steps, and nothing else (hot.py says why)
                             st._fresh += alternative[0]

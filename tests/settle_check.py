@@ -70,8 +70,9 @@ SETTLE_EDGES = {
 FACTS = "".join(f"f(k, v) {{ k == {i}; v == {2 * i} }}\n" for i in range(40))
 DOWN = ["down(n) { n == 0 }", "down(n) { n > 0; choose(m) (m == n - 1; down(m)) }"]
 CLAUSE_SHAPES = {
-    # Int keys, a negative one, and a lead of two clauses: one keyed on the
-    # other position and one unkeyed; x = 0 and 5 match no key
+    # Int keys, a negative one, and two clauses before the first keyed one:
+    # one keyed on the other position and one unkeyed; x = 0 and 5 match
+    # no key
     "int_keys": "f(k, v) { v == 30; k == 3 }\nf(k, v) { k > 2; v == 40 }\nf(k, v) { k == 1; v == 10 }\n"
                 "f(k, v) { k == -2; v == 20 }\nf(k, v) { 4 == k; v == 50 }\nf(k, v) { k > 3; v == 60 }\n"
                 "main { choose(x in {-2..5}) choose(y) (f(x, y); s = y) }",
@@ -84,7 +85,7 @@ CLAUSE_SHAPES = {
                     "g(a, k) { k == 1; a == 11 }\ng(a, k) { a == 5; k == 2 }\n"
                     "main { choose(k in {0..3}) choose(a) (g(a, k); s = a) }",
     # keys at mixed positions: more clauses are keyed on the first, and
-    # the first clause, keyed on the second, is a lead
+    # the first clause, keyed on the second, comes before every keyed one
     "mixed_positions": "h(a, b) { b == 1 }\nh(a, b) { a == 1; b == 2 }\nh(a, b) { a == 2; b == 3 }\n"
                        "h(a, b) { b == 4; a == 1 }\nh(a, b) { (((a == 1; t = a); t = t + b); t > 2) }\n"
                        "main { choose(x in {1..3}) choose(y in {1..4}) (h(x, y); s = x * 10 + y) }",
@@ -152,7 +153,7 @@ def patched(owner=hot, **values):
 
 
 class Counting:
-    """An iterator over what a call selects past a lead that counts, in
+    """An iterator over what a call selects that counts, in
     verdicts["skipped"], the clauses of each skip record it hands out. A
     skipped clause makes one fresh variable per parameter, and every
     clause of a list has the call's arity."""

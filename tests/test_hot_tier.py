@@ -467,9 +467,9 @@ def test_a_call_selects_by_what_its_argument_walks_to():
     def selected(arg, subst=None, depth=1):
         return index.select((arg, Var("n")), {}, subst or {}, depth, 100)
 
-    # the first clause is keyed, so there is no lead; a skip record is
-    # (fresh variables, steps past the backtrack step that takes it)
-    assert index.lead == 0 and index.unbound == clauses
+    # a skip record is (fresh variables, steps past the backtrack step
+    # that takes it)
+    assert index.unbound == clauses
     assert selected(Atom("red")) == [red1, (2, 2), unkeyed, red4]
     assert selected(Var("x"), {"x": Var("y"), "y": Atom("green")}) == [(2, 2), green, unkeyed, (2, 2)]
     assert selected(Atom("blue")) == selected(Int(7)) == selected(Compound("pair", (Atom("red"),))) == [
@@ -479,19 +479,31 @@ def test_a_call_selects_by_what_its_argument_walks_to():
     assert selected(Atom("red"), depth=99) == clauses
 
 
-def test_a_call_takes_the_clauses_before_the_first_keyed_one_as_they_are():
+def test_a_call_selects_the_clauses_before_the_first_keyed_one_too():
     program = parse_program(CLAUSE_SHAPES["int_keys"])
     clauses = list(program.clauses)
     index = hot._index_clauses(clauses)
-    # the lead: a clause keyed on the other position and an unkeyed one
-    assert index.lead == 2 and index.unbound == clauses[2:]
-    assert index.select((Int(-2), Var("v")), {}, {}, 1, 100) == [(2, 2), clauses[3], (2, 2), clauses[5]]
-    # a countdown whose recursive clause comes first takes it as it is,
-    # then the mark at which the search selects the rest
+    # before the first keyed clause: one keyed on the other position and
+    # an unkeyed one, which every call takes
+    assert index.unbound == clauses
+    assert index.select((Int(-2), Var("v")), {}, {}, 1, 100) == [
+        clauses[0], clauses[1], (2, 2), clauses[3], (2, 2), clauses[5]]
+    # a countdown whose recursive clause comes first selects at the call:
+    # the recursive clause, then the base clause as one skip record
     down = parse_program(CLAUSE_SHAPES["down_base_last"])
-    table = {("down", 1): list(down.clauses)}
-    site = hot.call_site({}, table, down.main, False)
-    assert site[0] is down.clauses[0] and type(site[1][0]) is hot.ClauseIndex and len(site) == 2
+    index = hot.clause_table(down.clauses, False)[("down", 1)]
+    assert type(index) is hot.ClauseIndex
+    assert index.select((Int(5),), {}, {}, 1, 100) == [down.clauses[0], (1, 1)]
+
+
+def test_a_single_clause_and_a_traced_search_keep_plain_lists():
+    program = parse_program("one(k) { k == 1 }\n" + CLAUSE_SHAPES["peano"])
+    one, mk, nat = program.clauses[:1], program.clauses[1:3], program.clauses[3:]
+    table = hot.clause_table(program.clauses, False)
+    assert type(table[("mk", 2)]) is type(table[("nat", 1)]) is hot.ClauseIndex
+    assert table[("one", 1)] == list(one)
+    assert hot.clause_table(program.clauses, True) == {
+        ("mk", 2): list(mk), ("nat", 1): list(nat), ("one", 1): list(one)}
 
 
 def test_a_traced_search_tries_every_clause(monkeypatch):
