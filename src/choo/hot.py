@@ -36,8 +36,9 @@ that running and undoing it leaves. Where it rejects a leaf, running the
 leaf reads the same values and fails after the same k steps, and a
 failed leaf leaves nothing in any record. Three conditions keep it out,
 and the leaf runs as it always does: a trace hook is set, which must see
-every step; steps + 1 + k would pass max_steps, where the leaf is handed
-back; or depth + 1 + the run's Seq nesting would pass max_depth. So
+every step; steps + 1 + k', with k' the steps through the run's last
+condition, would pass max_steps, where the leaf is handed back; or
+depth + 1 + the run's Seq nesting would pass max_depth. So
 outcomes, errors, traces, steps and records are what they are without
 the tier.
 
@@ -70,18 +71,19 @@ search makes and drops.
 from __future__ import annotations
 
 import collections
+import operator
 
 from .syntax import Assign, BinOp, Compare, IntLit, Range, Seq, TermLit, VarRef
 from .terms import INT64_MAX, INT64_MIN, Atom, Int, Var, apply, free_vars, walk
 
 # times a search backtracks into the choice points of one bounded choose
 # before it compiles the choose's settle function. Compiling one costs as
-# much as 61-74 leaf runs, and the function repays that after 76-88
+# much as 43-48 leaf runs, and the function repays that after 49-57
 # leaves (quartiles over the innermost chooses of the seed-3 choice pools;
-# Python 3.11.7, a shared 2-core host), so a choose that stops right after
-# compiling costs at most about 1.6 times what it would without the tier.
-# ROADMAP.md gives the per-search leaf counts.
-_HOT_AFTER = 128
+# Python 3.11.7, a shared 2-core host). 64 is the lowest count at which a
+# choose that stops right after compiling costs at most about 1.75 times
+# what it would without the tier. ROADMAP.md gives the per-search counts.
+_HOT_AFTER = 64
 _RANGE_CAP = 4096  # the widest range whose elements a search keeps
 COUNTING = object()  # a choice point whose search is still counting its choose's visits
 _PER_ENTRY = object()  # what hot holds for a set that names a binder: it is made at each entry
@@ -89,89 +91,117 @@ _PER_ENTRY = object()  # what hot holds for a set that names a binder: it is mad
 # code for each operator, and for each comparison the test that it
 # fails; the operator only selects it, so no program text reaches the
 # generated source
-_ARITH_CODE = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
-               "/": "({0} // {1} if ({0} < 0) == ({1} < 0) else -(-{0} // {1}))"}  # toward zero
+_ARITH_CODE = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/": "toward_zero({0}, {1})"}
 _FAILS_CODE = {"==": "{} != {}", "!=": "{} == {}", "<": "{} >= {}", "<=": "{} > {}",
                ">": "{} <= {}", ">=": "{} < {}"}
-_OUT_OF_RANGE = f"not {INT64_MIN} <= {{}} <= {INT64_MAX}"
+_IN_RANGE = f"{INT64_MIN} <= {{}} <= {INT64_MAX}"
+_INT64 = (INT64_MIN, INT64_MAX)
+_CALLS = 16  # the most calls one prologue expression holds; the parser nests 200 deep
 
 
 def _compile_settle(goal, kept):
     """(settle, deepest) for the leaves of the bounded choose goal, or
-    (None, 0) when its leading run holds no condition. kept is the tuple
-    of the set's elements that the search keeps, or None; it tells only
-    whether every element is an Int.
+    (None, 0) when its leading run holds no condition; see _settle_source."""
+    made = _settle_source(goal, kept)
+    if made is None:
+        return None, 0
+    source, namespace, deepest = made
+    exec(compile(source, "<choo settle function>", "exec"), namespace)
+    # a function its own namespace held would be freed only by gc
+    return namespace.pop("settle"), deepest
 
-    The walk follows the body's Seq spine in execution order, from an
-    explicit stack, and counts each Seq node and goal as the search's step
-    would. It compiles Compare and Assign goals whose sides are integer
-    expressions of literals, variables and + - * /, and ends at the first
-    goal of any other kind. == compiles like the order comparisons: of two
-    Ints, unification and equality are both equality. The code ends after
-    the last condition; deepest is the Seq nesting of the deepest node up
-    to it.
 
-    Expressions are emitted from an explicit stack too. Each leaf is read
-    as eval_int reads it, and once: a literal; the choose variable, as
-    value; another binder in env, through one subst step for a clause
-    parameter; a store name, or the local of a value the run assigned to
-    it. Names and literal values reach the code only through namespace.
-    A v-free value goes to the prologue, where it is None at any point
-    where eval_int would give None or raise. Code that reads v goes to the
-    loop and hands the leaf back at such a point: "{fail}" in its lines.
+def _settle_source(goal, kept):
+    """(source, namespace, deepest) of goal's settle function, or None when
+    its leading run holds no condition. kept is the tuple of the set's
+    elements that the search keeps, or None; it tells whether every
+    element is an Int, and their least and greatest.
+
+    The run is walked in execution order, from an explicit stack, through
+    its last condition, each Seq node and goal counted as a step. It holds
+    Compare and Assign goals over integer expressions of literals,
+    variables and + - * /; == compiles like the order comparisons, since
+    of two Ints unification is equality. deepest is the Seq nesting up to
+    the last condition compiled. Each variable is read once, as eval_int
+    reads it, and expressions are emitted from an explicit stack too.
+    Names and literal values reach the code only through namespace.
+
+    A v-free value is one prologue expression of _V_FREE calls, None where
+    eval_int would give None or raise. The loop tests each condition once:
+    the comparison fails, and each value the loop computed is in 64 bits
+    unless the set's bounds show it. It hands back (break) a leaf that no
+    test rejects, one that divides by 0 or uses a v-free None, and every
+    leaf once the step budget no longer covers the last condition. A value
+    assigned in one expression is tested before a later one computes with
+    it, so none grows wider than one expression's arithmetic makes it.
     """
-    var = goal.var
-    namespace = {"number": _number, "bounded": _bounded}
-    ints = type(goal.cset) is Range or (kept is not None and all(type(e) is Int for e in kept))
+    namespace = dict(_HELPERS)
+    v = "value.value"  # the choose variable, where every element is an Int
+    bounds = {}  # loop operands and literals -> their least and greatest values
+    if type(goal.cset) is Range:
+        bounds[v] = (goal.cset.lo, goal.cset.hi)
+    elif kept is not None and all(type(e) is Int for e in kept):
+        values = [e.value for e in kept] or [0]
+        bounds[v] = (min(values), max(values))
     prologue, loop = [], []  # code run once per call, and once per leaf
-    # each leaf read, (VarRef or TermLit, name), and each store name assigned -> its local
+    # each leaf read, (VarRef or TermLit, name), and each store name assigned -> its operand
     local_of = {}
-    nullable = {}  # the local of each v-free value -> whether it may be None
-    guards, checked = [], set()  # v-free values tested before the loop, and all those tested
+    free = {}  # each v-free operand -> the v-free locals that are not None where it is not
+    guards, checked = [], set()  # v-free values tested before the loop, and all known not None
+    unchecked, carried = {}, set()  # loop values not yet tested -> their test; those assigned
     cut = None  # where the code ends, once the walk has met a condition
 
+    def local(a):
+        # a v-free value as a prologue local
+        if a.isidentifier():
+            return a
+        x = f"p{len(prologue)}"
+        prologue.append(f"{x} = {a}")
+        free[x] = free[a] | {x}
+        return x
+
     def use(a):
-        # a v-free value that may be None is tested where the run first uses it
-        if nullable.get(a) and a not in checked:
-            checked.add(a)
+        # a as the loop or a condition reads it
+        if a not in free:
+            return a
+        a = local(a)
+        if free[a] and a not in checked:
+            checked.update(free[a])
             if cut is None:  # nothing before the first condition can reject the leaf
                 guards.append(a)
             else:
-                loop.append(f"if {a} is None: {{fail}}")
-
-    def read(kind, name):
-        key = (kind, name)
-        if key not in local_of:
-            x = local_of[key] = f"x{len(local_of)}"
-            k = f"k{len(namespace)}"
-            namespace[k] = name
-            if kind is TermLit and name == var:
-                loop.extend([f"{x} = value.value"] if ints else [
-                    f"{x} = number(value, subst)", f"if {x} is None: {{fail}}"])
-            else:
-                nullable[x] = True
-                prologue.append(f"{x} = number({'store' if kind is VarRef else 'env'}.get({k}), subst)")
-        return local_of[key]
+                loop.append(f"if {a} is None: break")
+        return a
 
     def operate(op, a, b):
-        r = f"r{len(prologue) + len(loop)}"
-        code = _ARITH_CODE[op].format(a, b)
-        if a in nullable and b in nullable:
-            unknown = [f"{x} is None" for x in (a, b) if nullable[x]] + [f"not {b}"] * (op == "/")
-            prologue.append(f"{r} = None if {' or '.join(unknown)} else bounded({code})" if unknown
-                            else f"{r} = bounded({code})")
-            nullable[r] = True
-            return r
-        use(a)
-        use(b)
+        if a in free and b in free:
+            if a.count("(") + b.count("(") >= _CALLS:
+                a, b = local(a), local(b)
+            code = f"{_V_FREE[op][0]}({a}, {b})"
+            free[code] = free[a] | free[b]
+            return code
+        a, b = use(a), use(b)
+        if carried.intersection((a, b)):
+            loop.append(f"if not ({' and '.join(unchecked.values())}): break")
+            unchecked.clear()
+            carried.clear()
+        (alo, ahi), (blo, bhi) = bounds.get(a, _INT64), bounds.get(b, _INT64)
         if op == "/":
-            loop.append(f"if not {b}: {{fail}}")
-        loop.extend((f"{r} = {code}", f"if {_OUT_OF_RANGE.format(r)}: {{fail}}"))
+            loop.append(f"if not {b}: break")
+            ends = (min(alo, -ahi), max(-alo, ahi))  # a quotient is no wider than its dividend
+        else:
+            ends = [_V_FREE[op][1](x, y) for x in (alo, ahi) for y in (blo, bhi)]
+        r = f"r{len(loop)}"
+        loop.append(f"{r} = {_ARITH_CODE[op].format(a, b)}")
+        if min(ends) < INT64_MIN or max(ends) > INT64_MAX:
+            unchecked[r] = _IN_RANGE.format(r)
+        # a leaf is rejected only where r is in 64 bits
+        bounds[r] = max(min(ends), INT64_MIN), min(max(ends), INT64_MAX)
         return r
 
     def emit(expr):
-        # the local that holds expr's value, or None when expr holds a call
-        # or a term that is not a variable
+        # the operand that holds expr's value, or None when expr holds a
+        # call or a term that is not a variable
         operands, stack = [], [expr]
         while stack:
             e = stack.pop()
@@ -184,51 +214,74 @@ def _compile_settle(goal, kept):
             elif kind is IntLit:
                 operands.append(f"k{len(namespace)}")
                 namespace[operands[-1]] = e.value
-                nullable[operands[-1]] = False
+                free[operands[-1]], bounds[operands[-1]] = frozenset(), (e.value, e.value)
             elif kind is VarRef or (kind is TermLit and type(e.term) is Var):
                 operands.append(read(kind, e.name if kind is VarRef else e.term.name))
             else:
                 return None
         return operands[0]
 
-    stack, steps, reach = [(goal.body, 0)], 0, 0
+    def read(kind, name):
+        key = (kind, name)
+        if key in local_of:
+            return local_of[key]
+        if kind is TermLit and name == goal.var:
+            if v in bounds:
+                local_of[key] = v
+            else:
+                local_of[key] = x = f"v{len(loop)}"
+                loop.extend((f"{x} = number(value, subst)", f"if {x} is None: break"))
+        else:
+            local_of[key] = x = f"x{len(prologue)}"
+            k = f"k{len(namespace)}"
+            namespace[k] = name
+            free[x] = {x}
+            prologue.append(f"{x} = number({'store' if kind is VarRef else 'env'}.get({k}), subst)")
+        return local_of[key]
+
+    # the leading run's Seq nodes and goals, in execution order, through its last condition
+    spine, stack = [], [(goal.body, 0)]
     while stack:
         node, nesting = stack.pop()
-        steps, reach = steps + 1, max(reach, nesting)
+        if type(node) is Seq:
+            stack += ((node.second, nesting + 1), (node.first, nesting + 1))
+        elif type(node) not in (Compare, Assign):
+            break
+        spine.append((node, nesting))
+    while spine and type(spine[-1][0]) is not Compare:
+        spine.pop()
+    reach = 0
+    for steps, (node, nesting) in enumerate(spine, 1):
+        reach = max(reach, nesting)
         kind = type(node)
         if kind is Seq:
-            stack += ((node.second, nesting + 1), (node.first, nesting + 1))
-        elif kind is Compare:
+            continue
+        if kind is Compare:
             a = emit(node.lhs)
             b = None if a is None else emit(node.rhs)
             if b is None:
                 break
-            use(a)
-            use(b)
-            prologue.append(f"m{steps} = max_steps - {1 + steps}")
-            loop += [f"if {_FAILS_CODE[node.op].format(a, b)}:",
-                     f"    if steps > m{steps}: {{fail}}",
+            a, b = use(a), use(b)
+            loop += [f"if {' and '.join((_FAILS_CODE[node.op].format(a, b), *unchecked.values()))}:",
                      f"    steps += {1 + steps}",
                      "    continue"]
-            cut, deepest = (len(prologue), len(loop)), reach
+            cut, deepest, cost = (len(prologue), len(loop)), reach, 1 + steps
         elif kind is Assign and (a := emit(node.expr)):
-            use(a)
-            local_of[(VarRef, node.target)] = a
+            a = local_of[(VarRef, node.target)] = use(a)
+            if a in unchecked:
+                carried.add(a)
         else:
             break
     if cut is None:
-        return None, 0
-    del prologue[cut[0]:], loop[cut[1]:]
-    lines = ["def settle(store, subst, env, alternatives, steps, max_steps):", *prologue]
-    if guards:  # then no leaf is rejected
-        lines += (f"if {' or '.join(f'{g} is None' for g in guards)}:", "    for value in alternatives:",
-                  "        return value, steps + 1", "    return None, steps")
-    lines += ("for value in alternatives:",
-              *("    " + line.format(fail="return value, steps + 1") for line in loop),
-              "    return value, steps + 1", "return None, steps")
-    exec(compile("\n    ".join(lines), "<choo settle function>", "exec"), namespace)
-    # a function its own namespace held would be freed only by gc
-    return namespace.pop("settle"), deepest
+        return None
+    del prologue[cut[0]:], loop[cut[1]:]  # past a condition whose side holds a call or a term
+    budget = f"max_steps - {cost}"  # the last steps at which each leaf's run fits
+    lines = ["def settle(store, subst, env, alternatives, steps, max_steps):", *prologue,
+             f"m = -1 if {' or '.join(f'{g} is None' for g in guards)} else {budget}" if guards
+             else f"m = {budget}",
+             "for value in alternatives:", "    if steps > m: break", *("    " + line for line in loop),
+             "    break", "else:", "    return None, steps", "return value, steps + 1"]
+    return "\n    ".join(lines), namespace, deepest
 
 
 def _number(term, subst):
@@ -239,9 +292,28 @@ def _number(term, subst):
     return term.value if type(term) is Int else None
 
 
-def _bounded(n):
-    """n where it is a signed 64-bit integer, else None."""
-    return n if INT64_MIN <= n <= INT64_MAX else None
+def _toward_zero(a, b):
+    """a / b as choo divides: rounded toward zero."""
+    return a // b if (a < 0) == (b < 0) else -(-a // b)
+
+
+def _v_free(op):
+    """op as the prologue computes a v-free value: None where an operand
+    is None, the divisor is 0, or the result passes 64 bits."""
+    def operate(a, b):
+        if a is None or b is None or (not b and op is _toward_zero):
+            return None
+        n = op(a, b)
+        return n if INT64_MIN <= n <= INT64_MAX else None
+    return operate
+
+
+# each operator's name in the prologue, and its function
+_V_FREE = {"+": ("add", operator.add), "-": ("sub", operator.sub), "*": ("mul", operator.mul),
+           "/": ("div", _toward_zero)}
+# the functions the generated code calls, by name
+_HELPERS = {"number": _number, "toward_zero": _toward_zero,
+            **{name: _v_free(op) for name, op in _V_FREE.values()}}
 
 
 def settle_function(hot, point, max_depth):

@@ -306,7 +306,7 @@ class _Enumerator:
     def _set_members(self, cset, env):
         match cset:
             case Range(lo, hi):  # one at a time: the body may end the run at the first
-                return (Int(i) for i in range(lo, hi + 1))
+                return map(Int, range(lo, hi + 1))
             case Enum(elements):
                 members = [_instance(e, env) for e in elements]
                 if any(m is None for m in members):

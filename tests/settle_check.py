@@ -2,11 +2,13 @@
 against trying every clause.
 
 Each check runs searches on two axes: every bounded choose's settle
-function compiled at its first visit, or none, so that each leaf runs in
-full; and each call selecting its clauses by their leading
-`param == constant`, or trying every clause. The runs of all four
-settings must show equal outcomes, bindings, stores, choices, records
-(with their _G names), error kinds and steps. `tests/test_hot_tier.py`
+function compiled at its first visit, at the shipped threshold
+(`hot._HOT_AFTER`), where a search runs a hot choose's first leaves in
+full and settles the rest, or never, so that each leaf runs in full; and
+each call selecting its clauses by their leading `param == constant`, or
+trying every clause. The runs of all five settings checked must show
+equal outcomes, bindings, stores, choices, records (with their _G
+names), error kinds and steps. `tests/test_hot_tier.py`
 runs these checks on `gen_program` seeds 0-2,999; this script runs them
 on more, with the standard library alone:
 
@@ -61,6 +63,11 @@ SETTLE_EDGES = {
                   " (x + z * 2 == 11; s = z) }",
     "atom_in_set": "main { choose(x in {1..3}) choose(z in {7, 3, 7, 5, red, 1})"
                    " (x + z * 2 == 11; s = z) }",
+    # z * z passes 64 bits at the set's last z, and only there; s * s is
+    # computed only once s is known to be in 64 bits
+    "squares_at_the_edge": "main { choose(x in {1..3}) choose(z in {3037000490..3037000500}) z * z < x }",
+    "squared_again": "main { choose(x in {1..3}) choose(z in {0..4}) (s = z * 3037000499;"
+                     + " s = s * s;" * 40 + " s == x) }",
     # the first condition holds for no z, or for every z
     "never": "main { choose(x in {1..3}) choose(z in {0..30}) (t = z + x; t - z == 9) }",
     "always": "main { choose(x in {1..3}) choose(z in {0..30}) (t = z + x; t - z == x; z > 28) }",
@@ -177,7 +184,8 @@ class Counting:
 def forced_and_forbidden(observe_all):
     """What observe_all() shows with each settle function compiled at its
     choose's first visit and clause selection on, checked equal to what it
-    shows with either or both forbidden; and what they did, counted:
+    shows with either or both forbidden, and with settle functions compiled
+    at the shipped threshold; and what the forced ones did, counted:
     settle function "calls", leaves rejected, "fails", and handed back,
     "unknown"; clauses "skipped". Sets too wide to keep are not counted."""
     verdicts = collections.Counter()
@@ -203,9 +211,11 @@ def forced_and_forbidden(observe_all):
 
     with patched(_HOT_AFTER=0, _compile_settle=counting), patched(hot.ClauseIndex, select=selecting):
         settled = observe_all()
-    settles = {"forced": {"_HOT_AFTER": 0}, "forbidden": {"_compile_settle": lambda goal, kept: (None, 0)}}
+    settles = {"forced": {"_HOT_AFTER": 0}, "shipped": {},
+               "forbidden": {"_compile_settle": lambda goal, kept: (None, 0)}}
     selects = {"on": {}, "forbidden": {"_index_clauses": lambda clauses: None}}
-    for settle, select in (("forbidden", "on"), ("forced", "forbidden"), ("forbidden", "forbidden")):
+    for settle, select in (("forbidden", "on"), ("shipped", "on"), ("forced", "forbidden"),
+                           ("forbidden", "forbidden")):
         with patched(**settles[settle], **selects[select]):
             if observe_all() != settled:
                 raise AssertionError(f"a search shows other things with settle functions {settle}"

@@ -11,11 +11,13 @@ clause selection change no outcome, error, step count or record
 (settle_check.py holds that comparison).
 """
 
+import ast
 import collections
 import dataclasses
 import gc
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -34,6 +36,7 @@ from choo import (
     Int,
     IntLit,
     Range,
+    Seq,
     TermLit,
     Var,
     VarRef,
@@ -218,6 +221,41 @@ def test_generated_code_holds_no_program_text():
     assert one_leaf(settle, Int(1), {name: Int(123456789 - 987654321)}) is None
 
 
+def innermost_choose(goal):
+    """The innermost of the nested bounded chooses that goal, or the last
+    goal of its ; spine, begins with."""
+    while type(goal) is not BoundedChoose or type(goal.body) is BoundedChoose:
+        goal = goal.second if type(goal) is Seq else goal.body
+    return goal
+
+
+# what compile() costs grows with the code, so each settle function's
+# statements, as ast counts them with the def, are pinned at their count
+@pytest.mark.parametrize("source,statements", [
+    ((PROGRAMS / "pythagorean.choo").read_text(), 18),
+    (SHAPES["pyth"], 18),
+    (SHAPES["change"], 16),
+    (SHAPES["rollback"], 16),
+], ids=["pythagorean", "pyth", "change", "rollback"])
+def test_a_settle_function_stays_small(source, statements):
+    code, _, _ = hot._settle_source(innermost_choose(parse_program(source).main), None)
+    assert sum(isinstance(node, ast.stmt) for node in ast.walk(ast.parse(code))) <= statements, code
+    assert not re.search(r"\b(\w+) is None or \1 is None\b", code), code  # x * x tests x once
+
+
+def test_a_value_its_set_keeps_in_64_bits_is_not_range_tested():
+    def tests_range(source):
+        return str(INT64_MAX) in hot._settle_source(innermost_choose(parse_program(source).main), None)[0]
+
+    assert not tests_range("main { choose(x in {1..20}) x * x - 3 * x == 40 }")
+    assert not tests_range("main { choose(x in {-3037000499..3037000499}) x * x > 0 }")
+    assert tests_range("main { choose(x in {-3037000499..3037000500}) x * x > 0 }")
+    assert tests_range("main { s = 1; choose(x in {1..20}) s + x == 40 }")
+    # a quotient is no wider than its dividend, but -2**63 / -1 overflows
+    assert not tests_range("main { choose(x in {-5..5}) (x + 1) / (x - 9) == 0 }")
+    assert tests_range("main { s = 2; choose(x in {0..1}) (x - 9223372036854775807 - 1) / (1 - s) == 0 }")
+
+
 def test_a_long_sum_compiles_at_the_default_recursion_limit():
     expr = IntLit(1)
     for _ in range(3000):
@@ -271,6 +309,8 @@ def test_filters_change_no_budget_exhaustion(shape):
     ("overflows_low", "overflow"),
     ("ground_set", "end"),
     ("atom_in_set", "not-integer"),
+    ("squares_at_the_edge", "overflow"),
+    ("squared_again", "overflow"),
     ("never", "end"),
     ("always", "end"),
 ])
@@ -365,9 +405,24 @@ def test_a_filter_is_compiled_once_its_choose_is_hot_and_only_for_its_search(mon
         outs = list(execute(program))
         assert [o.witnesses for o in outs] == [(("x", Int(151)), ("y", Int(0)))]
         assert outs[0].store == {"s": Int(302), "u": Int(151), "t": Int(1)}
-    # y's choose is entered for its 129th leaf in x's 65th: then it gets its
-    # settle function; x's later, and its body begins with no condition
+    # y's choose, two leaves for each x, is hot first and gets its settle
+    # function; x's later, and its body begins with no condition
     assert made == [("y", True), ("x", False)] * 2
+
+
+@pytest.mark.parametrize("hot_after", [hot._HOT_AFTER, 5])
+def test_a_choose_compiles_at_the_visit_after_hot_after(monkeypatch, hot_after):
+    # each visit to a point of x's choose takes one leaf, the last one too
+    made = []
+    compile_settle = hot._compile_settle
+    monkeypatch.setattr(hot, "_HOT_AFTER", hot_after)
+    monkeypatch.setattr(hot, "_compile_settle",
+                        lambda goal, kept: made.append(goal.var) or compile_settle(goal, kept))
+    for visits, compiled in ((hot_after, []), (hot_after + 1, ["x"])):
+        made.clear()
+        outs = list(execute(parse_program(f"main {{ choose(x in {{1..{visits}}}) x > {visits - 1} }}")))
+        assert [o.witnesses for o in outs] == [(("x", Int(visits)),)]
+        assert made == compiled, visits
 
 
 @pytest.mark.parametrize("source,compiled", [
@@ -376,8 +431,8 @@ def test_a_filter_is_compiled_once_its_choose_is_hot_and_only_for_its_search(mon
     ("main { choose(y in {1..200}) choose(x in {1..2}) (x > 1; s = x + y) }", 2),
 ], ids=["backtracking", "300_cold_chooses", "one_hot_choose"])
 def test_a_search_compiles_only_the_chooses_it_finds_hot(monkeypatch, source, compiled):
-    # compile() took about 350 of the about 380 us that one leaf filter cost:
-    # with _HOT_AFTER at 0, backtracking.choo's search took 268 us, not 33
+    # compiling a settle function costs as much as 43-48 leaf runs: with
+    # _HOT_AFTER at 0, backtracking.choo's search took 120-160 us, not 21-27
     # (Python 3.11.7, a shared 2-core host), although nested_choice ran
     # faster; a change to the threshold is measured on both
     made = []
@@ -400,7 +455,9 @@ def test_pythagorean_triples_skip_the_leaves_their_filter_rejects(monkeypatch):
     assert len(list(solver.records(program.main))) == 6
     assert solver.steps == 24853  # as without the tier
     assert chosen.count("a") == 20 and chosen.count("b") == 400
-    # the first 128 leaves have a = 1, where no triple is; each triple passes
+    # the first _HOT_AFTER leaves (b = 1 to 4 at 64, 1 to 7 at 128) have a = 1,
+    # where no triple is; each triple passes
+    assert hot._HOT_AFTER <= 20 * 20
     assert chosen.count("c") == hot._HOT_AFTER + 6
 
 
