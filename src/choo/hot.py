@@ -132,8 +132,10 @@ def _settle_source(goal, kept):
     unless the set's bounds show it. It hands back (break) a leaf that no
     test rejects, one that divides by 0 or uses a v-free None, and every
     leaf once the step budget no longer covers the last condition. A value
-    assigned in one expression is tested before a later one computes with
-    it, so none grows wider than one expression's arithmetic makes it.
+    assigned while any 64-bit test is pending is tested, with the pending
+    ones, before a later expression computes with it, so none grows wider
+    than one expression's arithmetic makes it: a value computed from an
+    untested one may have bounds that look in 64 bits, as s * s + 0 does.
     """
     namespace = dict(_HELPERS)
     v = "value.value"  # the choose variable, where every element is an Int
@@ -195,7 +197,8 @@ def _settle_source(goal, kept):
         loop.append(f"{r} = {_ARITH_CODE[op].format(a, b)}")
         if min(ends) < INT64_MIN or max(ends) > INT64_MAX:
             unchecked[r] = _IN_RANGE.format(r)
-        # a leaf is rejected only where r is in 64 bits
+        # a leaf is rejected only where r is in 64 bits; what is computed
+        # from r before r is tested may not be
         bounds[r] = max(min(ends), INT64_MIN), min(max(ends), INT64_MAX)
         return r
 
@@ -268,7 +271,7 @@ def _settle_source(goal, kept):
             cut, deepest, cost = (len(prologue), len(loop)), reach, 1 + steps
         elif kind is Assign and (a := emit(node.expr)):
             a = local_of[(VarRef, node.target)] = use(a)
-            if a in unchecked:
+            if unchecked:
                 carried.add(a)
         else:
             break

@@ -64,10 +64,15 @@ SETTLE_EDGES = {
     "atom_in_set": "main { choose(x in {1..3}) choose(z in {7, 3, 7, 5, red, 1})"
                    " (x + z * 2 == 11; s = z) }",
     # z * z passes 64 bits at the set's last z, and only there; s * s is
-    # computed only once s is known to be in 64 bits
+    # computed only once s is known to be in 64 bits, also where + 0 or
+    # / 1 follows the square, whose result may look in 64 bits by its bounds
     "squares_at_the_edge": "main { choose(x in {1..3}) choose(z in {3037000490..3037000500}) z * z < x }",
     "squared_again": "main { choose(x in {1..3}) choose(z in {0..4}) (s = z * 3037000499;"
                      + " s = s * s;" * 40 + " s == x) }",
+    "squared_plus_zero": "main { choose(x in {1..3}) choose(z in {0..4}) (s = z * 3037000499;"
+                         + " s = s * s + 0;" * 40 + " s == x) }",
+    "squared_over_one": "main { choose(x in {1..3}) choose(z in {0..4}) (s = z * 3037000499;"
+                        + " s = s * s / 1;" * 40 + " s == x) }",
     # the first condition holds for no z, or for every z
     "never": "main { choose(x in {1..3}) choose(z in {0..30}) (t = z + x; t - z == 9) }",
     "always": "main { choose(x in {1..3}) choose(z in {0..30}) (t = z + x; t - z == x; z > 28) }",

@@ -311,6 +311,8 @@ def test_filters_change_no_budget_exhaustion(shape):
     ("atom_in_set", "not-integer"),
     ("squares_at_the_edge", "overflow"),
     ("squared_again", "overflow"),
+    ("squared_plus_zero", "overflow"),
+    ("squared_over_one", "overflow"),
     ("never", "end"),
     ("always", "end"),
 ])
@@ -318,6 +320,23 @@ def test_settle_edges_change_no_budget_exhaustion(edge, shows):
     seen, _ = check_sweep(SETTLE_EDGES[edge])
     kinds = ends(seen)
     assert kinds[shows] >= 4 and kinds["steps"] >= 10, kinds
+
+
+def test_a_value_squared_after_the_compile_is_tested_before_it_grows(monkeypatch):
+    # s is 0 until x = 100, long after z's choose is compiled at the
+    # shipped threshold; then, at z = 1, s * s + 0 leaves 64 bits at its
+    # second square, where the leaf must be handed back, not squared on
+    program = parse_program("main { choose(x in {0..100}) choose(z in {0..4})"
+                            " (s = z * (x / 100) * 3037000499;" + " s = s * s + 0;" * 40 + " s == 1) }")
+    made = []
+    compile_settle = hot._compile_settle
+    monkeypatch.setattr(hot, "_compile_settle",
+                        lambda goal, kept: made.append(goal.var) or compile_settle(goal, kept))
+    budget = SearchBudget(2000, 1_000_000)
+    seen, steps = observe(program, budget)
+    assert made[0] == "z" and seen == [("EvalError", "overflow", "integer overflow")], seen
+    monkeypatch.setattr(hot, "_compile_settle", lambda goal, kept: (None, 0))
+    assert observe(program, budget) == (seen, steps)
 
 
 @pytest.mark.parametrize("source", [
