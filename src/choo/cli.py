@@ -4,6 +4,8 @@ Exit status tells scripts what happened: 0 at least one solution, 1 no
 derivation, 2 parse or scope errors (reported with line:column), 3
 runtime errors and exhausted search budgets. Solutions go to stdout,
 everything else to stderr, so traces never disturb the output contract.
+A command imports only what it runs, and a reader that leaves early, as
+in `choo run --all | head -1`, ends it quietly with the status it had.
 """
 
 from __future__ import annotations
@@ -12,15 +14,7 @@ import argparse
 import functools
 import sys
 
-from .derivation import format_tree, tree_of
-from .interp import (
-    BudgetExhausted,
-    EvalError,
-    SearchBudget,
-    UNCONSTRAINED,
-    execute,
-)
-from .oracle import check_equivalence
+from .interp import UNCONSTRAINED, BudgetExhausted, EvalError, SearchBudget, execute
 from .parser import ParseError, parse_program
 from .syntax import format_goal, format_program
 from .terms import format_term
@@ -38,18 +32,33 @@ def _print_outcome(outcome):
     print(f"store: {{{inner}}}")
 
 
+def _end(status, text=None, file=None):
+    """status, once text, if any, is written as the command's last words;
+    once a reader has left, the rest, shutdown's flush included, is dropped."""
+    try:
+        if text is not None:
+            print(text, file=file)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
+    return status
+
+
 def _read_program(path: str):
     try:
         with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
             source = f.read()
     except (OSError, UnicodeDecodeError) as err:
-        print(f"cannot read {path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
-        return None
+        return _end(None, f"cannot read {path}: {getattr(err, 'strerror', None) or err}", sys.stderr)
     try:
         return parse_program(source)
     except ParseError as err:
-        print(f"parse error at {err.line}:{err.column}: {err.message}", file=sys.stderr)
-        return None
+        return _end(None, f"parse error at {err.line}:{err.column}: {err.message}", sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -59,68 +68,63 @@ def _cmd_run(args) -> int:
     try:
         budget = SearchBudget(max_depth=args.max_depth, max_steps=args.max_steps)
     except ValueError as err:
-        print(f"bad budget: {err}", file=sys.stderr)
-        return 2
+        return _end(2, f"bad budget: {err}", sys.stderr)
 
     on_rule = None
     if args.trace == "rules":
         on_rule = lambda rule, goal_env: print(
             f"[rule {rule}] {format_goal(*goal_env)}", file=sys.stderr
         )
+    elif args.trace == "full":
+        from .derivation import format_tree, tree_of
 
     count = 0
     try:
         for outcome in execute(program, budget=budget, on_rule=on_rule):
-            if args.all_solutions and count:
+            count += 1
+            if args.all_solutions and count > 1:
                 print("---")
             _print_outcome(outcome)
             if args.trace == "full":
                 print(format_tree(tree_of(outcome.record)), file=sys.stderr)
-            count += 1
             if not args.all_solutions:
                 return 0
     except BudgetExhausted as err:
-        print(f"budget exhausted: maximum {err.what} reached", file=sys.stderr)
-        return 3
+        return _end(3, f"budget exhausted: maximum {err.what} reached", sys.stderr)
     except EvalError as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return 3
-    if args.all_solutions:
-        print(f"solutions: {count}")
-    return 0 if count else 1
+        return _end(3, f"runtime error: {err}", sys.stderr)
+    except BrokenPipeError:  # the reader left: the search stops, and a solution found stands
+        return 0 if count else 3
+    return _end(0 if count else 1, f"solutions: {count}" if args.all_solutions else None)
 
 
 def _cmd_parse(args) -> int:
     program = _read_program(args.file)
     if program is None:
         return 2
-    print(format_program(program))
-    return 0
+    return _end(0, format_program(program))
 
 
 def _cmd_oracle_check(args) -> int:
-    from .shrink import shrink
-
     program = _read_program(args.file)
     if program is None:
         return 2
+    from .oracle import check_equivalence
+
     report = check_equivalence(program)
     if report.excluded:
-        print(f"out of oracle bounds: {report.reason}", file=sys.stderr)
-        return 3
+        return _end(3, f"out of oracle bounds: {report.reason}", sys.stderr)
     if report.matched:
-        print(report.describe())
-        return 0
+        return _end(0, report.describe())
 
     def still_bad(candidate) -> bool:
         r = check_equivalence(candidate)
         return not r.excluded and not r.matched
 
+    from .shrink import shrink
+
     minimal = shrink(program, still_bad)
-    print(report.describe())
-    print("minimal counterexample:")
-    print(format_program(minimal))
-    return 1
+    return _end(1, f"{report.describe()}\nminimal counterexample:\n{format_program(minimal)}")
 
 
 @functools.cache
@@ -163,7 +167,7 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
-    return args.handler(args)
+    return _end(args.handler(args))
 
 
 if __name__ == "__main__":

@@ -77,12 +77,12 @@ from .syntax import Assign, BinOp, Compare, IntLit, Range, Seq, TermLit, VarRef
 from .terms import INT64_MAX, INT64_MIN, Atom, Int, Var, apply, free_vars, walk
 
 # times a search backtracks into the choice points of one bounded choose
-# before it compiles the choose's settle function. Compiling one costs as
-# much as 43-48 leaf runs, and the function repays that after 49-57
-# leaves (quartiles over the innermost chooses of the seed-3 choice pools;
-# Python 3.11.7, a shared 2-core host). 64 is the lowest count at which a
-# choose that stops right after compiling costs at most about 1.75 times
-# what it would without the tier. ROADMAP.md gives the per-search counts.
+# before it compiles the choose's settle function. Compiling one costs as much
+# as 43-48 leaf runs, and the function repays that after 49-57 leaves
+# (quartiles over the innermost chooses of the seed-3 choice pools; Python
+# 3.11.7, a shared 2-core host). 64 is the lowest count at which a choose that
+# stops right after compiling costs at most about 1.75 times what it would
+# without the tier. Measured by tests/hot_reference.py; counts in ROADMAP.md.
 _HOT_AFTER = 64
 _RANGE_CAP = 4096  # the widest range whose elements a search keeps
 COUNTING = object()  # a choice point whose search is still counting its choose's visits

@@ -22,7 +22,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .derivation import DerivationNode, tree_of
 from .hot import COUNTING, ClauseIndex, clause_table, set_elements, settle_function
 from .syntax import (
     Assign,
@@ -337,9 +336,11 @@ class Solver:
         # format_goal(goal, env) gives the goal's text
         self.on_rule = on_rule
 
-    def solve(self, goal) -> Iterator[DerivationNode]:
-        """The tree of each solution that records() finds; only the
-        benchmark's layer replay (bench/layers.py) reads trees this way."""
+    def solve(self, goal) -> Iterator:
+        """The derivation tree of each solution that records() finds; only
+        the benchmark's layer replay (bench/layers.py) reads trees this way."""
+        from .derivation import tree_of
+
         records = self.records(goal)
         try:
             for applied in records:

@@ -31,8 +31,9 @@ import random
 import sys
 from pathlib import Path
 
-from choo import hot, parse_program
+from choo import hot
 from choo.interp import BudgetExhausted, EvalError, ProgramState, SearchBudget, Solver
+from choo.parser import parse_program
 from choo.terms import Var
 from proggen import gen_program
 

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import random
 
-from choo import Atom, Compound, Int, Var
-from choo.terms import _EMPTY, unify_in_place
+from choo.terms import _EMPTY, Atom, Compound, Int, Var, unify_in_place
 
 ATOM_NAMES = ("a", "b", "c", "tom", "bob", "nil")
 VAR_NAMES = ("X", "Y", "Z", "W", "V")

@@ -13,18 +13,11 @@ import time
 from pathlib import Path
 
 import choo
-from choo import (
-    Int,
-    ProgramState,
-    SearchBudget,
-    Solver,
-    apply,
-    check_equivalence,
-    execute,
-)
+from choo.interp import ProgramState, SearchBudget, Solver, execute
+from choo.oracle import check_equivalence
 from choo.shrink import shrink
 from choo.syntax import Choose, Compare, Seq, SourceProgram, TermLit, format_program
-from choo.terms import Var
+from choo.terms import Int, Var, apply
 from proggen import gen_program, gen_straightline
 from termgen import cyclic_pair, random_term, unifiable_pair, unify
 

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import choo
-from choo import EquivalenceReport, parse_program
 from choo.cli import main
 from choo.derivation import DerivationNode
+from choo.oracle import EquivalenceReport
+from choo.parser import parse_program
 
 
 @pytest.fixture
@@ -320,12 +321,13 @@ def test_parse_rejects_bad_programs(program_file, capsys):
     assert err.startswith("parse error at ")
 
 
-def fresh_choo(*argv):
-    """choo in a new interpreter, so it starts with the default recursion limit."""
+def fresh_choo(*argv, module="choo.cli"):
+    """choo in a new interpreter, so it starts with the default recursion
+    limit; module "choo" runs it as `python -m choo` does."""
     src = str(Path(choo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-m", "choo.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -339,9 +341,67 @@ def test_parse_round_trips_a_long_flat_program(program_file):
 
 def test_parse_still_rejects_deep_nesting(program_file):
     source = "main { " + "(" * 600 + "1 == 1" + ")" * 600 + " }"
-    proc = fresh_choo("parse", program_file(source))
-    assert proc.returncode == 2
-    assert "nesting too deep" in proc.stderr
+    for module in ("choo.cli", "choo"):
+        proc = fresh_choo("parse", program_file(source), module=module)
+        assert proc.returncode == 2
+        assert "nesting too deep" in proc.stderr
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly(program_file):
+    # `choo run --all | head -1`: the search stops, nothing more is written,
+    # not even by the flush at shutdown, and the exit status is what had
+    # been found: a solution was being printed. A closed stderr under
+    # --trace ends the command the same way, and with no solution found
+    # yet it exits 3, as an unfinished search does. A reader that leaves
+    # before the first write is found by the flush at the end.
+    many = program_file("main { choose(x in {1..5000}) choose(y in {1, 2}) x > 0 }", "many.choo")
+    none = program_file("main { choose(x in {1..100000}) x < 0 }", "none.choo")
+    pythagorean = str(Path(__file__).resolve().parent.parent / "programs" / "pythagorean.choo")
+    env = {**os.environ, "PYTHONPATH": str(Path(choo.__file__).resolve().parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffers as it does for a user
+    for argv, closed, first, status in (
+            (["run", many, "--all"], "stdout", "x = 1\n", 0),
+            (["run", none, "--trace=rules"], "stderr", "[rule 8] choose(x in {1..100000}) x < 0\n", 3),
+            (["run", pythagorean, "--all"], "stdout", None, 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "choo.cli", *argv], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        reader = getattr(proc, closed)
+        if first is not None:
+            assert reader.readline() == first, argv
+        reader.close()
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out or err) == (status, ""), argv
+
+
+# Runs cli.main on each argv in one new interpreter and reports, per call,
+# its exit code and which of the checking and tracing modules are loaded.
+_LOADED = """
+import contextlib, io, json, sys
+from choo.cli import main
+
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report.append([code, sorted({"choo.derivation", "choo.oracle", "choo.shrink"} & set(sys.modules))])
+print(json.dumps(report))
+"""
+
+
+def test_a_command_loads_only_the_modules_it_runs(program_file):
+    # the oracle, the shrinker and derivation trees check and trace a
+    # search: parse and run load none of them, --trace=full loads the
+    # trees, and an oracle-check that matches loads the oracle alone
+    path = program_file("main { choose(x in {1..3}) x == 2 }")
+    calls = [["parse", path], ["run", path], ["run", path, "--trace=full"], ["oracle-check", path]]
+    src = str(Path(choo.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, json.dumps(calls)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [
+        [0, []], [0, []], [0, ["choo.derivation"]], [0, ["choo.derivation", "choo.oracle"]]]
 
 
 # --- deep and long searches in one fresh interpreter ------------------------------------
@@ -651,7 +711,7 @@ def test_oracle_check_shrinks_mismatches(program_file, capsys, monkeypatch):
             return EquivalenceReport(matched=False, engine=["end"], oracle=["division"])
         return EquivalenceReport(matched=True, engine=["end"], oracle=["end"])
 
-    monkeypatch.setattr("choo.cli.check_equivalence", fake_check)
+    monkeypatch.setattr("choo.oracle.check_equivalence", fake_check)
     path = program_file("main { s = 1; t = 2; choose(x in {1..3}) x == 2 }")
     code, out, err = invoke(capsys, ["oracle-check", path])
     assert code == 1

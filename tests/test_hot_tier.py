@@ -24,30 +24,16 @@ import weakref
 
 import pytest
 
+import hot_reference
 import test_corpus
 import test_golden
 import test_oracle
-from choo import (
-    Atom,
-    BinOp,
-    BoundedChoose,
-    Compare,
-    Compound,
-    Int,
-    IntLit,
-    Range,
-    Seq,
-    TermLit,
-    Var,
-    VarRef,
-    check_equivalence,
-    eval_int,
-    execute,
-    parse_program,
-)
 from choo import hot, interp
-from choo.interp import ProgramState, SearchBudget, Solver
-from choo.terms import INT64_MAX, INT64_MIN
+from choo.interp import ProgramState, SearchBudget, Solver, eval_int, execute
+from choo.oracle import check_equivalence
+from choo.parser import parse_program
+from choo.syntax import BinOp, BoundedChoose, Compare, IntLit, Range, Seq, TermLit, VarRef
+from choo.terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
 from proggen import gen_program
 from settle_check import (
     CLAUSE_SHAPES,
@@ -442,6 +428,16 @@ def test_a_choose_compiles_at_the_visit_after_hot_after(monkeypatch, hot_after):
         outs = list(execute(parse_program(f"main {{ choose(x in {{1..{visits}}}) x > {visits - 1} }}")))
         assert [o.witnesses for o in outs] == [(("x", Int(visits)),)]
         assert made == compiled, visits
+
+
+def test_the_hot_after_reference_measures_one_choose():
+    # tests/hot_reference.py derives _HOT_AFTER from timings over 68
+    # chooses and is run by hand; its measurement runs here once, on one
+    # program with one repeat, so that the script cannot rot
+    compile_cost, repay, leaves = hot_reference.measure(hot_reference.pools()[0], repeats=1)
+    assert leaves == 12 ** 3
+    assert compile_cost > 0 and repay > 0
+    assert [hot_reference.threshold(q3) for q3 in (48, 48.5, 42)] == [64, 65, 56]
 
 
 @pytest.mark.parametrize("source,compiled", [

@@ -6,29 +6,23 @@ import sys
 
 import pytest
 
-from choo import (
-    Atom,
+from choo import interp, terms
+from choo.derivation import RULE_CHILDREN, DerivationNode, format_tree, tree_of
+from choo.interp import (
+    UNCONSTRAINED,
     BudgetExhausted,
-    Compound,
     EvalError,
-    Int,
     Outcome,
     ProgramState,
     SearchBudget,
     Solver,
-    UNCONSTRAINED,
-    Var,
-    VarRef,
     eval_int,
     eval_operand,
     execute,
-    parse_goal,
-    parse_program,
 )
-from choo import interp, terms
-from choo.derivation import RULE_CHILDREN, DerivationNode, format_tree, tree_of
-from choo.syntax import SourceProgram
-from choo.terms import INT64_MAX, INT64_MIN, free_vars, unify_in_place
+from choo.parser import parse_goal, parse_program
+from choo.syntax import SourceProgram, VarRef
+from choo.terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var, free_vars, unify_in_place
 from proggen import gen_program
 
 # the first two values of the builtin sequence are 0 and 1; everything

@@ -12,36 +12,20 @@ from pathlib import Path
 import pytest
 
 import choo
-from choo import (
-    Atom,
-    BinOp,
-    BudgetExhausted,
-    Compare,
-    Compound,
-    Enum,
+from choo.derivation import DerivationNode, format_tree, tree_of
+from choo.interp import ERROR_KINDS, UNCONSTRAINED, BudgetExhausted, EvalError, Outcome, execute
+from choo.oracle import (
     EquivalenceReport,
-    EvalError,
-    Int,
-    IntLit,
     OracleRunError,
-    Outcome,
     OutOfBounds,
-    Seq,
-    SourceProgram,
-    TermLit,
-    UNCONSTRAINED,
-    Var,
+    _Enumerator,
     check_equivalence,
     enumerate_solutions,
-    execute,
-    format_program,
-    parse_goal,
-    parse_program,
 )
-from choo.derivation import DerivationNode, format_tree, tree_of
-from choo.interp import ERROR_KINDS
-from choo.oracle import _Enumerator
+from choo.parser import parse_goal, parse_program
 from choo.shrink import shrink
+from choo.syntax import BinOp, Compare, Enum, IntLit, Seq, SourceProgram, TermLit, format_program
+from choo.terms import Atom, Compound, Int, Var
 from proggen import gen_program
 from test_interp import call_with_headroom, validate_shape
 
@@ -541,7 +525,8 @@ def test_report_text_is_the_same_under_every_string_hash_seed():
     # the store is built in the order a set of names iterates, which
     # follows string hashing; the report sorts it by name
     script = (
-        "from choo import EquivalenceReport, Int\n"
+        "from choo.oracle import EquivalenceReport\n"
+        "from choo.terms import Int\n"
         "store = {name: Int(len(name)) for name in {'s', 'tt', 'uuu', 'b', 'k'}}\n"
         "print(EquivalenceReport(False, engine=[((('x', Int(0)),), store), 'end'],\n"
         "                        oracle=['division']).describe())\n"

@@ -30,32 +30,25 @@ from pathlib import Path
 
 import pytest
 
-from choo import (
+from choo.parser import ParseError, lex, parse_goal, parse_program
+from choo.syntax import (
     Assign,
-    Atom,
     BinOp,
     BoundedChoose,
     Call,
     Choose,
     Clause,
     Compare,
-    Compound,
     Enum,
     FunCall,
-    Int,
     IntLit,
-    ParseError,
     Range,
     Seq,
     TermLit,
-    Var,
     VarRef,
     format_program,
-    parse_goal,
-    parse_program,
 )
-from choo.parser import lex
-from choo.terms import INT64_MAX, INT64_MIN
+from choo.terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
 from proggen import gen_program
 
 

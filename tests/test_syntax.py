@@ -2,31 +2,27 @@
 
 import random
 
-from choo import (
+from choo.parser import parse_goal, parse_program
+from choo.shrink import shrink
+from choo.syntax import (
     Assign,
-    Atom,
     BinOp,
     BoundedChoose,
     Call,
     Choose,
     Compare,
-    Compound,
     Enum,
     FunCall,
-    Int,
     IntLit,
     Range,
     Seq,
     TermLit,
-    Var,
     VarRef,
     format_goal,
     format_program,
-    parse_goal,
-    parse_program,
+    mentions,
 )
-from choo.shrink import shrink
-from choo.syntax import mentions
+from choo.terms import Atom, Compound, Int, Var
 from proggen import gen_program
 
 LOGIC_NAMES = ("x", "y", "z", "w", "k")

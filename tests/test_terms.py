@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from choo import (
+from choo import terms
+from choo.terms import (
     Atom,
     Compound,
     Int,
@@ -13,9 +14,8 @@ from choo import (
     format_term,
     free_vars,
     occurs,
+    unify_in_place,
 )
-from choo import terms
-from choo.terms import unify_in_place
 from termgen import (
     FUNCTORS,
     cyclic_pair,
