@@ -166,7 +166,11 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
+    try:
+        args = _arg_parser().parse_args(argv)
+    except SystemExit:  # --help or a usage error, which argparse has written
+        _end(None)
+        raise
     return _end(args.handler(args))
 
 

@@ -13,7 +13,8 @@ with a fresh variable, the oracle demands a syntactic pin: a condition
 in the body, outside any rebinding of x, with one side ground (a ground
 term, or an expression with a value over an empty store) and x at some
 position of the other side; the ground subterm at x's position is a
-candidate. Every derivation has to make every such condition hold
+candidate, and a ground side of another shape on the path to x gives
+none. Every derivation has to make every such condition hold
 structurally, so the candidate set covers all successes, and re-running
 the body per candidate keeps the answer sound. Programs without a pin,
 whose body reads x before the statement that pins it (where the engine
@@ -21,6 +22,23 @@ finds x unbound), or with a derivation taller than MAX_HEIGHT, are
 rejected as out of bounds rather than guessed at. Calls select their
 clauses from a table keyed by (name, arity), built once per
 enumeration, in source order.
+
+A choose whose body starts with a condition tests it at each leaf
+before running the body there, and skips a leaf where it fails. That is
+exact: the condition is the first thing the body does, so a leaf where
+it fails succeeds nowhere and leaves no record, and where it raises,
+the body would have raised the same error at the same point. Only the
+height bound could stop the body sooner, so the test is made only where
+the body reaches the condition within MAX_HEIGHT. Once per visit of the
+choose, the largest arithmetic parts of that condition that read no
+store name and do not mention the chosen name are evaluated in the
+visit's environment: they have the same value at every leaf, and each
+leaf's test takes it from a table by node. A part that raises is not
+kept, and raises where it stands at the first leaf that reaches it, so
+no error moves and none appears where no leaf runs. A leaf (a literal,
+a term or a store read) is never kept, so a side's kind still decides
+between comparing terms and comparing integers. This is loop-invariant
+code motion (Aho, Sethi and Ullman, Compilers, 1986, ch. 10).
 
 Shared with the engine: the AST and term datatypes, and the form of a
 derivation's record, the linked list of rule applications that
@@ -84,6 +102,8 @@ _FAIL = object()  # expression evaluation failed (unset store read)
 
 _NO_BINDINGS = MappingProxyType({})  # the environment outside every binder
 
+_NOTHING_HOISTED = MappingProxyType({})  # no node's value worked out ahead
+
 _TERM_SIDES = (VarRef, TermLit)  # operands whose value may be a term, not an integer
 
 _ORDER = {"==": operator.eq, "!=": operator.ne,
@@ -141,80 +161,117 @@ def oracle_fact(n: int) -> int:
     return n * oracle_fact(n - 1)
 
 
+def _fib(n):
+    if n < 1:
+        raise OracleRunError("domain", "fib argument below 1")
+    if n >= 94:
+        raise OracleRunError("overflow", "fib overflow")
+    return oracle_fib(n)
+
+
+def _fact(n):
+    if n < 0:
+        raise OracleRunError("domain", "fact argument below 0")
+    if n > 20:
+        raise OracleRunError("overflow", "fact overflow")
+    return oracle_fact(n)
+
+
+def _quotient(a, b):
+    """a / b rounded toward zero."""
+    if b == 0:
+        raise OracleRunError("division", "division by zero")
+    q, r = divmod(a, b)
+    return q + 1 if r != 0 and (a < 0) != (b < 0) else q
+
+
+# what each operator and built-in function computes: an operator's name
+# is one character long, a function's is longer
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _quotient,
+          "fib": _fib, "fact": _fact}
+
+
+def _invariant_parts(test: Compare, name):
+    """The largest BinOp and FunCall subtrees of test's sides that read
+    no store name and do not mention name: their value is the same at
+    every leaf of a choose of name. Leaves are never among them."""
+    nodes, todo = [], [(test.rhs, test), (test.lhs, test)]  # parents before children
+    while todo:
+        e, parent = todo.pop()
+        nodes.append((e, parent))
+        if type(e) is BinOp:
+            todo += ((e.right, e), (e.left, e))
+        elif type(e) is FunCall:
+            todo.append((e.arg, e))
+    variant = {id(test)}  # the nodes whose value may differ between leaves
+    for e, parent in reversed(nodes):  # children before parents
+        if id(e) in variant or type(e) is VarRef or type(e) is TermLit and mentions(name, (e,)):
+            variant.add(id(parent))
+    return tuple(e for e, parent in nodes
+                 if (type(e) is BinOp or type(e) is FunCall)
+                 and id(e) not in variant and id(parent) in variant)
+
+
 class _Enumerator:
     def __init__(self, clauses):
         self.table = {}  # (name, arity) -> clauses in source order
         for clause in clauses:
             self.table.setdefault((clause.name, len(clause.params)), []).append(clause)
+        self.tests = {}  # id(choose) -> (choose, its leaf test or None, that test's invariant parts)
 
     # expression evaluation over a ground store, in an environment
 
-    def _eval(self, store, expr, env):
-        kind = type(expr)
-        if kind is IntLit:
-            return expr.value
-        if kind is VarRef:
-            if expr.name not in store:
-                return _FAIL
-            held = store[expr.name]
-            if type(held) is not Int:
-                raise OracleRunError("not-integer", f"'{expr.name}' holds a non-integer")
-            return held.value
-        if kind is TermLit:
-            t = expr.term
-            if type(t) is Var:
-                t = env.get(t.name, t)
-            if type(t) is Int:
-                return t.value
-            if type(t) is Var:
-                raise OracleRunError("unbound", f"unbound '{t.name}' in arithmetic")
-            raise OracleRunError("not-integer", "non-integer term in arithmetic")
-        if kind is BinOp:
-            # left to right: a failed read ends evaluation, as in the engine;
-            # the BinOps down the left of a chain such as 1 + 2 + 3 in a loop
-            spine = []
-            while type(expr) is BinOp:
-                spine.append(expr)
-                expr = expr.left
-            a = self._eval(store, expr, env)
-            for node in reversed(spine):
-                if a is _FAIL:
-                    return _FAIL
-                op, b = node.op, self._eval(store, node.right, env)
-                if b is _FAIL:
-                    return _FAIL
-                if op == "+":
-                    a += b
-                elif op == "-":
-                    a -= b
-                elif op == "*":
-                    a *= b
-                elif b == 0:
-                    raise OracleRunError("division", "division by zero")
+    def _eval(self, store, expr, env, hoisted=_NOTHING_HOISTED):
+        """The integer value of expr, or _FAIL where a read of an unset
+        name ends evaluation. Operands go left to right through an
+        explicit stack, as sums nest deeper than the interpreter's
+        recursion limit, with each operator's name below its operands
+        until they are done; hoisted maps id(node) to the value of a
+        node worked out once for every leaf of a choose."""
+        todo, values = [expr], []
+        while todo:
+            e = todo.pop()
+            kind = type(e)
+            if kind is TermLit:
+                t = e.term
+                if type(t) is Var:
+                    t = env.get(t.name, t)
+                if type(t) is Int:
+                    values.append(t.value)
+                elif type(t) is Var:
+                    raise OracleRunError("unbound", f"unbound '{t.name}' in arithmetic")
                 else:
-                    q, r = divmod(a, b)
-                    a = q + 1 if r != 0 and (a < 0) != (b < 0) else q
-                if a < INT64_MIN or a > INT64_MAX:
-                    raise OracleRunError("overflow", "integer overflow")
-            return a
-        if kind is FunCall:
-            n = self._eval(store, expr.arg, env)
-            if n is _FAIL:
-                return _FAIL
-            if expr.name == "fib":
-                if n < 1:
-                    raise OracleRunError("domain", "fib argument below 1")
-                if n >= 94:
-                    raise OracleRunError("overflow", "fib overflow")
-                return oracle_fib(n)
-            if n < 0:
-                raise OracleRunError("domain", "fact argument below 0")
-            if n > 20:
-                raise OracleRunError("overflow", "fact overflow")
-            return oracle_fact(n)
-        raise TypeError(f"not an expression: {expr!r}")
+                    raise OracleRunError("not-integer", "non-integer term in arithmetic")
+            elif kind is IntLit:
+                values.append(e.value)
+            elif kind is str:  # an operator or function, its operands done
+                n = values.pop()
+                if len(e) == 1:
+                    n = _ARITH[e](values.pop(), n)
+                    if n < INT64_MIN or n > INT64_MAX:
+                        raise OracleRunError("overflow", "integer overflow")
+                else:
+                    n = _ARITH[e](n)
+                values.append(n)
+            elif kind is BinOp or kind is FunCall:
+                if (n := hoisted.get(id(e))) is not None:
+                    values.append(n)
+                elif kind is BinOp:
+                    todo += (e.op, e.right, e.left)
+                else:
+                    todo += (e.name, e.arg)
+            elif kind is VarRef:
+                held = store.get(e.name)
+                if held is None:
+                    return _FAIL
+                if type(held) is not Int:
+                    raise OracleRunError("not-integer", f"'{e.name}' holds a non-integer")
+                values.append(held.value)
+            else:
+                raise TypeError(f"not an expression: {e!r}")
+        return values[0]
 
-    def _term_value(self, store, expr, env):
+    def _term_value(self, store, expr, env, hoisted=_NOTHING_HOISTED):
         """Value of a == operand or assignment source, as a term.
 
         The ground model cannot express a variable surviving to a
@@ -230,19 +287,19 @@ class _Enumerator:
             if (term := _instance(expr.term, env)) is None:
                 raise OutOfBounds("a variable reaches a comparison unsubstituted")
             return term
-        n = self._eval(store, expr, env)
+        n = self._eval(store, expr, env, hoisted)
         return _FAIL if n is _FAIL else Int(n)
 
-    def _holds(self, store, goal: Compare, env) -> bool:
+    def _holds(self, store, goal: Compare, env, hoisted=_NOTHING_HOISTED) -> bool:
         if goal.op not in _ORDER:
             raise ValueError(f"unknown comparison {goal.op}")
         # == compares terms when a side may hold one, and integers otherwise
         terms = goal.op == "==" and (type(goal.lhs) in _TERM_SIDES or type(goal.rhs) in _TERM_SIDES)
         value = self._term_value if terms else self._eval
-        a = value(store, goal.lhs, env)
+        a = value(store, goal.lhs, env, hoisted)
         if a is _FAIL:
             return False
-        b = value(store, goal.rhs, env)
+        b = value(store, goal.rhs, env, hoisted)
         if b is _FAIL:
             return False
         return _ORDER[goal.op](a, b)
@@ -276,12 +333,14 @@ class _Enumerator:
 
     def _pins(self, body, name, env):
         """The candidates for name that the conditions of body pin it to,
-        in the order body runs them, and whether name occurs outside a
-        term operand of == before the first pinning condition: the engine
-        would read the unbound variable there, where the oracle has
-        bound a candidate already. Below each binder, env loses the
-        binder's name, so a name bound inside body counts as free."""
-        pins, read, pending = [], False, [(body, _shadow(env, name))]
+        in the order body runs them, or None when no condition pins it,
+        and whether name occurs outside a term operand of == before the
+        first pinning condition: the engine would read the unbound
+        variable there, where the oracle has bound a candidate already.
+        A pin whose ground side differs in shape from the term on the
+        path to name gives no candidate. Below each binder, env loses
+        the binder's name, so a name bound inside body counts as free."""
+        pins, pinned, read, pending = [], False, False, [(body, _shadow(env, name))]
         while pending:
             goal, env = pending.pop()
             kind = type(goal)
@@ -289,19 +348,21 @@ class _Enumerator:
             if kind is Seq:
                 pending += ((goal.second, env), (goal.first, env))
             elif kind is Choose or kind is BoundedChoose:
-                if not (pins or read) and kind is BoundedChoose and type(goal.cset) is Enum:
+                if not (pinned or read) and kind is BoundedChoose and type(goal.cset) is Enum:
                     read = mentions(name, goal.cset.elements)
                 if goal.var != name:
                     pending.append((goal.body, _shadow(env, goal.var)))
             elif kind is Compare and goal.op == "==":
                 for a, b in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)):
-                    if type(a) is TermLit and (ground := self._pin_side(b, env)) is not None:
+                    if (type(a) is TermLit and mentions(name, (a,))
+                            and (ground := self._pin_side(b, env)) is not None):
+                        pinned = True
                         self._match_pins(a.term, ground, name, pins)
-                if not (pins or read):
+                if not (pinned or read):
                     read = mentions(name, [e for e in (goal.lhs, goal.rhs) if type(e) is not TermLit])
-            elif not (pins or read):
+            elif not (pinned or read):
                 read = mentions(name, (goal,))
-        return pins, read
+        return pins if pinned else None, read
 
     def _set_members(self, cset, env):
         match cset:
@@ -313,6 +374,24 @@ class _Enumerator:
                     raise OracleRunError("ground", "choice set element is not ground")
                 return list(dict.fromkeys(members))  # first appearance wins
         raise TypeError(f"not a choice set: {cset!r}")
+
+    def _leaf_test(self, goal, env):
+        """The condition that the body of the choose goal starts with, or
+        None, and the values in env of that condition's invariant parts,
+        by id, where evaluating one raises nothing."""
+        entry = self.tests.get(id(goal))
+        if entry is None:  # the entry keeps goal alive, so no other goal takes its id
+            first = goal.body.first if type(goal.body) is Seq else goal.body
+            test = first if type(first) is Compare else None
+            entry = self.tests[id(goal)] = (goal, test, _invariant_parts(test, goal.var) if test else ())
+        _, test, parts = entry
+        hoisted = {}
+        for part in parts:
+            try:
+                hoisted[id(part)] = self._eval({}, part, env)
+            except OracleRunError:
+                pass  # it raises where it stands, at the first leaf that reaches it
+        return test, hoisted
 
     # the enumeration itself
 
@@ -342,13 +421,22 @@ class _Enumerator:
                 rule, candidates = 8, self._set_members(goal.cset, env)
             else:
                 pins, read_before_pin = self._pins(goal.body, var, env)
-                if not pins:
+                if pins is None:
                     raise OutOfBounds(f"choose({var}) has no ground pin")
                 if read_before_pin:
                     raise OutOfBounds(f"choose({var}) reads {var} before its pin")
                 rule, candidates = 7, list(dict.fromkeys(pins))
             applied = ((rule, goal, None, env), applied)
+            # a leaf whose body starts with a condition that fails is skipped
+            # before it costs a generator; the body reaches that condition
+            # by height + 2, and only the height bound could stop it sooner
+            test, hoisted = self._leaf_test(goal, env) if height + 2 <= MAX_HEIGHT else (None, None)
+            probe = dict(env)
             for value in candidates:
+                if test is not None:
+                    probe[var] = value
+                    if not self._holds(store, test, probe, hoisted):
+                        continue
                 yield from self.exec_goal(store, witnesses + ((var, value),), goal.body, height + 1,
                                           applied, {**env, var: value})
         elif kind is Call:

@@ -373,6 +373,19 @@ def test_a_reader_that_leaves_early_ends_the_command_quietly(program_file):
         assert (proc.returncode, out or err) == (status, ""), argv
 
 
+def test_a_reader_that_leaves_before_the_help_ends_it_quietly():
+    # argparse writes --help inside parse_args, before any command runs:
+    # its flush at the end is guarded as a command's own output is
+    env = {**os.environ, "PYTHONPATH": str(Path(choo.__file__).resolve().parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffers as it does for a user
+    for argv in (["--help"], ["run", "--help"]):
+        proc = subprocess.Popen([sys.executable, "-m", "choo.cli", *argv], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, ""), argv
+
+
 # Runs cli.main on each argv in one new interpreter and reports, per call,
 # its exit code and which of the checking and tracing modules are loaded.
 _LOADED = """

@@ -15,6 +15,7 @@ import choo
 from choo.derivation import DerivationNode, format_tree, tree_of
 from choo.interp import ERROR_KINDS, UNCONSTRAINED, BudgetExhausted, EvalError, Outcome, execute
 from choo.oracle import (
+    _ARITH,
     EquivalenceReport,
     OracleRunError,
     OutOfBounds,
@@ -84,6 +85,48 @@ def test_enumeration_builds_no_goal_or_expression_nodes(monkeypatch):
     solutions, _ = enumerate_solutions(SourceProgram((), goal))
     assert len(solutions) == 4
     assert built == 0
+
+
+def test_a_choose_works_out_invariant_arithmetic_once_and_skips_failing_leaves(monkeypatch):
+    # x * x + y * y is the same at all 12 z leaves under one x and y, and
+    # a leaf whose leading condition fails runs no body: evaluating both
+    # sides at each of the 1,728 leaves makes 5 operations a leaf, where
+    # 3 per z visit and 2 per leaf make 3,918 in all
+    goal = parse_goal("choose(x in {1..12}) choose(y in {1..12}) choose(z in {0..11}) "
+                      "(x * x + y * y == z * z + 8; x <= y)")
+    done = 0
+    for name, compute in list(_ARITH.items()):
+        def counting(*operands, _compute=compute):
+            nonlocal done
+            done += 1
+            return _compute(*operands)
+        monkeypatch.setitem(_ARITH, name, counting)
+    solutions, _ = enumerate_solutions(SourceProgram((), goal))
+    assert len(solutions) == 4
+    assert done < 1728 * 5 // 2
+
+
+@pytest.mark.parametrize("source, stream", [
+    # 6 / x is worked out once per z visit: where it raises, it raises at
+    # the visit's first leaf, after the solutions of the visit before
+    ("main { choose(x in {1, 0}) choose(z in {5, 6}) 6 / x == z }",
+     [((("x", Int(1)), ("z", Int(6))), {}), "division"]),
+    ("main { choose(x in {1, 2}) choose(z in {1..3}) fact(25) + x == z }", ["overflow"]),
+    # a choose with no leaves raises nothing its leaves would have
+    ("main { choose(x in {1}) choose(z in {}) x / 0 == z }", ["end"]),
+    ("main { choose(z in {}) fact(25) == z }", ["end"]),
+    # the read of the unset s ends evaluation before 1 / 0 is reached
+    ("main { choose(z in {1, 2}) (s + 1 / 0 == z; s = 3) }", ["end"]),
+    # term sides compare as terms, a worked-out sum included: f(a) is no integer, yet no fault
+    ("main { choose(z in {f(a), 3}) z == 1 + 2 }", [((("z", Int(3)),), {}), "end"]),
+    ("main { choose(x in {f(b), 2}) choose(z in {2, f(b)}) z == x }",
+     [((("x", Compound("f", (Atom("b"),))), ("z", Compound("f", (Atom("b"),)))), {}),
+      ((("x", Int(2)), ("z", Int(2))), {}), "end"]),
+])
+def test_working_arithmetic_out_once_moves_no_error(source, stream):
+    report = check_equivalence(parse_program(source))
+    assert report.matched
+    assert report.engine == report.oracle == stream
 
 
 def test_a_call_examines_only_clauses_of_its_name_and_arity():
@@ -240,6 +283,8 @@ def test_engine_and_oracle_derive_each_solution_by_the_same_rules():
     # a bounded choose reads its set outside its own binder: the inner set holds the outer x
     ("main { choose(x in {1, 2}) choose(x in {x, 3}) x == 1 }", "match: 1 solutions"),
     ("p(x) { choose(x in {x, 3}) x == 1 } main { p(1) }", "match: 1 solutions"),
+    # z + 0 reads the inner z: its value differs between leaves, though the outer z has one
+    ("main { choose(z in {5}) choose(z in {1..3}) z + 0 == 2 }", "match: 1 solutions"),
 ])
 def test_an_inner_binder_hides_an_outer_one_of_its_name(source, verdict):
     assert check_equivalence(parse_program(source)).describe() == verdict
@@ -306,6 +351,19 @@ def test_pin_through_structure_is_in_bounds():
     }
 
 
+@pytest.mark.parametrize("source, verdict", [
+    # zero has no argument for y: a pin to no candidate, where the engine fails
+    ("main { choose(y) (zero == succ(y); s = 1) }", "match: 0 solutions"),
+    # nat(zero)'s second clause pins y the same way
+    ("nat(x) { x == zero } nat(x) { choose(y) (x == succ(y); nat(y)) } main { nat(succ(zero)) }",
+     "match: 1 solutions"),
+    # the engine reads y unbound before the pin: still out of bounds
+    ("main { choose(y) (s = y + 1; zero == succ(y)) }", "excluded: choose(y) reads y before its pin"),
+])
+def test_a_pin_of_another_shape_pins_to_no_candidate(source, verdict):
+    assert check_equivalence(parse_program(source)).describe() == verdict
+
+
 def test_pin_on_a_closed_expression_is_in_bounds():
     for source, witnesses in (
         ("choose(x) x == fib(10)", [(("x", Int(34)),)]),
@@ -351,12 +409,36 @@ def test_deep_derivations_are_out_of_bounds():
         program_solutions("loop() { loop() } main { loop() }")
 
 
+def test_a_failing_leaf_is_skipped_unrun_only_below_the_height_bound():
+    # the choose comes after n statements, so at height n + 1, and its
+    # body reaches x == 3 at n + 3: past 50, running the body is out of bounds
+    def chain_then_choose(n):
+        return "; ".join(f"s = {i}" for i in range(n)) + "; choose(x in {1, 2}) (x == 3; t = 1)"
+
+    assert goal_solutions(chain_then_choose(47)) == set()
+    with pytest.raises(OutOfBounds, match="derivation height"):
+        goal_solutions(chain_then_choose(48))
+
+
 def test_a_nest_past_the_height_bound_needs_no_stack_per_level():
     # substituting into the body once took a frame per nested choose
     chooses = " ".join(f"choose(x{i} in {{1}})" for i in range(450))
     program = parse_program(f"main {{ {chooses} s = 1 }}")
     report = call_with_headroom(lambda: check_equivalence(program), 150)
     assert report.describe() == "excluded: derivation height"
+
+
+def test_expressions_are_evaluated_without_a_frame_per_level():
+    # through enumerate_solutions: the engine's eval_int still takes a
+    # frame per level of these, so check_equivalence fails on its side first
+    total = parse_program("main { s = " + "1 + (" * 449 + "1" + ")" * 449 + " }")
+    solutions, _ = call_with_headroom(lambda: enumerate_solutions(total), 150)
+    assert solutions == {((), frozenset({("s", Int(450))}))}
+    # fib(2) is 1, fib(1) is 0, and fib(0) is outside fib's domain
+    fibs = parse_program("main { s = " + "fib(" * 450 + "2" + ")" * 450 + " }")
+    with pytest.raises(OracleRunError) as raised:
+        call_with_headroom(lambda: enumerate_solutions(fibs), 150)
+    assert raised.value.kind == "domain"
 
 
 @pytest.mark.parametrize("source, kind", [
