@@ -18,10 +18,11 @@ none. Every derivation has to make every such condition hold
 structurally, so the candidate set covers all successes, and re-running
 the body per candidate keeps the answer sound. Programs without a pin,
 whose body reads x before the statement that pins it (where the engine
-finds x unbound), or with a derivation taller than MAX_HEIGHT, are
-rejected as out of bounds rather than guessed at. Calls select their
-clauses from a table keyed by (name, arity), built once per
-enumeration, in source order.
+finds x unbound), that pin x to no candidate after the body has run a
+goal (which the engine runs once, and the oracle would run never), or
+with a derivation taller than MAX_HEIGHT, are rejected as out of bounds
+rather than guessed at. Calls select their clauses from a table keyed
+by (name, arity), built once per enumeration, in source order.
 
 A choose whose body starts with a condition tests it at each leaf
 before running the body there, and skips a leaf where it fails. That is
@@ -147,34 +148,22 @@ def _instance(term, env):
 # --- independent arithmetic ---
 
 @lru_cache(maxsize=None)
-def oracle_fib(n: int) -> int:
-    # fib(1) = 0, fib(2) = 1
-    if n <= 2:
-        return n - 1
-    return oracle_fib(n - 1) + oracle_fib(n - 2)
-
-
-@lru_cache(maxsize=None)
-def oracle_fact(n: int) -> int:
-    if n == 0:
-        return 1
-    return n * oracle_fact(n - 1)
-
-
 def _fib(n):
+    # fib(1) = 0, fib(2) = 1
     if n < 1:
         raise OracleRunError("domain", "fib argument below 1")
     if n >= 94:
         raise OracleRunError("overflow", "fib overflow")
-    return oracle_fib(n)
+    return n - 1 if n <= 2 else _fib(n - 1) + _fib(n - 2)
 
 
+@lru_cache(maxsize=None)
 def _fact(n):
     if n < 0:
         raise OracleRunError("domain", "fact argument below 0")
     if n > 20:
         raise OracleRunError("overflow", "fact overflow")
-    return oracle_fact(n)
+    return 1 if n == 0 else n * _fact(n - 1)
 
 
 def _quotient(a, b):
@@ -185,10 +174,24 @@ def _quotient(a, b):
     return q + 1 if r != 0 and (a < 0) != (b < 0) else q
 
 
-# what each operator and built-in function computes: an operator's name
-# is one character long, a function's is longer
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _quotient,
-          "fib": _fib, "fact": _fact}
+# what each operator and each built-in function computes
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _quotient}
+_FUNCTIONS = {"fib": _fib, "fact": _fact}
+
+
+def _known(e, env, hoisted):
+    """The integer value of operand e where reading it can neither fail
+    nor raise (a literal, a term bound to an integer, or a part worked
+    out ahead), or None where it has to be evaluated in its turn."""
+    kind = type(e)
+    if kind is IntLit:
+        return e.value
+    if kind is TermLit:
+        t = e.term
+        if type(t) is Var:
+            t = env.get(t.name, t)
+        return t.value if type(t) is Int else None
+    return hoisted.get(id(e))
 
 
 def _invariant_parts(test: Compare, name):
@@ -225,14 +228,44 @@ class _Enumerator:
         """The integer value of expr, or _FAIL where a read of an unset
         name ends evaluation. Operands go left to right through an
         explicit stack, as sums nest deeper than the interpreter's
-        recursion limit, with each operator's name below its operands
-        until they are done; hoisted maps id(node) to the value of a
-        node worked out once for every leaf of a choose."""
+        recursion limit, with each operation below its operands until
+        they are done; hoisted maps id(node) to the value of a node
+        worked out once for every leaf of a choose. An operand that can
+        neither fail nor raise is read in place, so it is never pushed:
+        reading it early changes no outcome."""
+        if (n := hoisted.get(id(expr))) is not None:
+            return n
         todo, values = [expr], []
         while todo:
             e = todo.pop()
             kind = type(e)
-            if kind is TermLit:
+            if kind is tuple:  # an operation with its operands done; b is the right one if read in place
+                node, b = e
+                if type(node) is FunCall:
+                    values.append(_FUNCTIONS[node.name](values.pop()))
+                    continue
+                if b is None:
+                    b = values.pop()
+                n = _OPERATORS[node.op](values.pop(), b)
+                if n < INT64_MIN or n > INT64_MAX:
+                    raise OracleRunError("overflow", "integer overflow")
+                values.append(n)
+            elif kind is BinOp or kind is FunCall:
+                if kind is BinOp:
+                    b, operand = _known(e.right, env, hoisted), e.left
+                    todo.append((e, b))
+                    if b is None:
+                        todo.append(e.right)
+                else:
+                    operand = e.arg
+                    todo.append((e, None))
+                if (n := _known(operand, env, hoisted)) is None:
+                    todo.append(operand)
+                else:
+                    values.append(n)
+            elif kind is IntLit:
+                values.append(e.value)
+            elif kind is TermLit:
                 t = e.term
                 if type(t) is Var:
                     t = env.get(t.name, t)
@@ -242,24 +275,6 @@ class _Enumerator:
                     raise OracleRunError("unbound", f"unbound '{t.name}' in arithmetic")
                 else:
                     raise OracleRunError("not-integer", "non-integer term in arithmetic")
-            elif kind is IntLit:
-                values.append(e.value)
-            elif kind is str:  # an operator or function, its operands done
-                n = values.pop()
-                if len(e) == 1:
-                    n = _ARITH[e](values.pop(), n)
-                    if n < INT64_MIN or n > INT64_MAX:
-                        raise OracleRunError("overflow", "integer overflow")
-                else:
-                    n = _ARITH[e](n)
-                values.append(n)
-            elif kind is BinOp or kind is FunCall:
-                if (n := hoisted.get(id(e))) is not None:
-                    values.append(n)
-                elif kind is BinOp:
-                    todo += (e.op, e.right, e.left)
-                else:
-                    todo += (e.name, e.arg)
             elif kind is VarRef:
                 held = store.get(e.name)
                 if held is None:
@@ -333,21 +348,24 @@ class _Enumerator:
 
     def _pins(self, body, name, env):
         """The candidates for name that the conditions of body pin it to,
-        in the order body runs them, or None when no condition pins it,
-        and whether name occurs outside a term operand of == before the
-        first pinning condition: the engine would read the unbound
-        variable there, where the oracle has bound a candidate already.
-        A pin whose ground side differs in shape from the term on the
-        path to name gives no candidate. Below each binder, env loses
-        the binder's name, so a name bound inside body counts as free."""
-        pins, pinned, read, pending = [], False, False, [(body, _shadow(env, name))]
+        in the order body runs them, or None when no condition pins it;
+        whether name occurs outside a term operand of == before the
+        first pinning condition, where the engine would read the unbound
+        variable and the oracle has bound a candidate already; and
+        whether any goal runs before that condition. A pin whose ground
+        side differs in shape from the term on the path to name gives no
+        candidate. Below each binder, env loses the binder's name, so a
+        name bound inside body counts as free."""
+        pins, pinned, read, ran = [], False, False, False
+        pending = [(body, _shadow(env, name))]
         while pending:
             goal, env = pending.pop()
             kind = type(goal)
-            # only the reads before the first pin are looked for
+            # only the goals before the first pin are looked at
             if kind is Seq:
                 pending += ((goal.second, env), (goal.first, env))
-            elif kind is Choose or kind is BoundedChoose:
+                continue
+            if kind is Choose or kind is BoundedChoose:
                 if not (pinned or read) and kind is BoundedChoose and type(goal.cset) is Enum:
                     read = mentions(name, goal.cset.elements)
                 if goal.var != name:
@@ -362,7 +380,9 @@ class _Enumerator:
                     read = mentions(name, [e for e in (goal.lhs, goal.rhs) if type(e) is not TermLit])
             elif not (pinned or read):
                 read = mentions(name, (goal,))
-        return pins if pinned else None, read
+            if not pinned:
+                ran = True
+        return pins if pinned else None, read, ran
 
     def _set_members(self, cset, env):
         match cset:
@@ -420,11 +440,15 @@ class _Enumerator:
             if kind is BoundedChoose:
                 rule, candidates = 8, self._set_members(goal.cset, env)
             else:
-                pins, read_before_pin = self._pins(goal.body, var, env)
+                pins, read_before_pin, ran_before_pin = self._pins(goal.body, var, env)
                 if pins is None:
                     raise OutOfBounds(f"choose({var}) has no ground pin")
                 if read_before_pin:
                     raise OutOfBounds(f"choose({var}) reads {var} before its pin")
+                if not pins and ran_before_pin:
+                    # the engine runs those goals once, with var unbound,
+                    # where the oracle, with no candidate, would run none
+                    raise OutOfBounds(f"choose({var}) runs goals before pinning {var} to no value")
                 rule, candidates = 7, list(dict.fromkeys(pins))
             applied = ((rule, goal, None, env), applied)
             # a leaf whose body starts with a condition that fails is skipped

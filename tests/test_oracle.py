@@ -15,7 +15,8 @@ import choo
 from choo.derivation import DerivationNode, format_tree, tree_of
 from choo.interp import ERROR_KINDS, UNCONSTRAINED, BudgetExhausted, EvalError, Outcome, execute
 from choo.oracle import (
-    _ARITH,
+    _FUNCTIONS,
+    _OPERATORS,
     EquivalenceReport,
     OracleRunError,
     OutOfBounds,
@@ -95,12 +96,13 @@ def test_a_choose_works_out_invariant_arithmetic_once_and_skips_failing_leaves(m
     goal = parse_goal("choose(x in {1..12}) choose(y in {1..12}) choose(z in {0..11}) "
                       "(x * x + y * y == z * z + 8; x <= y)")
     done = 0
-    for name, compute in list(_ARITH.items()):
-        def counting(*operands, _compute=compute):
-            nonlocal done
-            done += 1
-            return _compute(*operands)
-        monkeypatch.setitem(_ARITH, name, counting)
+    for table in (_OPERATORS, _FUNCTIONS):
+        for name, compute in list(table.items()):
+            def counting(*operands, _compute=compute):
+                nonlocal done
+                done += 1
+                return _compute(*operands)
+            monkeypatch.setitem(table, name, counting)
     solutions, _ = enumerate_solutions(SourceProgram((), goal))
     assert len(solutions) == 4
     assert done < 1728 * 5 // 2
@@ -117,6 +119,8 @@ def test_a_choose_works_out_invariant_arithmetic_once_and_skips_failing_leaves(m
     ("main { choose(z in {}) fact(25) == z }", ["end"]),
     # the read of the unset s ends evaluation before 1 / 0 is reached
     ("main { choose(z in {1, 2}) (s + 1 / 0 == z; s = 3) }", ["end"]),
+    # an operand that would raise is read in its turn, not in place ahead of s
+    ("main { choose(z in {1, 2}) (s + f(a) == z; s = 3) }", ["end"]),
     # term sides compare as terms, a worked-out sum included: f(a) is no integer, yet no fault
     ("main { choose(z in {f(a), 3}) z == 1 + 2 }", [((("z", Int(3)),), {}), "end"]),
     ("main { choose(x in {f(b), 2}) choose(z in {2, f(b)}) z == x }",
@@ -359,6 +363,16 @@ def test_pin_through_structure_is_in_bounds():
      "match: 1 solutions"),
     # the engine reads y unbound before the pin: still out of bounds
     ("main { choose(y) (s = y + 1; zero == succ(y)) }", "excluded: choose(y) reads y before its pin"),
+    # the engine runs the goals before the pin once, y unbound, and
+    # raises there; with no candidate, the oracle would run none of them
+    ("main { choose(y) (s = 1 / 0; zero == succ(y)) }",
+     "excluded: choose(y) runs goals before pinning y to no value"),
+    ("main { choose(y) (fact(25) == 1; zero == succ(y)) }",
+     "excluded: choose(y) runs goals before pinning y to no value"),
+    ("main { choose(y) choose(z in {1, 2}) zero == succ(y) }",
+     "excluded: choose(y) runs goals before pinning y to no value"),
+    # with a candidate from a later pin, the goals before run there
+    ("main { choose(y) (s = 1 / 0; zero == succ(y); y == 3) }", "match: both raised runtime errors"),
 ])
 def test_a_pin_of_another_shape_pins_to_no_candidate(source, verdict):
     assert check_equivalence(parse_program(source)).describe() == verdict
