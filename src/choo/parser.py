@@ -41,11 +41,17 @@ name somewhere (the store is one global namespace, so the whole token
 stream decides) and an atom otherwise, which is the only way a bare atom
 can reach a condition. Assigning to a bound name is an error at parse
 time.
+
+One re.split makes the tokens, as parallel lists of kinds and texts read
+by index. An error inside the parser names a token index; its offset,
+line and column are worked out only when it leaves parse_program or
+parse_goal, so a reread that fails inside a valid program costs none.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from .syntax import (
     Assign,
@@ -84,7 +90,11 @@ class ParseError(Exception):
         self.message = message
 
 
-class _TooDeep(ParseError):
+class _Fault(Exception):
+    """A ParseError inside the parser; its args are a token index and the message."""
+
+
+class _TooDeep(_Fault):
     """Final: no reread as a condition gets past the token that raised it."""
 
 
@@ -98,104 +108,123 @@ class Token:
         self.col = col
 
 
-# one match per token: the blanks before it, then the first alternative that
-# fits; \Z takes trailing blanks, and the catch-all . any other character
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<newline>\n)|//[^\n]*"
-    r"|(?P<punct>==|!=|<=|>=|\.\.|[(){};,=<>+\-*/])"
-    r"|(?P<int>\d+)|(?P<word>[^\W\d_]\w*)|(?P<other>.)|\Z)",
-    re.DOTALL,
-)
+# one capturing group: the odd pieces of a split are the tokens, the
+# comments and any other character but a blank; the even ones are blanks
+_SPLIT = re.compile(r"(//[^\n]*|==|!=|<=|>=|\.\.|[(){};,=<>+\-*/]|\d+|[^\W\d_]\w*|[^ \t\r\n])")
+
+# the kind of a punctuation or keyword text; of any other text, its first
+# character decides: a \d one starts an int, a lowercase letter an identifier
+_KINDS = {p: p for p in ("==", "!=", "<=", ">=", "..", *"(){};,=<>+-*/")}
+_KINDS.update(dict.fromkeys(KEYWORDS, "keyword"))
+
+
+def _scan(source: str) -> tuple:
+    """The kinds and texts of source's tokens, each list ending in eof, and the
+    pieces of the split; raises ParseError at an unexpected character."""
+    pieces = _SPLIT.split(source)
+    texts = pieces[1::2]
+    if "//" in source:
+        texts = [text for text in texts if text[:2] != "//"]
+    kind_of = {  # each distinct text once
+        text: "int" if text[0].isdecimal() else "ident" if text[0].isalpha() and text[0].islower() else ""
+        for text in set(texts).difference(_KINDS)
+    }
+    kind_of.update(_KINDS)
+    kinds = list(map(kind_of.__getitem__, texts))
+    if "" in kinds:
+        i = kinds.index("")
+        offset = _offsets(source, pieces)[i]
+        raise ParseError(*_line_col(source, offset), f"unexpected character {texts[i][0]!r}")
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts, pieces
+
+
+def _offsets(source: str, pieces: list) -> list:
+    """The start offsets of the tokens _scan makes of source's pieces, eof included."""
+    offsets = list(accumulate(map(len, pieces), initial=0))[1::2]
+    if "//" in source:
+        offsets = [offset for offset, text in zip(offsets, pieces[1::2] + [""]) if text[:2] != "//"]
+    return offsets
+
+
+def _line_col(source: str, offset: int) -> tuple:
+    """The 1-based line and column of offset in source."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def lex(source: str) -> list:
+    """The tokens of source, eof included, with their lines and columns."""
+    kinds, texts, pieces = _scan(source)
     tokens = []
-    line = 1
-    line_start = 0  # offset of the current line's first character
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind is None:  # comments and the end of input
-            continue
-        if kind == "newline":
+    line, line_start, newline = 1, 0, source.find("\n")
+    for kind, text, offset in zip(kinds, texts, _offsets(source, pieces)):
+        while 0 <= newline < offset:
             line += 1
-            line_start = m.end()
-            continue
-        text = m[kind]
-        col = m.end() - len(text) - line_start + 1
-        if kind == "word" and text[0].isalpha() and text[0].islower():
-            kind = "keyword" if text in KEYWORDS else "ident"
-        elif kind == "punct":
-            kind = text
-        elif kind != "int":
-            raise ParseError(line, col, f"unexpected character {text[0]!r}")
-        tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            line_start = newline + 1
+            newline = source.find("\n", line_start)
+        tokens.append(Token(kind, text, line, offset - line_start + 1))
     return tokens
 
 
-def _show(tok: Token) -> str:
-    if tok.kind == "eof":
-        return "end of input"
-    return f"'{tok.text}'"
-
-
-def _assigned_names(tokens) -> frozenset:
+def _assigned_names(kinds, texts) -> frozenset:
     """Names appearing as assignment targets anywhere in the token stream.
 
     '=' occurs in the grammar only in IDENT "=" expr, so the bigram
     identifies the store names exactly on any program that parses.
     """
-    return frozenset(
-        tok.text
-        for tok, nxt in zip(tokens, tokens[1:])
-        if tok.kind == "ident" and nxt.kind == "="
-    )
+    return frozenset(text for kind, nxt, text in zip(kinds, kinds[1:], texts)
+                     if nxt == "=" and kind == "ident")
+
+
+def _nest(depth: int, at: int):
+    """Fail at token index at if that token opens construct number depth."""
+    if depth > _MAX_NESTING:
+        raise _TooDeep(at, "nesting too deep")
+
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens + tokens[-1:]  # a second eof, for peek(1) at the end
-        self.stores = _assigned_names(tokens)
+    def __init__(self, source: str):
+        self.source = source
+        kinds, texts, self.pieces = _scan(source)
+        self.stores = _assigned_names(kinds, texts)
+        self.end = len(kinds) - 1  # the eof; a second one follows, for the look-ahead
+        kinds.append("eof")
+        texts.append("")
+        self.kinds, self.texts = kinds, texts
         self.pos = 0
 
     # --- token helpers ---
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def _fail(self, i: int, what: str) -> _Fault:
+        found = "end of input" if self.kinds[i] == "eof" else f"'{self.texts[i]}'"
+        return _Fault(i, f"expected {what}, found {found}")
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def expect(self, kind: str, what: str) -> str:
+        """Read a token of kind at the current position; returns its text."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self._fail(i, what)
+        self.pos = i + 1
+        return self.texts[i]
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.col, f"expected {what}, found {_show(tok)}")
-        return self.advance()
-
-    def _error(self, message: str, error=ParseError):
-        tok = self.peek()
-        raise error(tok.line, tok.col, message)
-
-    def _nest(self, depth: int):
-        """Fail at the current token if it opens construct number depth."""
-        if depth > _MAX_NESTING:
-            self._error("nesting too deep", _TooDeep)
+    def escaped(self, err: _Fault) -> ParseError:
+        """err as it leaves the parser; the look-ahead eof stands at the real one."""
+        at, message = err.args
+        offset = _offsets(self.source, self.pieces)[min(at, self.end)]
+        return ParseError(*_line_col(self.source, offset), message)
 
     # --- program structure ---
 
     def program(self) -> SourceProgram:
+        kinds, texts = self.kinds, self.texts
         clauses = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "keyword" and tok.text == "main":
-                break
-            if tok.kind == "ident":
-                clauses.append(self.clause())
-            else:
-                self._error(f"expected a clause or the main block, found {_show(tok)}")
-        self.advance()  # main
+        while not (kinds[self.pos] == "keyword" and texts[self.pos] == "main"):
+            if kinds[self.pos] != "ident":
+                raise self._fail(self.pos, "a clause or the main block")
+            clauses.append(self.clause())
+        self.pos += 1  # main
         self.expect("{", "'{'")
         main = self.goal(frozenset())
         self.expect("}", "'}'")
@@ -203,30 +232,33 @@ class _Parser:
         return SourceProgram(tuple(clauses), main)
 
     def clause(self) -> Clause:
+        kinds, texts = self.kinds, self.texts
         name = self.expect("ident", "a clause name")
         self.expect("(", "'('")
         params = []
-        if self.peek().kind != ")":
+        i = self.pos
+        if kinds[i] != ")":
             while True:
-                p = self.peek()
-                if p.kind != "ident":
-                    self._error(f"expected a parameter name, found {_show(p)}")
-                if p.text in params:
-                    raise ParseError(p.line, p.col, f"duplicate parameter '{p.text}'")
-                params.append(p.text)
-                self.advance()
-                if self.peek().kind != ",":
+                if kinds[i] != "ident":
+                    raise self._fail(i, "a parameter name")
+                if texts[i] in params:
+                    raise _Fault(i, f"duplicate parameter '{texts[i]}'")
+                params.append(texts[i])
+                i += 1
+                if kinds[i] != ",":
                     break
-                self.advance()
+                i += 1
+        self.pos = i
         self.expect(")", "')'")
         self.expect("{", "'{'")
         body = self.goal(frozenset(params))
         self.expect("}", "'}'")
-        return Clause(name.text, tuple(params), body)
+        return Clause(name, tuple(params), body)
 
     # --- goals ---
 
     def goal(self, scope):
+        kinds, texts = self.kinds, self.texts
         # open "(" goals, calls and choose headers, innermost last: (where a
         # "(" or call is reread from as a condition, the scope and statements
         # outside it, and (var, set) for a choose header, else None)
@@ -234,39 +266,36 @@ class _Parser:
         while True:
             try:
                 if g is None:  # read a statement, or open one more construct
-                    tok, nxt = self.peek(), self.peek(1)
-                    if tok.kind == "keyword" and tok.text == "choose":
-                        self._nest(len(stack) + 1)
-                        self.advance()
+                    i = self.pos
+                    kind, nxt = kinds[i], kinds[i + 1]
+                    if kind == "keyword" and texts[i] == "choose":
+                        _nest(len(stack) + 1, i)
+                        self.pos = i + 1
                         self.expect("(", "'('")
-                        var = self.expect("ident", "a variable name").text
+                        var = self.expect("ident", "a variable name")
                         cset = None
-                        if self.peek().kind == "keyword" and self.peek().text == "in":
-                            self.advance()
+                        if kinds[self.pos] == "keyword" and texts[self.pos] == "in":
+                            self.pos += 1
                             cset = self.cset(scope, len(stack) + 1)
                         self.expect(")", "')'")
                         stack.append((None, scope, prims, (var, cset)))
                         scope = scope | {var}
-                    elif tok.kind == "(" or tok.kind == "ident" and nxt.kind == "(":
-                        stack.append((self.pos, scope, prims, None))
-                        self._nest(len(stack))
-                        self.advance()
-                        if tok.kind == "(":
+                    elif kind == "(" or kind == "ident" and nxt == "(":
+                        stack.append((i, scope, prims, None))
+                        _nest(len(stack), i)
+                        if kind == "(":
+                            self.pos = i + 1
                             prims = []
                             continue
-                        self.advance()
-                        args = self.terms(scope, len(stack)) if self.peek().kind != ")" else []
+                        self.pos = i + 2
+                        args = self.terms(scope, len(stack)) if kinds[i + 2] != ")" else []
                         self.expect(")", "')' or ','")
-                        g, scope, prims = self._close(stack, Call(tok.text, tuple(args)))
-                    elif tok.kind == "ident" and nxt.kind == "=":
-                        if tok.text in scope:
-                            raise ParseError(
-                                tok.line, tok.col,
-                                f"cannot assign to logic variable '{tok.text}'",
-                            )
-                        self.advance()
-                        self.advance()
-                        g = Assign(tok.text, self.expr(scope, len(stack)))
+                        g, scope, prims = self._close(stack, Call(texts[i], tuple(args)))
+                    elif kind == "ident" and nxt == "=":
+                        if texts[i] in scope:
+                            raise _Fault(i, f"cannot assign to logic variable '{texts[i]}'")
+                        self.pos = i + 2
+                        g = Assign(texts[i], self.expr(scope, len(stack)))
                     else:
                         g = self.cond(scope, len(stack))
                     continue
@@ -276,8 +305,8 @@ class _Parser:
                 prims.append(g)
                 g = None
                 # a loop over ";", not nesting: flat programs are long chains
-                if self.peek().kind == ";":
-                    self.advance()
+                if kinds[self.pos] == ";":
+                    self.pos += 1
                     continue
                 if not stack:
                     return seq_of(prims)
@@ -285,7 +314,7 @@ class _Parser:
                 g, scope, prims = self._close(stack, seq_of(prims))
             except _TooDeep:
                 raise
-            except ParseError as err:
+            except _Fault as err:
                 # reread the innermost open "(" or call as a condition, and
                 # move outward while that fails too; the farther error wins
                 while True:
@@ -298,159 +327,179 @@ class _Parser:
                     try:
                         g = self.cond(scope, len(stack))
                         break
-                    except ParseError as cond_err:
-                        err = _farther(err, cond_err)
+                    except _Fault as cond_err:  # the look-ahead eof ties with the eof
+                        if min(cond_err.args[0], self.end) >= min(err.args[0], self.end):
+                            err = cond_err
 
     def _close(self, stack, goal):
         """Pop the "(" or call that read goal; a following operator makes it
         a condition's operand instead. Returns the statement, and the scope
         and statements outside it."""
         start, scope, prims, _ = stack.pop()
-        if self.peek().kind in _OPERATOR_KINDS:
+        if self.kinds[self.pos] in _OPERATOR_KINDS:
             self.pos = start
             goal = self.cond(scope, len(stack))
         return goal, scope, prims
 
     def cond(self, scope, depth):
         lhs = self.expr(scope, depth)
-        tok = self.peek()
-        if tok.kind not in _COMPARISON_OPS:
-            self._error(f"expected a comparison operator, found {_show(tok)}")
-        self.advance()
-        rhs = self.expr(scope, depth)
-        return Compare(tok.kind, lhs, rhs)
+        i = self.pos
+        op = self.kinds[i]
+        if op not in _COMPARISON_OPS:
+            raise self._fail(i, "a comparison operator")
+        self.pos = i + 1
+        return Compare(op, lhs, self.expr(scope, depth))
 
     # --- expressions ---
 
     def expr(self, scope, depth):
+        kinds, texts, stores = self.kinds, self.texts, self.stores
+        i = self.pos
         # open "(" and fib/fact calls, innermost last, each with the partial
         # sum and product outside it: (name or None, sum, op, product, op)
         stack = []
         total = add = product = mul = None
         while True:
-            tok = self.peek()
-            if tok.kind == "(" or tok.kind == "keyword" and tok.text in ("fib", "fact"):
-                self._nest(depth + len(stack) + 1)
-                self.advance()
-                if tok.kind != "(":
-                    self.expect("(", "'('")
-                stack.append((tok.text if tok.kind != "(" else None, total, add, product, mul))
+            kind = kinds[i]
+            if kind == "(" or kind == "keyword" and texts[i] in ("fib", "fact"):
+                _nest(depth + len(stack) + 1, i)
+                if kind != "(":
+                    i += 1
+                    if kinds[i] != "(":
+                        raise self._fail(i, "'('")
+                stack.append((texts[i - 1] if kind != "(" else None, total, add, product, mul))
                 total = add = product = mul = None
+                i += 1
                 continue
-            operand = self._operand(tok, scope, depth + len(stack))
+            if kind == "int" or kind == "-" and kinds[i + 1] == "int":
+                operand = IntLit(self._signed_int(i))
+                i = self.pos
+            elif kind == "ident":
+                name = texts[i]
+                if kinds[i + 1] == "(":
+                    self.pos = i
+                    operand = TermLit(self.terms(scope, depth + len(stack), many=False)[0])
+                    i = self.pos
+                else:
+                    i += 1
+                    operand = (TermLit(Var(name)) if name in scope
+                               else VarRef(name) if name in stores else TermLit(Atom(name)))
+            else:
+                raise self._fail(i, "an expression")
             while True:
                 product = operand if mul is None else BinOp(mul, product, operand)
-                if self.peek().kind in ("*", "/"):
-                    mul = self.advance().kind
+                kind = kinds[i]
+                if kind == "*" or kind == "/":
+                    mul = kind
+                    i += 1
                     break
                 total = product if add is None else BinOp(add, total, product)
-                if self.peek().kind in ("+", "-"):
-                    add, mul = self.advance().kind, None
+                if kind == "+" or kind == "-":
+                    add, mul = kind, None
+                    i += 1
                     break
                 if not stack:
+                    self.pos = i
                     return total
-                self.expect(")", "')'")
+                if kind != ")":
+                    raise self._fail(i, "')'")
+                i += 1
                 name, outer_total, add, product, mul = stack.pop()
                 operand = total if name is None else FunCall(name, total)
                 total = outer_total
-
-    def _operand(self, tok, scope, depth):
-        if tok.kind == "int" or tok.kind == "-" and self.peek(1).kind == "int":
-            return IntLit(self._signed_int())
-        if tok.kind == "ident":
-            if self.peek(1).kind == "(":
-                return TermLit(self.terms(scope, depth, many=False)[0])
-            self.advance()
-            if tok.text in scope:
-                return TermLit(Var(tok.text))
-            if tok.text in self.stores:
-                return VarRef(tok.text)
-            return TermLit(Atom(tok.text))
-        self._error(f"expected an expression, found {_show(tok)}")
 
     # --- terms ---
 
     def terms(self, scope, depth, many=True):
         """term ("," term)*, or one term if not many."""
+        kinds, texts = self.kinds, self.texts
+        i = self.pos
         stack = [(None, [])]  # the list, then the open compounds: (name, args)
         while True:
-            tok = self.peek()
-            if tok.kind == "ident" and self.peek(1).kind == "(":
-                self._nest(depth + len(stack))
-                self.advance()
-                self.advance()
-                if self.peek().kind == ")":
-                    self._error("compound term needs at least one argument")
-                stack.append((tok.text, []))
+            kind = kinds[i]
+            if kind == "ident" and kinds[i + 1] == "(":
+                _nest(depth + len(stack), i)
+                if kinds[i + 2] == ")":
+                    raise _Fault(i + 2, "compound term needs at least one argument")
+                stack.append((texts[i], []))
+                i += 2
                 continue
-            if tok.kind == "int" or tok.kind == "-" and self.peek(1).kind == "int":
-                term = Int(self._signed_int())
-            elif tok.kind == "ident":
-                self.advance()
-                term = Var(tok.text) if tok.text in scope else Atom(tok.text)
+            if kind == "int" or kind == "-" and kinds[i + 1] == "int":
+                term = Int(self._signed_int(i))
+                i = self.pos
+            elif kind == "ident":
+                term = Var(texts[i]) if texts[i] in scope else Atom(texts[i])
+                i += 1
             else:
-                self._error(f"expected a term, found {_show(tok)}")
+                raise self._fail(i, "a term")
             while True:
                 name, args = stack[-1]
                 args.append(term)
-                if self.peek().kind == "," and (many or name is not None):
-                    self.advance()
+                kind = kinds[i]
+                if kind == "," and (many or name is not None):
+                    i += 1
                     break
                 if name is None:
+                    self.pos = i
                     return args
-                self.expect(")", "')' or ','")
+                if kind != ")":
+                    raise self._fail(i, "')' or ','")
+                i += 1
                 stack.pop()
                 term = Compound(name, tuple(args))
 
-    def _signed_int(self) -> int:
-        tok = self.peek()
-        negative = tok.kind == "-" and self.peek(1).kind == "int"
+    def _signed_int(self, i: int) -> int:
+        """The integer at token i, after a '-' if one is there; the
+        position moves past it."""
+        kinds = self.kinds
+        negative = kinds[i] == "-" and kinds[i + 1] == "int"
         if negative:
-            self.advance()
-            tok = self.peek()
-        if tok.kind != "int":
-            self._error(f"expected an integer, found {_show(tok)}")
-        self.advance()
-        value = -int(tok.text) if negative else int(tok.text)
+            i += 1
+        if kinds[i] != "int":
+            raise self._fail(i, "an integer")
+        self.pos = i + 1
+        value = -int(self.texts[i]) if negative else int(self.texts[i])
         if not (INT64_MIN <= value <= INT64_MAX):
-            raise ParseError(tok.line, tok.col, "integer literal out of 64-bit range")
+            raise _Fault(i, "integer literal out of 64-bit range")
         return value
 
     # --- choice sets ---
 
     def cset(self, scope, depth):
         self.expect("{", "'{'")
-        if self.peek().kind == "}":
-            self.advance()
+        kinds = self.kinds
+        i = self.pos
+        if kinds[i] == "}":
+            self.pos = i + 1
             return Enum(())
         # a leading integer may open a range; look past it for ".."
-        save = self.pos
-        first = self.peek()
-        if first.kind == "int" or (first.kind == "-" and self.peek(1).kind == "int"):
-            lo = self._signed_int()
-            if self.peek().kind == "..":
-                self.advance()
-                hi = self._signed_int()
+        if kinds[i] == "int" or kinds[i] == "-" and kinds[i + 1] == "int":
+            lo = self._signed_int(i)
+            if kinds[self.pos] == "..":
+                hi = self._signed_int(self.pos + 1)
                 self.expect("}", "'}'")
                 return Range(lo, hi)
-            self.pos = save
+            self.pos = i
         elements = self.terms(scope, depth)
         self.expect("}", "'}' or ','")
         return Enum(tuple(elements))
 
 
-def _farther(e1: ParseError, e2: ParseError) -> ParseError:
-    return e2 if (e2.line, e2.column) >= (e1.line, e1.column) else e1
-
-
 def parse_program(source: str) -> SourceProgram:
     """Parse a whole program; raises ParseError with position on any fault."""
-    return _Parser(lex(source)).program()
+    p = _Parser(source)
+    try:
+        return p.program()
+    except _Fault as err:
+        raise p.escaped(err) from None
 
 
 def parse_goal(source: str, scope=frozenset()) -> object:
     """Parse a single goal, with the names in scope bound; used by tests."""
-    p = _Parser(lex(source))
-    g = p.goal(frozenset(scope))
-    p.expect("eof", "end of input")
+    p = _Parser(source)
+    try:
+        g = p.goal(frozenset(scope))
+        p.expect("eof", "end of input")
+    except _Fault as err:
+        raise p.escaped(err) from None
     return g

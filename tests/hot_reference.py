@@ -1,6 +1,6 @@
 """The reference method behind `hot._HOT_AFTER`, measured where it runs.
 
-    PYTHONPATH=src python tests/hot_reference.py [REPEATS]
+    PYTHONPATH=src python tests/hot_reference.py [REPEATS [RUNS]]
 
 It takes the 68 innermost bounded chooses of the seed-3 `nested_choice`
 and `oracle_check` pools, loading `bench/workloads.py` from its file
@@ -18,8 +18,13 @@ and the repay point, the leaves after which what the settled leaves save
 has paid for the compile; and the lowest threshold T with
 1 + q3 / T <= 1.75, q3 being the upper quartile of the compile cost: at
 T, a choose that stops right after compiling costs at most 1.75 times
-what it would without the tier. It needs the standard library alone, and
-since it takes timings, no test suite runs it whole.
+what it would without the tier.
+
+The threshold moves by a few visits from one run to the next, so the
+whole measurement runs RUNS times (default 3) and the script ends with
+each run's lowest threshold, their median and their range. It needs the
+standard library alone, and since it takes timings, no test suite runs
+it whole.
 """
 
 from __future__ import annotations
@@ -111,12 +116,18 @@ def threshold(q3):
 
 def main(argv):
     repeats = int(argv[0]) if argv else 7
-    costs, repays = zip(*(measure(source, repeats)[:2] for source in pools()))
-    for label, values in (("compile cost, in leaf runs", costs), ("repay point, in leaves", repays)):
-        q1, median, q3 = statistics.quantiles(values, n=4)
-        print(f"{label}: q1 {q1:.1f}, median {median:.1f}, q3 {q3:.1f} ({len(values)} chooses)")
-    q3 = statistics.quantiles(costs, n=4)[2]
-    print(f"lowest threshold T with 1 + q3 / T <= {WORST_CASE}: {threshold(q3)}"
+    runs = int(argv[1]) if len(argv) > 1 else 3
+    sources, thresholds = pools(), []
+    for run in range(1, runs + 1):
+        costs, repays = zip(*(measure(source, repeats)[:2] for source in sources))
+        for label, values in (("compile cost, in leaf runs", costs), ("repay point, in leaves", repays)):
+            q1, median, q3 = statistics.quantiles(values, n=4)
+            print(f"run {run}, {label}: q1 {q1:.1f}, median {median:.1f}, q3 {q3:.1f}"
+                  f" ({len(values)} chooses)")
+        thresholds.append(threshold(statistics.quantiles(costs, n=4)[2]))
+        print(f"run {run}, lowest threshold T with 1 + q3 / T <= {WORST_CASE}: {thresholds[-1]}")
+    print(f"lowest thresholds over {runs} runs: {', '.join(map(str, thresholds))};"
+          f" median {statistics.median(thresholds):g}, range {min(thresholds)}-{max(thresholds)}"
           f" (hot._HOT_AFTER is {hot._HOT_AFTER})")
     return 0
 

@@ -440,6 +440,22 @@ def test_the_hot_after_reference_measures_one_choose():
     assert [hot_reference.threshold(q3) for q3 in (48, 48.5, 42)] == [64, 65, 56]
 
 
+def test_the_hot_after_reference_sums_up_several_runs(monkeypatch, capsys):
+    # one run's threshold moves by a few visits from the next one's, so the
+    # script repeats its whole measurement and ends with every run's
+    # threshold, their median and their range
+    costs = iter([40.0] * 4 + [48.0] * 4 + [47.0] * 4)
+    monkeypatch.setattr(hot_reference, "pools", lambda: ["p"] * 4)
+    monkeypatch.setattr(hot_reference, "measure", lambda source, repeats: (next(costs), 50.0, 8))
+    assert hot_reference.main(["1", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "lowest threshold T" in line] == [
+        f"run {run}, lowest threshold T with 1 + q3 / T <= 1.75: {t}"
+        for run, t in ((1, 54), (2, 64), (3, 63))]
+    assert out[-1] == ("lowest thresholds over 3 runs: 54, 64, 63; median 63, range 54-64"
+                       f" (hot._HOT_AFTER is {hot._HOT_AFTER})")
+
+
 @pytest.mark.parametrize("source,compiled", [
     ((PROGRAMS / "backtracking.choo").read_text(), 0),
     ("main { " + "; ".join(["choose(x in {1..2}) (x > 1; s = x)"] * 300) + " }", 0),

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from choo import parser
 from choo.parser import ParseError, lex, parse_goal, parse_program
 from choo.syntax import (
     Assign,
@@ -251,6 +252,34 @@ def test_deeply_nested_parentheses_fail_cleanly():
     source = "main { " + "(" * 2000 + "1 == 1" + ")" * 2000 + " }"
     with pytest.raises(ParseError):
         parse_program(source)
+
+
+def test_a_token_kind_follows_its_first_character():
+    # \d and str.isdecimal both cover the Unicode Nd digits, so Arabic-Indic
+    # digits make an int; '²' is a digit to str.isdigit, but neither Nd nor a
+    # letter, and a titlecase or uppercase letter starts no identifier
+    assert format_program(parse_program("main { s = ٣٤ }")) == "main {\n  s = 34\n}"
+    for text in ("²", "ǅ", "Zed"):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"main {{ s = {text} }}")
+        assert str(err.value) == f"1:12: unexpected character {text[0]!r}"
+
+
+def test_only_an_error_that_leaves_the_parser_gets_a_line_and_column(monkeypatch):
+    # each "(s + 1) == 1" is read as a goal first, fails at its ")" and is
+    # reread as a condition; that failure must not work out where it is
+    calls = []
+    line_col = parser._line_col
+    monkeypatch.setattr(parser, "_line_col",
+                        lambda source, offset: calls.append(offset) or line_col(source, offset))
+    lines = ["(s + 1) == 1"] * 2000
+    program = parse_program("main {\n" + ";\n".join(lines) + "\n}")
+    assert format_program(program).count("s + 1 == 1") == 2000
+    assert calls == []
+    with pytest.raises(ParseError) as err:
+        parse_program("main {\n" + ";\n".join(lines + ["(s + 1) =="]) + "\n}")
+    assert str(err.value) == "2003:1: expected an expression, found '}'"
+    assert len(calls) == 1
 
 
 # --- totality and round-trip ------------------------------------------------------
