@@ -232,23 +232,19 @@ class _Parser:
         return SourceProgram(tuple(clauses), main)
 
     def clause(self) -> Clause:
-        kinds, texts = self.kinds, self.texts
         name = self.expect("ident", "a clause name")
         self.expect("(", "'('")
         params = []
-        i = self.pos
-        if kinds[i] != ")":
+        if self.kinds[self.pos] != ")":
             while True:
-                if kinds[i] != "ident":
-                    raise self._fail(i, "a parameter name")
-                if texts[i] in params:
-                    raise _Fault(i, f"duplicate parameter '{texts[i]}'")
-                params.append(texts[i])
-                i += 1
-                if kinds[i] != ",":
+                at = self.pos
+                param = self.expect("ident", "a parameter name")
+                if param in params:
+                    raise _Fault(at, f"duplicate parameter '{param}'")
+                params.append(param)
+                if self.kinds[self.pos] != ",":
                     break
-                i += 1
-        self.pos = i
+                self.pos += 1
         self.expect(")", "')'")
         self.expect("{", "'{'")
         body = self.goal(frozenset(params))
