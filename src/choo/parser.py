@@ -122,9 +122,7 @@ def _scan(source: str) -> tuple:
     """The kinds and texts of source's tokens, each list ending in eof, and the
     pieces of the split; raises ParseError at an unexpected character."""
     pieces = _SPLIT.split(source)
-    texts = pieces[1::2]
-    if "//" in source:
-        texts = [text for text in texts if text[:2] != "//"]
+    texts = _uncommented(source, pieces, pieces[1::2])
     kind_of = {  # each distinct text once
         text: "int" if text[0].isdecimal() else "ident" if text[0].isalpha() and text[0].islower() else ""
         for text in set(texts).difference(_KINDS)
@@ -133,19 +131,23 @@ def _scan(source: str) -> tuple:
     kinds = list(map(kind_of.__getitem__, texts))
     if "" in kinds:
         i = kinds.index("")
-        offset = _offsets(source, pieces)[i]
-        raise ParseError(*_line_col(source, offset), f"unexpected character {texts[i][0]!r}")
+        message = f"unexpected character {texts[i][0]!r}"
+        raise ParseError(*_line_col(source, _offsets(source, pieces)[i]), message)
     kinds.append("eof")
     texts.append("")
     return kinds, texts, pieces
 
 
+def _uncommented(source: str, pieces: list, items: list) -> list:
+    """items, one per odd piece of source's split (and the eof), less the comments'."""
+    if "//" not in source:
+        return items
+    return [item for item, text in zip(items, pieces[1::2] + [""]) if text[:2] != "//"]
+
+
 def _offsets(source: str, pieces: list) -> list:
     """The start offsets of the tokens _scan makes of source's pieces, eof included."""
-    offsets = list(accumulate(map(len, pieces), initial=0))[1::2]
-    if "//" in source:
-        offsets = [offset for offset, text in zip(offsets, pieces[1::2] + [""]) if text[:2] != "//"]
-    return offsets
+    return _uncommented(source, pieces, list(accumulate(map(len, pieces), initial=0))[1::2])
 
 
 def _line_col(source: str, offset: int) -> tuple:
@@ -186,7 +188,6 @@ def _nest(depth: int, at: int):
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         kinds, texts, self.pieces = _scan(source)
         self.stores = _assigned_names(kinds, texts)
         self.end = len(kinds) - 1  # the eof; a second one follows, for the look-ahead
@@ -208,12 +209,6 @@ class _Parser:
             raise self._fail(i, what)
         self.pos = i + 1
         return self.texts[i]
-
-    def escaped(self, err: _Fault) -> ParseError:
-        """err as it leaves the parser; the look-ahead eof stands at the real one."""
-        at, message = err.args
-        offset = _offsets(self.source, self.pieces)[min(at, self.end)]
-        return ParseError(*_line_col(self.source, offset), message)
 
     # --- program structure ---
 
@@ -481,21 +476,26 @@ class _Parser:
         return Enum(tuple(elements))
 
 
-def parse_program(source: str) -> SourceProgram:
-    """Parse a whole program; raises ParseError with position on any fault."""
+def _parse(source: str, read):
+    """read(parser) over source; an escaping fault becomes a ParseError."""
     p = _Parser(source)
     try:
-        return p.program()
+        return read(p)
     except _Fault as err:
-        raise p.escaped(err) from None
+        at, message = err.args
+        offset = _offsets(source, p.pieces)[min(at, p.end)]  # the look-ahead eof stands at the real one
+        raise ParseError(*_line_col(source, offset), message) from None
+
+
+def parse_program(source: str) -> SourceProgram:
+    """Parse a whole program; raises ParseError with position on any fault."""
+    return _parse(source, _Parser.program)
 
 
 def parse_goal(source: str, scope=frozenset()) -> object:
     """Parse a single goal, with the names in scope bound; used by tests."""
-    p = _Parser(source)
-    try:
+    def read(p):
         g = p.goal(frozenset(scope))
         p.expect("eof", "end of input")
-    except _Fault as err:
-        raise p.escaped(err) from None
-    return g
+        return g
+    return _parse(source, read)

@@ -1,6 +1,6 @@
 """The reference method behind `hot._HOT_AFTER`, measured where it runs.
 
-    PYTHONPATH=src python tests/hot_reference.py [REPEATS [RUNS]]
+    PYTHONPATH=src python tests/hot_reference.py [REPEATS]
 
 It takes the 68 innermost bounded chooses of the seed-3 `nested_choice`
 and `oracle_check` pools, loading `bench/workloads.py` from its file
@@ -21,8 +21,8 @@ T, a choose that stops right after compiling costs at most 1.75 times
 what it would without the tier.
 
 The threshold moves by a few visits from one run to the next, so the
-whole measurement runs RUNS times (default 3) and the script ends with
-each run's lowest threshold, their median and their range. It needs the
+whole measurement runs RUNS (3) times and the script ends with each
+run's lowest threshold, their median and their range. It needs the
 standard library alone, and since it takes timings, no test suite runs
 it whole.
 """
@@ -44,6 +44,7 @@ from settle_check import patched
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 WORST_CASE = 1.75  # what a choose that stops right after compiling may cost, at most
+RUNS = 3  # whole measurements per call
 
 
 def pools(seed=3):
@@ -116,9 +117,8 @@ def threshold(q3):
 
 def main(argv):
     repeats = int(argv[0]) if argv else 7
-    runs = int(argv[1]) if len(argv) > 1 else 3
     sources, thresholds = pools(), []
-    for run in range(1, runs + 1):
+    for run in range(1, RUNS + 1):
         costs, repays = zip(*(measure(source, repeats)[:2] for source in sources))
         for label, values in (("compile cost, in leaf runs", costs), ("repay point, in leaves", repays)):
             q1, median, q3 = statistics.quantiles(values, n=4)
@@ -126,7 +126,7 @@ def main(argv):
                   f" ({len(values)} chooses)")
         thresholds.append(threshold(statistics.quantiles(costs, n=4)[2]))
         print(f"run {run}, lowest threshold T with 1 + q3 / T <= {WORST_CASE}: {thresholds[-1]}")
-    print(f"lowest thresholds over {runs} runs: {', '.join(map(str, thresholds))};"
+    print(f"lowest thresholds over {RUNS} runs: {', '.join(map(str, thresholds))};"
           f" median {statistics.median(thresholds):g}, range {min(thresholds)}-{max(thresholds)}"
           f" (hot._HOT_AFTER is {hot._HOT_AFTER})")
     return 0

@@ -447,7 +447,7 @@ def test_the_hot_after_reference_sums_up_several_runs(monkeypatch, capsys):
     costs = iter([40.0] * 4 + [48.0] * 4 + [47.0] * 4)
     monkeypatch.setattr(hot_reference, "pools", lambda: ["p"] * 4)
     monkeypatch.setattr(hot_reference, "measure", lambda source, repeats: (next(costs), 50.0, 8))
-    assert hot_reference.main(["1", "3"]) == 0
+    assert hot_reference.main(["1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if "lowest threshold T" in line] == [
         f"run {run}, lowest threshold T with 1 + q3 / T <= 1.75: {t}"
