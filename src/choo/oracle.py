@@ -30,16 +30,18 @@ exact: the condition is the first thing the body does, so a leaf where
 it fails succeeds nowhere and leaves no record, and where it raises,
 the body would have raised the same error at the same point. Only the
 height bound could stop the body sooner, so the test is made only where
-the body reaches the condition within MAX_HEIGHT. Once per visit of the
-choose, the largest arithmetic parts of that condition that read no
-store name and do not mention the chosen name are evaluated in the
-visit's environment: they have the same value at every leaf, and each
-leaf's test takes it from a table by node. A part that raises is not
-kept, and raises where it stands at the first leaf that reaches it, so
-no error moves and none appears where no leaf runs. A leaf (a literal,
-a term or a store read) is never kept, so a side's kind still decides
-between comparing terms and comparing integers. This is loop-invariant
-code motion (Aho, Sethi and Ullman, Compilers, 1986, ch. 10).
+the body reaches the condition within MAX_HEIGHT. Arithmetic runs from
+postfix code made once per expression, and where the condition compares
+integers, each visit of the choose specialises its sides' code to the
+visit's environment: their largest parts that read no store name and do
+not mention the chosen name, and their reads of other binders, are the
+same at every leaf. Each such part whose evaluation succeeds, and each
+such read of an integer, becomes a constant of the residual code each
+leaf runs; it can neither fail nor raise, so reading it early changes
+no outcome. A part that raises is spliced in as its own code, to raise
+where it stands at the first leaf that reaches it, so no error moves
+and none appears where no leaf runs. This is partial evaluation (Jones,
+Gomard and Sestoft, Partial Evaluation and Automatic Program Generation, 1993).
 
 Shared with the engine: the AST and term datatypes, and the form of a
 derivation's record, the linked list of rule applications that
@@ -102,10 +104,6 @@ MAX_HEIGHT = 50  # tallest derivation enumerated; a taller one is out of bounds
 _FAIL = object()  # expression evaluation failed (unset store read)
 
 _NO_BINDINGS = MappingProxyType({})  # the environment outside every binder
-
-_NOTHING_HOISTED = MappingProxyType({})  # no node's value worked out ahead
-
-_TERM_SIDES = (VarRef, TermLit)  # operands whose value may be a term, not an integer
 
 _ORDER = {"==": operator.eq, "!=": operator.ne,
           "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -179,25 +177,96 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _quo
 _FUNCTIONS = {"fib": _fib, "fact": _fact}
 
 
-def _known(e, env, hoisted):
-    """The integer value of operand e where reading it can neither fail
-    nor raise (a literal, a term bound to an integer, or a part worked
-    out ahead), or None where it has to be evaluated in its turn."""
-    kind = type(e)
-    if kind is IntLit:
-        return e.value
-    if kind is TermLit:
-        t = e.term
-        if type(t) is Var:
-            t = env.get(t.name, t)
-        return t.value if type(t) is Int else None
-    return hoisted.get(id(e))
+# postfix code: (opcode, operand) pairs, operands first; an operand is an integer, a term (a
+# binder's Var, or a literal that is no integer), a store name, a function, or a part's code
+_CONST, _BINDER, _READ, _OPERATOR, _FUNCTION, _PART = "const", "binder", "read", "op", "fn", "part"
+
+
+def _postfix(expr, parts):
+    """expr as postfix code, where a subtree whose id is in parts is one
+    _PART instruction; from an explicit stack, as sums nest deeper than
+    the interpreter's recursion limit."""
+    code, todo = [], [expr]
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is tuple:  # an operation, its operands done
+            code.append(e)
+        elif id(e) in parts:
+            code.append((_PART, _postfix(e, ())))
+        elif kind is BinOp:
+            todo += ((_OPERATOR, _OPERATORS[e.op]), e.right, e.left)
+        elif kind is FunCall:
+            todo += ((_FUNCTION, _FUNCTIONS[e.name]), e.arg)
+        elif kind is IntLit:
+            code.append((_CONST, e.value))
+        elif kind is VarRef:
+            code.append((_READ, e.name))
+        elif kind is TermLit:
+            code.append((_CONST, e.term.value) if type(e.term) is Int else (_BINDER, e.term))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+    return code
+
+
+def _run(code, store, env):
+    """The integer value of code that holds no _PART, or _FAIL where a read
+    of an unset name ends it; each operation's result is tested against 64 bits."""
+    values = []
+    for op, arg in code:
+        if op is _CONST:
+            values.append(arg)
+        elif op is _OPERATOR:
+            b = values.pop()
+            n = values[-1] = arg(values[-1], b)
+            if n < INT64_MIN or n > INT64_MAX:
+                raise OracleRunError("overflow", "integer overflow")
+        elif op is _BINDER:
+            t = env.get(arg.name, arg) if type(arg) is Var else arg
+            if type(t) is not Int:
+                if type(t) is Var:
+                    raise OracleRunError("unbound", f"unbound '{t.name}' in arithmetic")
+                raise OracleRunError("not-integer", "non-integer term in arithmetic")
+            values.append(t.value)
+        elif op is _READ:
+            held = store.get(arg)
+            if held is None:
+                return _FAIL
+            if type(held) is not Int:
+                raise OracleRunError("not-integer", f"'{arg}' holds a non-integer")
+            values.append(held.value)
+        else:  # _FUNCTION
+            values[-1] = arg(values[-1])
+    return values[0]
+
+
+def _residual(code, env, name):
+    """code as each leaf of a visit of a choose of name in env runs it: a
+    part that raises nothing, and a read of another binder that holds an
+    integer, are constants, and code of one constant is its integer."""
+    out = []
+    for op, arg in code:
+        if op is _PART:
+            try:
+                out.append((_CONST, _run(arg, {}, env)))
+            except OracleRunError:
+                out += arg  # it raises where it stands, at the first leaf that reaches it
+        elif op is _BINDER and type(arg) is Var and arg.name != name and type(t := env.get(arg.name)) is Int:
+            out.append((_CONST, t.value))
+        else:
+            out.append((op, arg))
+    return out[0][1] if len(out) == 1 and out[0][0] is _CONST else out
+
+
+def _compares_terms(goal: Compare):
+    """Whether goal compares terms, as == does where a side is a store read or a term."""
+    return goal.op == "==" and (type(goal.lhs) in (VarRef, TermLit) or type(goal.rhs) in (VarRef, TermLit))
 
 
 def _invariant_parts(test: Compare, name):
-    """The largest BinOp and FunCall subtrees of test's sides that read
-    no store name and do not mention name: their value is the same at
-    every leaf of a choose of name. Leaves are never among them."""
+    """The ids of the largest BinOp and FunCall subtrees of test's sides
+    that read no store name and do not mention name: their value is the
+    same at every leaf of a choose of name. Leaves are never among them."""
     nodes, todo = [], [(test.rhs, test), (test.lhs, test)]  # parents before children
     while todo:
         e, parent = todo.pop()
@@ -210,9 +279,9 @@ def _invariant_parts(test: Compare, name):
     for e, parent in reversed(nodes):  # children before parents
         if id(e) in variant or type(e) is VarRef or type(e) is TermLit and mentions(name, (e,)):
             variant.add(id(parent))
-    return tuple(e for e, parent in nodes
-                 if (type(e) is BinOp or type(e) is FunCall)
-                 and id(e) not in variant and id(parent) in variant)
+    return {id(e) for e, parent in nodes
+            if (type(e) is BinOp or type(e) is FunCall)
+            and id(e) not in variant and id(parent) in variant}
 
 
 class _Enumerator:
@@ -220,73 +289,19 @@ class _Enumerator:
         self.table = {}  # (name, arity) -> clauses in source order
         for clause in clauses:
             self.table.setdefault((clause.name, len(clause.params)), []).append(clause)
-        self.tests = {}  # id(choose) -> (choose, its leaf test or None, that test's invariant parts)
+        self.tests = {}  # id(choose) -> (choose, its leaf test or None, the code of an integer test's sides)
+        self.codes = {}  # id(expression) -> (expression, its postfix code)
 
     # expression evaluation over a ground store, in an environment
 
-    def _eval(self, store, expr, env, hoisted=_NOTHING_HOISTED):
+    def _eval(self, store, expr, env):
         """The integer value of expr, or _FAIL where a read of an unset
-        name ends evaluation. Operands go left to right through an
-        explicit stack, as sums nest deeper than the interpreter's
-        recursion limit, with each operation below its operands until
-        they are done; hoisted maps id(node) to the value of a node
-        worked out once for every leaf of a choose. An operand that can
-        neither fail nor raise is read in place, so it is never pushed:
-        reading it early changes no outcome."""
-        if (n := hoisted.get(id(expr))) is not None:
-            return n
-        todo, values = [expr], []
-        while todo:
-            e = todo.pop()
-            kind = type(e)
-            if kind is tuple:  # an operation with its operands done; b is the right one if read in place
-                node, b = e
-                if type(node) is FunCall:
-                    values.append(_FUNCTIONS[node.name](values.pop()))
-                    continue
-                if b is None:
-                    b = values.pop()
-                n = _OPERATORS[node.op](values.pop(), b)
-                if n < INT64_MIN or n > INT64_MAX:
-                    raise OracleRunError("overflow", "integer overflow")
-                values.append(n)
-            elif kind is BinOp or kind is FunCall:
-                if kind is BinOp:
-                    b, operand = _known(e.right, env, hoisted), e.left
-                    todo.append((e, b))
-                    if b is None:
-                        todo.append(e.right)
-                else:
-                    operand = e.arg
-                    todo.append((e, None))
-                if (n := _known(operand, env, hoisted)) is None:
-                    todo.append(operand)
-                else:
-                    values.append(n)
-            elif kind is IntLit:
-                values.append(e.value)
-            elif kind is TermLit:
-                t = e.term
-                if type(t) is Var:
-                    t = env.get(t.name, t)
-                if type(t) is Int:
-                    values.append(t.value)
-                elif type(t) is Var:
-                    raise OracleRunError("unbound", f"unbound '{t.name}' in arithmetic")
-                else:
-                    raise OracleRunError("not-integer", "non-integer term in arithmetic")
-            elif kind is VarRef:
-                held = store.get(e.name)
-                if held is None:
-                    return _FAIL
-                if type(held) is not Int:
-                    raise OracleRunError("not-integer", f"'{e.name}' holds a non-integer")
-                values.append(held.value)
-            else:
-                raise TypeError(f"not an expression: {e!r}")
-        return values[0]
+        name ends evaluation, from expr's code, made once per enumerator."""
+        if (entry := self.codes.get(id(expr))) is None:  # the entry keeps expr alive, and so its id
+            entry = self.codes[id(expr)] = (expr, _postfix(expr, ()))
+        return _run(entry[1], store, env)
 
-    def _term_value(self, store, expr, env, hoisted=_NOTHING_HOISTED):
+    def _term_value(self, store, expr, env):
         """Value of a == operand or assignment source, as a term.
 
         The ground model cannot express a variable surviving to a
@@ -302,19 +317,17 @@ class _Enumerator:
             if (term := _instance(expr.term, env)) is None:
                 raise OutOfBounds("a variable reaches a comparison unsubstituted")
             return term
-        n = self._eval(store, expr, env, hoisted)
+        n = self._eval(store, expr, env)
         return _FAIL if n is _FAIL else Int(n)
 
-    def _holds(self, store, goal: Compare, env, hoisted=_NOTHING_HOISTED) -> bool:
+    def _holds(self, store, goal: Compare, env) -> bool:
         if goal.op not in _ORDER:
             raise ValueError(f"unknown comparison {goal.op}")
-        # == compares terms when a side may hold one, and integers otherwise
-        terms = goal.op == "==" and (type(goal.lhs) in _TERM_SIDES or type(goal.rhs) in _TERM_SIDES)
-        value = self._term_value if terms else self._eval
-        a = value(store, goal.lhs, env, hoisted)
+        value = self._term_value if _compares_terms(goal) else self._eval
+        a = value(store, goal.lhs, env)
         if a is _FAIL:
             return False
-        b = value(store, goal.rhs, env, hoisted)
+        b = value(store, goal.rhs, env)
         if b is _FAIL:
             return False
         return _ORDER[goal.op](a, b)
@@ -397,21 +410,19 @@ class _Enumerator:
 
     def _leaf_test(self, goal, env):
         """The condition that the body of the choose goal starts with, or
-        None, and the values in env of that condition's invariant parts,
-        by id, where evaluating one raises nothing."""
+        None; and where it compares integers, its order and each side's
+        residual code in env, or None."""
         entry = self.tests.get(id(goal))
         if entry is None:  # the entry keeps goal alive, so no other goal takes its id
             first = goal.body.first if type(goal.body) is Seq else goal.body
             test = first if type(first) is Compare else None
-            entry = self.tests[id(goal)] = (goal, test, _invariant_parts(test, goal.var) if test else ())
-        _, test, parts = entry
-        hoisted = {}
-        for part in parts:
-            try:
-                hoisted[id(part)] = self._eval({}, part, env)
-            except OracleRunError:
-                pass  # it raises where it stands, at the first leaf that reaches it
-        return test, hoisted
+            sides = None
+            if test is not None and test.op in _ORDER and not _compares_terms(test):
+                parts = _invariant_parts(test, goal.var)
+                sides = (_postfix(test.lhs, parts), _postfix(test.rhs, parts))
+            entry = self.tests[id(goal)] = (goal, test, sides)
+        _, test, sides = entry
+        return test, sides and (_ORDER[test.op], *(_residual(code, env, goal.var) for code in sides))
 
     # the enumeration itself
 
@@ -454,12 +465,19 @@ class _Enumerator:
             # a leaf whose body starts with a condition that fails is skipped
             # before it costs a generator; the body reaches that condition
             # by height + 2, and only the height bound could stop it sooner
-            test, hoisted = self._leaf_test(goal, env) if height + 2 <= MAX_HEIGHT else (None, None)
+            test, sides = self._leaf_test(goal, env) if height + 2 <= MAX_HEIGHT else (None, None)
+            if sides is not None:  # an integer test; a side worked out to one value is that integer
+                order, lhs, rhs = sides
             probe = dict(env)
             for value in candidates:
                 if test is not None:
                     probe[var] = value
-                    if not self._holds(store, test, probe, hoisted):
+                    if sides is None:
+                        if not self._holds(store, test, probe):
+                            continue
+                    elif ((a := lhs if type(lhs) is int else _run(lhs, store, probe)) is _FAIL
+                          or (b := rhs if type(rhs) is int else _run(rhs, store, probe)) is _FAIL
+                          or not order(a, b)):
                         continue
                 yield from self.exec_goal(store, witnesses + ((var, value),), goal.body, height + 1,
                                           applied, {**env, var: value})

@@ -126,6 +126,10 @@ def test_a_choose_works_out_invariant_arithmetic_once_and_skips_failing_leaves(m
     ("main { choose(x in {f(b), 2}) choose(z in {2, f(b)}) z == x }",
      [((("x", Compound("f", (Atom("b"),))), ("z", Compound("f", (Atom("b"),)))), {}),
       ((("x", Int(2)), ("z", Int(2))), {}), "end"]),
+    # an outer binder that holds no integer is read in its turn, not worked
+    # out ahead: here the failed read of s comes first, and there x raises
+    ("main { choose(x in {f(1)}) choose(z in {1, 2}) (s + x + z == 3; s = 1) }", ["end"]),
+    ("main { choose(x in {f(1), 2}) choose(z in {1..3}) x + z == 3 }", ["not-integer"]),
 ])
 def test_working_arithmetic_out_once_moves_no_error(source, stream):
     report = check_equivalence(parse_program(source))
@@ -455,6 +459,23 @@ def test_expressions_are_evaluated_without_a_frame_per_level():
     assert raised.value.kind == "domain"
 
 
+@pytest.mark.parametrize("condition, found", [
+    # z at the bottom: no part, and every instruction runs at each leaf
+    ("1 + (" * 449 + "1 + z" + ")" * 449 + " == 451", {((("z", Int(1)),), frozenset())}),
+    ("fib(" * 450 + "z" + ")" * 450 + " == 0", "domain"),
+    # z at the top: one part 449 deep, worked out once per visit or, where it raises, spliced in
+    ("z + " + "(1 + " * 449 + "1" + ")" * 449 + " == 452", {((("z", Int(2)),), frozenset())}),
+    ("fib(" * 450 + "2" + ")" * 450 + " + z == 0", "domain"),
+])
+def test_a_deep_leaf_test_is_made_without_a_frame_per_level(condition, found):
+    program = parse_program(f"main {{ choose(z in {{1..2}}) {condition} }}")
+    try:
+        found_here, _ = call_with_headroom(lambda: enumerate_solutions(program), 150)
+    except OracleRunError as e:
+        found_here = e.kind
+    assert found_here == found
+
+
 @pytest.mark.parametrize("source, kind", [
     ("s = 1 / 0", "division"),
     ("s = 9223372036854775807 + 1", "overflow"),
@@ -713,6 +734,35 @@ def test_small_arithmetic_programs_agree_with_the_engine():
         source = f"main {{ {_small_body(rng, (), 0)} }}"
         report = check_equivalence(parse_program(source))
         assert report.matched or report.excluded, f"{source}\n{report.describe()}"
+
+
+def _oracle_stream(program):
+    """The oracle's solutions with their records, in the order found,
+    then "end", the kind of the error that stopped it, or why the
+    program is out of bounds."""
+    stream = []
+    try:
+        stream.extend(_Enumerator(program.clauses).exec_goal({}, (), program.main, 1))
+        stream.append("end")
+    except OracleRunError as e:
+        stream.append(e.kind)
+    except OutOfBounds as e:
+        stream.append(str(e))
+    return stream
+
+
+def test_the_leaf_pretest_changes_nothing_the_oracle_finds(monkeypatch):
+    # the module docstring's exactness argument: a leaf the pretest skips
+    # would succeed nowhere and leave no record, and a pretest that raises
+    # raises what the body would have, at the same leaf
+    rng = random.Random(34)
+    programs = [parse_program(f"main {{ {_small_body(rng, (), 0)} }}") for _ in range(2000)]
+    programs += [parse_program(path.read_text())
+                 for path in sorted((Path(__file__).parent.parent / "programs").glob("*.choo"))]
+    shipped = [_oracle_stream(program) for program in programs]
+    monkeypatch.setattr(_Enumerator, "_leaf_test", lambda self, goal, env: (None, None))
+    for program, stream in zip(programs, shipped):
+        assert _oracle_stream(program) == stream, format_program(program)
 
 
 def test_random_programs_stream_solutions_in_the_oracles_order():
