@@ -43,6 +43,14 @@ where it stands at the first leaf that reaches it, so no error moves
 and none appears where no leaf runs. This is partial evaluation (Jones,
 Gomard and Sestoft, Partial Evaluation and Automatic Program Generation, 1993).
 
+A choice set that names no binder, a range or a set of ground terms, has
+the same members at every visit of its choose, and a visit only reads
+them, so an enumerator makes them at the first visit and hands the same
+members to every later one: no candidate, order or error changes, as a
+ground set raises none. A range wider than _RANGE_CAP stays lazy, made
+one member at a time at each visit, as the body may end the run at the
+first; a set that names a binder is made, and raises, at every visit.
+
 Shared with the engine: the AST and term datatypes, and the form of a
 derivation's record, the linked list of rule applications that
 derivation.tree_of reads; the oracle builds no tree and imports nothing
@@ -100,6 +108,8 @@ class OracleRunError(Exception):
 
 
 MAX_HEIGHT = 50  # tallest derivation enumerated; a taller one is out of bounds
+
+_RANGE_CAP = 4096  # the widest range whose members an enumerator keeps
 
 _FAIL = object()  # expression evaluation failed (unset store read)
 
@@ -291,6 +301,8 @@ class _Enumerator:
             self.table.setdefault((clause.name, len(clause.params)), []).append(clause)
         self.tests = {}  # id(choose) -> (choose, its leaf test or None, the code of an integer test's sides)
         self.codes = {}  # id(expression) -> (expression, its postfix code)
+        self.ranges = {}  # (lo, hi) -> the range's members, for ranges of at most _RANGE_CAP
+        self.sets = {}  # id(enumerated set that names no binder) -> (set, its members)
 
     # expression evaluation over a ground store, in an environment
 
@@ -399,13 +411,23 @@ class _Enumerator:
 
     def _set_members(self, cset, env):
         match cset:
-            case Range(lo, hi):  # one at a time: the body may end the run at the first
-                return map(Int, range(lo, hi + 1))
+            case Range(lo, hi):
+                if hi - lo >= _RANGE_CAP:  # one at a time: the body may end the run at the first
+                    return map(Int, range(lo, hi + 1))
+                if (members := self.ranges.get((lo, hi))) is None:
+                    members = self.ranges[lo, hi] = tuple(map(Int, range(lo, hi + 1)))
+                return members
             case Enum(elements):
+                if (entry := self.sets.get(id(cset))) is not None:
+                    return entry[1]
                 members = [_instance(e, env) for e in elements]
                 if any(m is None for m in members):
                     raise OracleRunError("ground", "choice set element is not ground")
-                return list(dict.fromkeys(members))  # first appearance wins
+                ground = all(map(operator.is_, members, elements))  # _instance shares a term with no Var
+                members = list(dict.fromkeys(members))  # first appearance wins
+                if ground:  # the entry keeps cset alive, and so its id
+                    self.sets[id(cset)] = (cset, members)
+                return members
         raise TypeError(f"not a choice set: {cset!r}")
 
     def _leaf_test(self, goal, env):
@@ -468,7 +490,8 @@ class _Enumerator:
             test, sides = self._leaf_test(goal, env) if height + 2 <= MAX_HEIGHT else (None, None)
             if sides is not None:  # an integer test; a side worked out to one value is that integer
                 order, lhs, rhs = sides
-            probe = dict(env)
+            if test is not None:
+                probe = dict(env)  # each leaf's environment, for its test
             for value in candidates:
                 if test is not None:
                     probe[var] = value

@@ -173,7 +173,8 @@ def test_set_elements_keep_their_first_appearance_and_must_be_ground():
 
 def test_a_range_is_enumerated_one_element_at_a_time():
     # both sides raise at the first element, so neither may make the
-    # whole range first: that took 24 MB here
+    # whole range first: that took 24 MB here; a range this wide, past
+    # the 4,096 members the oracle keeps, is made one at a time
     program = parse_program("main { choose(x in {1..200000}) s = 1 / 0 }")
     tracemalloc.start()
     try:
@@ -183,6 +184,54 @@ def test_a_range_is_enumerated_one_element_at_a_time():
         tracemalloc.stop()
     assert report.describe() == "match: both raised runtime errors"
     assert peak < 1_000_000
+
+
+def _made(monkeypatch, cls, run):
+    """How many objects of class cls run makes."""
+    made = 0
+    init = cls.__init__
+
+    def counting_init(self, *args):
+        nonlocal made
+        made += 1
+        init(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "__init__", counting_init)
+        run()
+    return made
+
+
+def test_a_check_makes_the_members_of_a_set_that_names_no_binder_once(monkeypatch):
+    # the members of a set that names no binder are the same at every visit:
+    # making the z range again under each (x, y) made 1,884 Ints a check.
+    # The engine is left out (the oracle's Int is its type test too, so the
+    # class is counted), and each check keeps its own members
+    monkeypatch.setattr("choo.oracle.execute", lambda program: iter(()))
+    program = parse_program("main { choose(x in {1..12}) choose(y in {1..12}) choose(z in {0..11}) "
+                            "(x * x + y * y == z * z + 8; x <= y) }")
+    assert [_made(monkeypatch, Int, lambda: check_equivalence(program)) for _ in range(2)] == [24, 24]
+    # up to 4,096 members a range is kept; past that it is made one at a
+    # time, and a body that raises at the first leaf makes no more
+    assert [_made(monkeypatch, Int, lambda: check_equivalence(parse_program(
+        f"main {{ choose(x in {{1..{n}}}) s = 1 / 0 }}"))) for n in (4096, 4097)] == [4096, 1]
+
+
+def test_a_set_that_names_a_binder_is_made_at_every_visit(monkeypatch):
+    program = parse_program("main { choose(x in {1..3}) (choose(y in {x, 9}) y > x; "
+                            "choose(y in {f(x), g}) y == f(2); choose(y in {f(1), h}) s = y) }")
+    # {f(x), g} makes f(x) at each of the 3 visits; {f(1), h} is made once
+    assert _made(monkeypatch, Compound, lambda: enumerate_solutions(program)) == 3
+    instance, instantiated = choo.oracle._instance, []
+    monkeypatch.setattr("choo.oracle._instance", lambda term, env: instantiated.append(term) or instance(term, env))
+    enumerate_solutions(program)
+    assert [instantiated.count(e) for e in (Int(9), Atom("g"), Atom("h"))] == [3, 3, 1]
+    # a set that names an unbound name raises at every visit
+    enumerator = _Enumerator(())
+    unbound = parse_goal("choose(x in {1, 2}) choose(z in {f(y)}) z == z", frozenset({"y"}))
+    for _ in range(2):
+        with pytest.raises(OracleRunError, match="not ground"):
+            list(enumerator.exec_goal({}, (), unbound, 1))
 
 
 def test_empty_range_has_no_solutions():
@@ -761,6 +810,35 @@ def test_the_leaf_pretest_changes_nothing_the_oracle_finds(monkeypatch):
                  for path in sorted((Path(__file__).parent.parent / "programs").glob("*.choo"))]
     shipped = [_oracle_stream(program) for program in programs]
     monkeypatch.setattr(_Enumerator, "_leaf_test", lambda self, goal, env: (None, None))
+    for program, stream in zip(programs, shipped):
+        assert _oracle_stream(program) == stream, format_program(program)
+
+
+def test_keeping_set_members_changes_nothing_the_oracle_finds(monkeypatch):
+    # the module docstring's exactness argument: a set that names no binder
+    # has the same members at every visit, and a visit only reads them
+    rng = random.Random(35)
+    programs = [parse_program(f"main {{ {_small_body(rng, (), 0)} }}") for _ in range(2000)]
+    programs += [parse_program(path.read_text())
+                 for path in sorted((Path(__file__).parent.parent / "programs").glob("*.choo"))]
+    programs += [parse_program(source) for source in (
+        "main { choose(x in {1..3}) choose(y in {x, 9}) y >= x }",
+        "main { choose(x in {1, 2}) choose(y in {f(x), g, f(x)}) s = y }",
+        "main { choose(x in {1, 2}) choose(x in {x, 5, 1}) choose(y in {1..2}) x <= y }",
+        "main { choose(x in {1..3}) (choose(y in {1..3}) x == y; choose(z in {g, 2, g}) z == 2) }",
+    )]
+    programs.append(SourceProgram((), parse_goal("choose(x in {1, 2}) choose(z in {f(y)}) z == z",
+                                                 frozenset({"y"}))))
+    shipped = [_oracle_stream(program) for program in programs]
+    assert shipped[-1] == ["ground"]
+    keeping = _Enumerator._set_members
+
+    def made_at_every_visit(self, cset, env):
+        self.ranges.clear()
+        self.sets.clear()
+        return keeping(self, cset, env)
+
+    monkeypatch.setattr(_Enumerator, "_set_members", made_at_every_visit)
     for program, stream in zip(programs, shipped):
         assert _oracle_stream(program) == stream, format_program(program)
 
