@@ -22,14 +22,14 @@ from .terms import format_term
 
 def _print_outcome(outcome):
     memo = {}  # witnesses and store values share subterms: each is rendered once
-    for name, value in outcome.witnesses:
-        text = "_" if value is UNCONSTRAINED else format_term(value, memo=memo)
-        print(f"{name} = {text}")
+    lines = [f"{name} = {'_' if value is UNCONSTRAINED else format_term(value, memo=memo)}\n"
+             for name, value in outcome.witnesses]
     inner = ", ".join(
         f"{name} = {format_term(value, memo=memo)}"
         for name, value in sorted(outcome.store.items())
     )
-    print(f"store: {{{inner}}}")
+    lines.append(f"store: {{{inner}}}\n")
+    sys.stdout.write("".join(lines))  # one write per outcome
 
 
 def _end(status, text=None, file=None):

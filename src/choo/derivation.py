@@ -5,9 +5,9 @@ clause body, 2 instantiating a universally quantified clause, 3 clause
 selection for a call, 4 conditions, 5 assignment, 6 sequencing, 7
 unbounded choose, 8 bounded choose. The search engine and the
 exhaustive checker both record a derivation as its rule applications,
-newest first, in a linked list ((rule, goal, label, env), older), and
-hand it out as it is. tree_of builds a tree from it only for `choo run
---trace=full` and for Solver.solve.
+newest first, in a linked list of flat tuples (rule, goal, label, env,
+older), one per application, and hand it out as it is. tree_of builds a
+tree from it only for `choo run --trace=full` and for Solver.solve.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ def tree_of(applied) -> DerivationNode:
     """The tree of a recorded derivation. Each rule has a fixed number of
     children, so the applications in prefix order determine the tree
     (Łukasiewicz's Polish notation); read newest first, an application's
-    children are already built, its leftmost one on top of the stack."""
+    children are already built, its leftmost one on top of the stack; each
+    application is (rule, goal, label, env, older), older the one before or None."""
     built = []
     while applied is not None:
-        (rule, goal, label, env), applied = applied
+        rule, goal, label, env, applied = applied
         n = RULE_CHILDREN.get(rule, 0)  # an unknown rule raises in the node
         node = DerivationNode(rule, goal, tuple(built[:-n - 1:-1]), label, env)
         del built[len(built) - n:]

@@ -40,6 +40,7 @@ from .syntax import (
 from .terms import (
     INT64_MAX,
     INT64_MIN,
+    Compound,
     Int,
     Var,
     apply,
@@ -109,9 +110,10 @@ class ProgramState:
     """Mutable search state with an undo trail.
 
     The store, the substitution and the choices are written in place.
-    Every write the search makes leaves one trail entry, (container,
-    key, previous value or _MISSING), so undo_to(mark) rolls all three
-    back to any earlier point the same way.
+    Every write the search makes leaves one trail entry, so undo_to(mark)
+    rolls all three back to any earlier point: a binding's variable name
+    (a str the collector does not track; WAM too trails the variable alone),
+    None for a choice, and (name, previous value or _MISSING) for a store write.
 
     young names the choose variables made since the last binding, which
     unify_in_place may bind without an occurs check (see there).
@@ -134,18 +136,28 @@ class ProgramState:
         return len(self.trail)
 
     def set_store(self, name, value):
-        self.trail.append((self.store, name, self.store.get(name, _MISSING)))
+        self.trail.append((name, self.store.get(name, _MISSING)))
         self.store[name] = value
 
     def unify(self, t1, t2) -> bool:
-        """Bind logic variables so that t1 and t2 are equal, if they can be."""
-        bound = unify_in_place(t1, t2, self.subst, self.young)
+        """Bind logic variables so that t1 and t2 are equal, if they can be;
+        a variable that meets a leaf is bound here, as unify_in_place would."""
+        subst = self.subst
+        a, b = walk(subst, t1), walk(subst, t2)
+        if type(a) is not Var:
+            a, b = b, a
+        if type(a) is Var and type(b) is not Compound:
+            if type(b) is not Var or a.name != b.name:
+                self.young.clear()  # a new binding may hold a young variable
+                self.trail.append(a.name)
+                subst[a.name] = b
+            return True
+        bound = unify_in_place(t1, t2, subst, self.young)
         if bound is None:
             return False
         if bound:
-            self.young.clear()  # a new binding may hold a young variable
-        for name in bound:
-            self.trail.append((self.subst, name, _MISSING))
+            self.young.clear()
+        self.trail += bound
         return True
 
     def bind(self, var, term):
@@ -158,11 +170,11 @@ class ProgramState:
         binding is newer and may hold it, as p(f(y), y) binds one
         parameter to f(y)."""
         self.young.clear()
-        self.trail.append((self.subst, var.name, _MISSING))
+        self.trail.append(var.name)
         self.subst[var.name] = walk(self.subst, term)
 
     def choose(self, name, term):
-        self.trail.append((self.choices, len(self.choices), _MISSING))
+        self.trail.append(None)
         self.choices.append((name, term))
 
     def undo_to(self, mark: int):
@@ -170,13 +182,17 @@ class ProgramState:
         # young variable is still younger than every binding left; one
         # that the undo makes younger than all of them again stays out of
         # the set, which costs only a walk.
-        trail = self.trail
+        trail, subst = self.trail, self.subst
         while len(trail) > mark:
-            container, key, previous = trail.pop()
-            if previous is _MISSING:
-                del container[key]
+            entry = trail.pop()
+            if type(entry) is str:
+                del subst[entry]
+            elif entry is None:
+                self.choices.pop()
+            elif entry[1] is _MISSING:
+                del self.store[entry[0]]
             else:
-                container[key] = previous
+                self.store[entry[0]] = entry[1]
 
 
 # --- expression evaluation ---------------------------------------------------
@@ -349,8 +365,8 @@ class Solver:
             records.close()
 
     def records(self, goal) -> Iterator[tuple]:
-        """The rule applications of each solution, newest first, in the
-        linked list ((rule, goal, label, env), older) that tree_of reads."""
+        """The rule applications of each solution, newest first, in the linked
+        list of flat tuples (rule, goal, label, env, older) that tree_of reads."""
         st, on_rule, steps = self.state, self.on_rule, self.steps
         max_depth, max_steps = self.budget.max_depth, self.budget.max_steps
         table = clause_table(st.clauses, on_rule is not None)
@@ -380,7 +396,7 @@ class Solver:
                     if on_rule is not None:
                         on_rule(_RULE.get(kind), (goal, env))
                     if kind is Seq:
-                        applied = ((6, goal, None, env), applied)
+                        applied = (6, goal, None, env, applied)
                         frames = [goal.first, env, depth + 1, [goal.second, env, depth + 1, frames]]
                         continue
                     if kind is Compare:
@@ -396,13 +412,13 @@ class Solver:
                             held = b is not None and (
                                 st.unify(a, b) if type(lhs) is TermLit or type(rhs) is TermLit else a == b)
                         if held:
-                            applied = ((4, goal, None, env), applied)
+                            applied = (4, goal, None, env, applied)
                             continue
                     elif kind is Assign:
                         value = eval_store_value(st.store, st.subst, goal.expr, env)
                         if value is not None:
                             st.set_store(goal.target, value)
-                            applied = ((5, goal, None, env), applied)
+                            applied = (5, goal, None, env, applied)
                             continue
                     elif kind is Choose:
                         # a fresh variable, for unification to bind, and
@@ -411,7 +427,7 @@ class Solver:
                         fresh = st.fresh_var()
                         st.young.add(fresh.name)
                         st.choose(goal.var, fresh)
-                        applied = ((7, goal, None, env), applied)
+                        applied = (7, goal, None, env, applied)
                         frames = [goal.body, {**env, goal.var: fresh}, depth + 1, frames]
                         continue
                     else:
@@ -434,7 +450,8 @@ class Solver:
                 while points:
                     point = points[-1]
                     alternatives, goal, env, depth, frames, applied, mark, settle = point
-                    st.undo_to(mark)
+                    if len(st.trail) > mark:
+                        st.undo_to(mark)
                     if settle is COUNTING:
                         settle = settle_function(hot, point, max_depth)
                     if settle is None:
@@ -471,21 +488,21 @@ class Solver:
                         on_rule(8 if bounded else 3, (goal, env))
                     if bounded:
                         st.choose(goal.var, alternative)
-                        applied = ((8, goal, None, env), applied)
+                        applied = (8, goal, None, env, applied)
                         frames = [goal.body, {**env, goal.var: alternative}, depth + 1, frames]
                     else:
-                        applied = ((3, goal, None, env), applied)
+                        applied = (3, goal, None, env, applied)
                         params = {}
                         for param, arg in zip(alternative.params, goal.args):
                             params[param] = st.fresh_var()
                             arg = env.get(arg.name, arg) if type(arg) is Var else apply(env, arg)
                             st.bind(params[param], arg)
-                            applied = ((2, goal, param, env), applied)
+                            applied = (2, goal, param, env, applied)
                             if on_rule is not None:
                                 on_rule(2, (goal, env))
                         if on_rule is not None:
                             on_rule(1, (goal, env))
-                        applied = ((1, goal, alternative.name, env), applied)
+                        applied = (1, goal, alternative.name, env, applied)
                         frames = [alternative.body, params, depth + 1, frames]
                     break
                 else:

@@ -40,8 +40,10 @@ such read of an integer, becomes a constant of the residual code each
 leaf runs; it can neither fail nor raise, so reading it early changes
 no outcome. A part that raises is spliced in as its own code, to raise
 where it stands at the first leaf that reaches it, so no error moves
-and none appears where no leaf runs. This is partial evaluation (Jones,
-Gomard and Sestoft, Partial Evaluation and Automatic Program Generation, 1993).
+and none appears where no leaf runs. A side with no such part and no
+such read has the same residual code at every visit, so it is made once
+per choose. This is partial evaluation (Jones, Gomard and Sestoft,
+Partial Evaluation and Automatic Program Generation, 1993).
 
 A choice set that names no binder, a range or a set of ground terms, has
 the same members at every visit of its choose, and a visit only reads
@@ -53,7 +55,8 @@ first; a set that names a binder is made, and raises, at every visit.
 
 Shared with the engine: the AST and term datatypes, and the form of a
 derivation's record, the linked list of rule applications that
-derivation.tree_of reads; the oracle builds no tree and imports nothing
+derivation.tree_of reads, one flat tuple (rule, goal, label, env,
+older) per application; the oracle builds no tree and imports nothing
 from derivation.py. From syntax.py the oracle also takes two scoping
 helpers the engine does not use: _shadow, the environment inside a
 binder, which format_goal uses too, and mentions, whether a name occurs
@@ -299,7 +302,7 @@ class _Enumerator:
         self.table = {}  # (name, arity) -> clauses in source order
         for clause in clauses:
             self.table.setdefault((clause.name, len(clause.params)), []).append(clause)
-        self.tests = {}  # id(choose) -> (choose, its leaf test or None, the code of an integer test's sides)
+        self.tests = {}  # id(choose) -> (choose, its leaf test or None, an integer test's sides)
         self.codes = {}  # id(expression) -> (expression, its postfix code)
         self.ranges = {}  # (lo, hi) -> the range's members, for ranges of at most _RANGE_CAP
         self.sets = {}  # id(enumerated set that names no binder) -> (set, its members)
@@ -441,33 +444,39 @@ class _Enumerator:
             sides = None
             if test is not None and test.op in _ORDER and not _compares_terms(test):
                 parts = _invariant_parts(test, goal.var)
-                sides = (_postfix(test.lhs, parts), _postfix(test.rhs, parts))
+                sides = []  # (code, True), or a residual the same at every visit and False
+                for code in (_postfix(test.lhs, parts), _postfix(test.rhs, parts)):
+                    varies = any(op is _PART or op is _BINDER and type(arg) is Var and arg.name != goal.var
+                                 for op, arg in code)
+                    sides.append((code, True) if varies else (_residual(code, _NO_BINDINGS, goal.var), False))
             entry = self.tests[id(goal)] = (goal, test, sides)
         _, test, sides = entry
-        return test, sides and (_ORDER[test.op], *(_residual(code, env, goal.var) for code in sides))
+        return test, sides and (_ORDER[test.op], *(
+            _residual(code, env, goal.var) if varies else code for code, varies in sides))
 
     # the enumeration itself
 
     def exec_goal(self, store, witnesses, goal, height, applied=None, env=_NO_BINDINGS):
         """(store, witnesses, applied) per success of goal, where applied extends
-        the given rule applications, newest first, as derivation.py records them.
-        env maps the names of the binders around goal to their ground values."""
+        the given rule applications, newest first, (rule, goal, label, env, older)
+        each, as derivation.py records them; env maps the names of the binders
+        around goal to their ground values."""
         if height > MAX_HEIGHT:
             raise OutOfBounds("derivation height")
         kind = type(goal)
         if kind is Seq:
-            applied = ((6, goal, None, env), applied)
+            applied = (6, goal, None, env, applied)
             for s, w, a in self.exec_goal(store, witnesses, goal.first, height + 1, applied, env):
                 yield from self.exec_goal(s, w, goal.second, height + 1, a, env)
         elif kind is Compare:
             if self._holds(store, goal, env):
-                yield store, witnesses, ((4, goal, None, env), applied)
+                yield store, witnesses, (4, goal, None, env, applied)
         elif kind is Assign:
             value = self._term_value(store, goal.expr, env)
             if value is not _FAIL:
                 updated = dict(store)
                 updated[goal.target] = value
-                yield updated, witnesses, ((5, goal, None, env), applied)
+                yield updated, witnesses, (5, goal, None, env, applied)
         elif kind is BoundedChoose or kind is Choose:
             var = goal.var
             if kind is BoundedChoose:
@@ -483,7 +492,7 @@ class _Enumerator:
                     # where the oracle, with no candidate, would run none
                     raise OutOfBounds(f"choose({var}) runs goals before pinning {var} to no value")
                 rule, candidates = 7, list(dict.fromkeys(pins))
-            applied = ((rule, goal, None, env), applied)
+            applied = (rule, goal, None, env, applied)
             # a leaf whose body starts with a condition that fails is skipped
             # before it costs a generator; the body reaches that condition
             # by height + 2, and only the height bound could stop it sooner
@@ -511,13 +520,13 @@ class _Enumerator:
             args = [_instance(a, env) for a in goal.args]
             if any(a is None for a in args):
                 raise OutOfBounds("a variable reaches a call unsubstituted")
-            applied = ((3, goal, None, env), applied)
+            applied = (3, goal, None, env, applied)
             for clause in matching:
                 entered = applied
                 for param in clause.params:
-                    entered = ((2, goal, param, env), entered)
+                    entered = (2, goal, param, env, entered)
                 yield from self.exec_goal(store, witnesses, clause.body, height + 1,
-                                          ((1, goal, clause.name, env), entered),
+                                          (1, goal, clause.name, env, entered),
                                           dict(zip(clause.params, args)))
         else:
             raise TypeError(f"not a goal: {goal!r}")

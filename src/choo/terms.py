@@ -84,7 +84,7 @@ _EMPTY = MappingProxyType({})  # the default substitution, read-only
 
 def walk(subst, term: Term) -> Term:
     """Follow variable bindings until an unbound variable or non-variable."""
-    while isinstance(term, Var):
+    while type(term) is Var:
         bound = subst.get(term.name)
         if bound is None:
             return term

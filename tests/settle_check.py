@@ -129,8 +129,8 @@ def records_of(applied):
     """The rule applications of a record as a list, newest first."""
     out = []
     while applied is not None:
-        head, applied = applied
-        out.append(head)
+        out.append(applied[:4])
+        applied = applied[4]
     return out
 
 

@@ -1,5 +1,6 @@
 """Execution semantics: the eight statement forms, search order, budgets."""
 
+import gc
 import math
 import random
 import sys
@@ -24,6 +25,7 @@ from choo.parser import parse_goal, parse_program
 from choo.syntax import SourceProgram, VarRef
 from choo.terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var, free_vars, unify_in_place
 from proggen import gen_program
+from termgen import VAR_NAMES, random_term
 
 # the first two values of the builtin sequence are 0 and 1; everything
 # here is computed from that recurrence, never taken from the engine
@@ -424,11 +426,11 @@ def test_a_binding_that_would_make_a_cycle_fails(source):
 
 def records_of(applied):
     """The rule applications of a record as a list, newest first; == on
-    the nested pairs would recurse once per application."""
+    the nested records would recurse once per application."""
     out = []
     while applied is not None:
-        head, applied = applied
-        out.append(head)
+        out.append(applied[:4])
+        applied = applied[4]
     return out
 
 
@@ -453,6 +455,67 @@ def test_skipping_the_occurs_check_changes_nothing_a_search_shows(monkeypatch):
     monkeypatch.setattr(interp, "unify_in_place",
                         lambda t1, t2, subst, young: unify_in_place(t1, t2, subst))
     assert [observe(program) for program in programs] == skipping
+
+
+def test_unify_binds_as_unify_in_place_does():
+    # ProgramState.unify binds a variable that meets a leaf itself; from
+    # copies of one state, it and a bare unify_in_place must agree on the
+    # result, the substitution, the names trailed in order and youth
+    rng = random.Random(36)
+    names = VAR_NAMES + ("_G1", "_G2", "_G3")
+    seen = {"leaf": 0, "same": 0, "chain": 0, "young": 0, "compound": 0, "failed": 0}
+
+    def side():
+        return Var(rng.choice(names)) if rng.random() < 0.4 else random_term(rng, names)
+
+    for _ in range(6000):
+        subst = {}
+        for _ in range(rng.randint(0, 5)):  # chains come from variables meeting variables
+            unify_in_place(Var(rng.choice(names)), side(), subst)
+        inside = set().union(*(free_vars(t) for t in subst.values()))
+        unheld = [n for n in names if n not in subst and Var(n) not in inside]
+        young = set(rng.sample(unheld, rng.randint(0, len(unheld))))
+        t1, t2 = side(), side()
+        state = ProgramState()
+        state.subst, state.young = dict(subst), set(young)
+        held = state.unify(t1, t2)
+        bare, bare_young = dict(subst), set(young)
+        bound = unify_in_place(t1, t2, bare, bare_young)
+        if bound:
+            bare_young.clear()
+        assert (held, state.subst, state.trail, state.young) == (
+            bound is not None, bare, bound or [], bare_young), (subst, young, t1, t2)
+        a, b = terms.walk(subst, t1), terms.walk(subst, t2)
+        if Var in (type(a), type(b)) and Compound not in (type(a), type(b)):  # the direct binding
+            seen["same" if a == b else "leaf"] += 1
+            seen["chain"] += a is not t1 or b is not t2
+            seen["young"] += bool(bound) and bound[0] in young
+        else:
+            seen["compound" if held else "failed"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_a_search_keeps_few_tuples_per_level():
+    # one flat tuple per rule application and a bare name per binding:
+    # nested records, or a tuple per trail entry, would hold about twice as many
+    program = parse_program("down(n) { n == 0 }\n"
+                            "down(n) { n > 0; choose(m) (m == n - 1; down(m)) }\n"
+                            "main { down(600) }")
+
+    def live_tuples():
+        gc.collect()
+        return sum(type(o) is tuple for o in gc.get_objects())
+
+    state = ProgramState(program.clauses)
+    before = live_tuples()
+    records = Solver(state).records(program.main)
+    first = next(records)
+    assert first is not None and len(state.choices) == 600
+    assert live_tuples() - before <= 12 * 600
+    records.close()
+    del first
+    assert (state.store, state.subst, state.trail, state.choices) == ({}, {}, [], [])
+    assert live_tuples() - before <= 0
 
 
 def test_a_bounded_choose_reads_its_set_outside_its_binder():
@@ -819,7 +882,7 @@ def test_tree_of_builds_the_tree_its_rule_applications_spell():
     applied = None
     for entry in [(6, seq, None, None), (5, seq.first, None, None), (3, call, None, None),
                   (2, call, "x", None), (1, call, "p", None), (4, cond, None, env)]:
-        applied = (entry, applied)  # newest first
+        applied = (*entry, applied)  # newest first
 
     def shape(node):
         return node.rule, node.goal, node.label, node.env, tuple(map(shape, node.children))
@@ -830,7 +893,7 @@ def test_tree_of_builds_the_tree_its_rule_applications_spell():
             (4, cond, None, env, ()),)),)),)),
     ))
     with pytest.raises(ValueError, match="unknown rule number 9"):
-        tree_of(((9, cond, None, None), None))
+        tree_of((9, cond, None, None, None))
 
 
 def test_a_search_builds_only_the_trees_it_reports(monkeypatch):

@@ -108,6 +108,26 @@ def test_a_choose_works_out_invariant_arithmetic_once_and_skips_failing_leaves(m
     assert done < 1728 * 5 // 2
 
 
+@pytest.mark.parametrize("condition, specialised, found", [
+    ("y + 0 == 3", 2, 5),  # each side is the same at all 5 visits of the choose of y
+    ("x + y == 6", 5 + 1, 5),  # x + y reads x, which differs between visits
+    ("x * 2 == y + 1", 5 + 1, 3),  # x * 2 is a part, worked out per visit
+])
+def test_a_side_the_same_at_every_visit_is_specialised_once(monkeypatch, condition, specialised, found):
+    calls = 0
+    residual = choo.oracle._residual
+
+    def counting(code, env, name):
+        nonlocal calls
+        calls += 1
+        return residual(code, env, name)
+
+    monkeypatch.setattr(choo.oracle, "_residual", counting)
+    goal = parse_goal(f"choose(x in {{1..5}}) choose(y in {{1..5}}) ({condition}; s = 1)")
+    solutions, _ = enumerate_solutions(SourceProgram((), goal))
+    assert (calls, len(solutions)) == (specialised, found)
+
+
 @pytest.mark.parametrize("source, stream", [
     # 6 / x is worked out once per z visit: where it raises, it raises at
     # the visit's first leaf, after the solutions of the visit before
@@ -301,7 +321,7 @@ def _rule_applications(records, error):
         for applied in records:
             steps = []
             while applied is not None:
-                (rule, goal, label, _), applied = applied
+                rule, goal, label, _, applied = applied
                 steps.append((rule, id(goal), label))
             stream.append(steps)
         stream.append("end")
