@@ -11,7 +11,7 @@ hides an outer one of the same name. Equality is structural, and no
 unification is involved. Where the engine narrows an unbounded choose
 with a fresh variable, the oracle demands a syntactic pin: a condition
 in the body, outside any rebinding of x, with one side ground (a ground
-term, or an expression with a value over an empty store) and x at some
+term, or an expression that folds to one integer) and x at some
 position of the other side; the ground subterm at x's position is a
 candidate, and a ground side of another shape on the path to x gives
 none. Every derivation has to make every such condition hold
@@ -32,18 +32,17 @@ the body would have raised the same error at the same point. Only the
 height bound could stop the body sooner, so the test is made only where
 the body reaches the condition within MAX_HEIGHT. Arithmetic runs from
 postfix code made once per expression, and where the condition compares
-integers, each visit of the choose specialises its sides' code to the
-visit's environment: their largest parts that read no store name and do
-not mention the chosen name, and their reads of other binders, are the
-same at every leaf. Each such part whose evaluation succeeds, and each
-such read of an integer, becomes a constant of the residual code each
-leaf runs; it can neither fail nor raise, so reading it early changes
-no outcome. A part that raises is spliced in as its own code, to raise
-where it stands at the first leaf that reaches it, so no error moves
-and none appears where no leaf runs. A side with no such part and no
-such read has the same residual code at every visit, so it is made once
-per choose. This is partial evaluation (Jones, Gomard and Sestoft,
-Partial Evaluation and Automatic Program Generation, 1993).
+integers, each visit of the choose folds its sides' code to the residual
+code each leaf runs: a read of another binder that holds an integer is
+the same at every leaf, so it becomes a constant, and an operation whose
+operands are each one constant becomes its value where computing it
+raises nothing and the value fits 64 bits. A folded operation can
+neither fail nor raise, so working it out early changes no outcome; one
+that would raise stays as it is, to raise where it stands at the first
+leaf that reaches it, so no error moves and none appears where no leaf
+runs. A side that reads no other binder folds alike at every visit, so
+it is folded once per choose. This is constant folding (Aho, Sethi and
+Ullman, Compilers, 1986, section 8.3).
 
 A choice set that names no binder, a range or a set of ground terms, has
 the same members at every visit of its choose, and a visit only reads
@@ -191,22 +190,19 @@ _FUNCTIONS = {"fib": _fib, "fact": _fact}
 
 
 # postfix code: (opcode, operand) pairs, operands first; an operand is an integer, a term (a
-# binder's Var, or a literal that is no integer), a store name, a function, or a part's code
-_CONST, _BINDER, _READ, _OPERATOR, _FUNCTION, _PART = "const", "binder", "read", "op", "fn", "part"
+# binder's Var, or a literal that is no integer), a store name, or a function
+_CONST, _BINDER, _READ, _OPERATOR, _FUNCTION = "const", "binder", "read", "op", "fn"
 
 
-def _postfix(expr, parts):
-    """expr as postfix code, where a subtree whose id is in parts is one
-    _PART instruction; from an explicit stack, as sums nest deeper than
-    the interpreter's recursion limit."""
+def _postfix(expr):
+    """expr as postfix code; from an explicit stack, as sums nest deeper
+    than the interpreter's recursion limit."""
     code, todo = [], [expr]
     while todo:
         e = todo.pop()
         kind = type(e)
         if kind is tuple:  # an operation, its operands done
             code.append(e)
-        elif id(e) in parts:
-            code.append((_PART, _postfix(e, ())))
         elif kind is BinOp:
             todo += ((_OPERATOR, _OPERATORS[e.op]), e.right, e.left)
         elif kind is FunCall:
@@ -223,8 +219,8 @@ def _postfix(expr, parts):
 
 
 def _run(code, store, env):
-    """The integer value of code that holds no _PART, or _FAIL where a read
-    of an unset name ends it; each operation's result is tested against 64 bits."""
+    """The integer value of code, or _FAIL where a read of an unset name
+    ends it; each operation's result is tested against 64 bits."""
     values = []
     for op, arg in code:
         if op is _CONST:
@@ -255,46 +251,36 @@ def _run(code, store, env):
 
 def _residual(code, env, name):
     """code as each leaf of a visit of a choose of name in env runs it: a
-    part that raises nothing, and a read of another binder that holds an
-    integer, are constants, and code of one constant is its integer."""
+    read of another binder that holds an integer is a constant, and so is
+    an operation whose operands are each one constant, where computing it
+    raises nothing and, for an operator, fits 64 bits; code of one
+    constant is its integer."""
     out = []
     for op, arg in code:
-        if op is _PART:
+        if op is _BINDER and type(arg) is Var and arg.name != name and type(t := env.get(arg.name)) is Int:
+            op, arg = _CONST, t.value
+        elif op is _OPERATOR and out[-2][0] is _CONST and out[-1][0] is _CONST:
             try:
-                out.append((_CONST, _run(arg, {}, env)))
+                n = arg(out[-2][1], out[-1][1])
+            except OracleRunError:  # it raises where it stands, at the first leaf that reaches it
+                n = None
+            if n is not None and INT64_MIN <= n <= INT64_MAX:
+                out.pop()
+                out[-1] = (_CONST, n)
+                continue
+        elif op is _FUNCTION and out[-1][0] is _CONST:
+            try:
+                out[-1] = (_CONST, arg(out[-1][1]))
+                continue
             except OracleRunError:
-                out += arg  # it raises where it stands, at the first leaf that reaches it
-        elif op is _BINDER and type(arg) is Var and arg.name != name and type(t := env.get(arg.name)) is Int:
-            out.append((_CONST, t.value))
-        else:
-            out.append((op, arg))
+                pass
+        out.append((op, arg))
     return out[0][1] if len(out) == 1 and out[0][0] is _CONST else out
 
 
 def _compares_terms(goal: Compare):
     """Whether goal compares terms, as == does where a side is a store read or a term."""
     return goal.op == "==" and (type(goal.lhs) in (VarRef, TermLit) or type(goal.rhs) in (VarRef, TermLit))
-
-
-def _invariant_parts(test: Compare, name):
-    """The ids of the largest BinOp and FunCall subtrees of test's sides
-    that read no store name and do not mention name: their value is the
-    same at every leaf of a choose of name. Leaves are never among them."""
-    nodes, todo = [], [(test.rhs, test), (test.lhs, test)]  # parents before children
-    while todo:
-        e, parent = todo.pop()
-        nodes.append((e, parent))
-        if type(e) is BinOp:
-            todo += ((e.right, e), (e.left, e))
-        elif type(e) is FunCall:
-            todo.append((e.arg, e))
-    variant = {id(test)}  # the nodes whose value may differ between leaves
-    for e, parent in reversed(nodes):  # children before parents
-        if id(e) in variant or type(e) is VarRef or type(e) is TermLit and mentions(name, (e,)):
-            variant.add(id(parent))
-    return {id(e) for e, parent in nodes
-            if (type(e) is BinOp or type(e) is FunCall)
-            and id(e) not in variant and id(parent) in variant}
 
 
 class _Enumerator:
@@ -309,12 +295,16 @@ class _Enumerator:
 
     # expression evaluation over a ground store, in an environment
 
+    def _code(self, expr):
+        """expr's postfix code, made once per enumerator."""
+        if (entry := self.codes.get(id(expr))) is None:  # the entry keeps expr alive, and so its id
+            entry = self.codes[id(expr)] = (expr, _postfix(expr))
+        return entry[1]
+
     def _eval(self, store, expr, env):
         """The integer value of expr, or _FAIL where a read of an unset
-        name ends evaluation, from expr's code, made once per enumerator."""
-        if (entry := self.codes.get(id(expr))) is None:  # the entry keeps expr alive, and so its id
-            entry = self.codes[id(expr)] = (expr, _postfix(expr, ()))
-        return _run(entry[1], store, env)
+        name ends evaluation."""
+        return _run(self._code(expr), store, env)
 
     def _term_value(self, store, expr, env):
         """Value of a == operand or assignment source, as a term.
@@ -365,14 +355,11 @@ class _Enumerator:
 
     def _pin_side(self, expr, env):
         """Ground term an operand denotes independently of program state:
-        over an empty store a read fails, and a variable or fault raises."""
+        a store read, a binder without an integer and a fault never fold."""
         if type(expr) is TermLit:
             return _instance(expr.term, env)
-        try:
-            n = self._eval({}, expr, env)
-        except OracleRunError:
-            return None  # let execution surface the fault, not pinning
-        return None if n is _FAIL else Int(n)
+        n = _residual(self._code(expr), env, None)
+        return Int(n) if type(n) is int else None
 
     def _pins(self, body, name, env):
         """The candidates for name that the conditions of body pin it to,
@@ -443,16 +430,19 @@ class _Enumerator:
             test = first if type(first) is Compare else None
             sides = None
             if test is not None and test.op in _ORDER and not _compares_terms(test):
-                parts = _invariant_parts(test, goal.var)
-                sides = []  # (code, True), or a residual the same at every visit and False
-                for code in (_postfix(test.lhs, parts), _postfix(test.rhs, parts)):
-                    varies = any(op is _PART or op is _BINDER and type(arg) is Var and arg.name != goal.var
-                                 for op, arg in code)
-                    sides.append((code, True) if varies else (_residual(code, _NO_BINDINGS, goal.var), False))
+                sides = [_ORDER[test.op]]  # then per side its code and True, or its residual and False
+                for code in (self._code(test.lhs), self._code(test.rhs)):
+                    if any(op is _BINDER and type(arg) is Var and arg.name != goal.var for op, arg in code):
+                        sides += (code, True)
+                    else:  # it reads no other binder, so it folds alike at every visit
+                        sides += (_residual(code, _NO_BINDINGS, goal.var), False)
             entry = self.tests[id(goal)] = (goal, test, sides)
         _, test, sides = entry
-        return test, sides and (_ORDER[test.op], *(
-            _residual(code, env, goal.var) if varies else code for code, varies in sides))
+        if sides is None:
+            return test, None
+        order, lhs, lhs_varies, rhs, rhs_varies = sides
+        return test, (order, _residual(lhs, env, goal.var) if lhs_varies else lhs,
+                      _residual(rhs, env, goal.var) if rhs_varies else rhs)
 
     # the enumeration itself
 

@@ -16,8 +16,9 @@ on more, with the standard library alone:
 
 checks `gen_program` seeds 0 to SEEDS - 1 and `programs/*.choo` at three
 budgets, and each choice shape, edge program and clause shape under its
-budget sweep. It prints what the settle functions did and how many
-clauses the calls skipped, and exits 1 at the first difference.
+budget sweep, and each clause list with no keyed clause the same way.
+It prints what the settle functions did and how many clauses the calls
+skipped, and exits 1 at the first difference.
 `gen_program` makes no clause that a call can skip, so only the clause
 shapes show selection at work.
 """
@@ -116,6 +117,15 @@ CLAUSE_SHAPES = {
              "main { choose(x) (mk(3, x); nat(x)) }",
     "fact_base": FACTS + "main { s = 0; choose(k in {38, 3, 41, 17, 0}) choose(v) (f(k, v); s = s + v) }",
     "clause_order": (Path(__file__).parent / "golden" / "clause_order.choo").read_text(),
+}
+
+# clause lists of two or more clauses, none of them keyed: a call keeps
+# them as a plain list, which selection on and forbidden both try in full
+UNKEYED_CLAUSES = {
+    "no_equality": "p(x) { x > 1 }\np(x) { x < 0 }\np(x) { x == x }\nmain { p(5); p(-1) }",
+    # a leading == between two parameters has no constant side
+    "no_constant_side": "p(x, y) { x == y }\np(x, y) { x > y }\n"
+                        "main { choose(a in {1..3}) (p(a, 2); s = a) }",
 }
 
 BUDGETS = [SearchBudget(2000, 50_000), SearchBudget(2000, 10), SearchBudget(4, 50_000)]
@@ -254,7 +264,7 @@ def main(argv):
                                   for path in sorted(PROGRAMS.glob("*.choo"))])
     total += verdicts
     print(f"gen_program seeds 0-{seeds - 1} and programs/: {counts(total)}")
-    for name, source in {**SHAPES, **SETTLE_EDGES, **CLAUSE_SHAPES}.items():
+    for name, source in {**SHAPES, **SETTLE_EDGES, **CLAUSE_SHAPES, **UNKEYED_CLAUSES}.items():
         _, verdicts = check_sweep(source)
         print(f"{name}, {len(SWEEP)} budgets: {counts(verdicts)}")
     print("settle functions and clause selection change nothing a search shows")

@@ -41,6 +41,7 @@ from settle_check import (
     PROGRAMS,
     SETTLE_EDGES,
     SHAPES,
+    UNKEYED_CLAUSES,
     check_programs,
     check_sweep,
     forced_and_forbidden,
@@ -258,6 +259,18 @@ def test_a_long_sum_compiles_at_the_default_recursion_limit():
     _, verdicts = forced_and_forbidden(lambda: observe(program))
     # the first call rejects x = 0 and hands back x = 1; the second rejects x = 2
     assert (verdicts["fails"], verdicts["unknown"], verdicts["calls"]) == (2, 1, 2)
+
+
+def test_a_long_v_free_side_is_split_into_prologue_lines():
+    # 299 additions that read no v: as one expression they would nest past
+    # the parentheses Python's parser takes, so the prologue splits them
+    # every _CALLS calls; the settle function is compiled at the shipped
+    # threshold too, within the first visit's 81 leaves
+    program = parse_program("main { choose(x in {1..3}) choose(v in {0..80}) "
+                            + " + ".join(["x"] * 300) + " == v + 220 }")
+    (seen, _), verdicts = forced_and_forbidden(lambda: observe(program))
+    assert [choices for _, _, choices, _ in seen] == [[("x", Int(1)), ("v", Int(80))]]
+    assert (verdicts["calls"], verdicts["fails"], verdicts["unknown"]) == (3, 242, 1)
 
 
 # --- settle functions against running without them -------------------------------------------
@@ -544,6 +557,18 @@ ORACLE_SHAPES = {
 def test_clause_selection_matches_the_oracle(shape):
     report = check_equivalence(parse_program(ORACLE_SHAPES[shape]))
     assert report.matched and len(report.engine) >= 2, report.describe()
+
+
+@pytest.mark.parametrize("shape, solutions", [("no_equality", 4), ("no_constant_side", 2)])
+def test_a_clause_list_with_no_keyed_clause_is_tried_in_full(shape, solutions):
+    program = parse_program(UNKEYED_CLAUSES[shape])
+    (listed,) = hot.clause_table(program.clauses, False).values()
+    assert type(listed) is list and len(listed) == len(program.clauses) > 1
+    (seen, _), verdicts = forced_and_forbidden(lambda: observe(program))
+    assert len(seen) == solutions and verdicts["skipped"] == 0
+    # max_steps 1-600 and max_depth 1-8, with selection on and forbidden
+    kinds = ends(check_sweep(UNKEYED_CLAUSES[shape])[0])
+    assert kinds["steps"] > 0 and kinds["depth"] > 0 and kinds["end"] > 0, kinds
 
 
 def test_a_call_selects_by_what_its_argument_walks_to():

@@ -1,6 +1,7 @@
 """Reference enumerator and the differential check against the engine."""
 
 import ast
+import collections
 import hashlib
 import os
 import random
@@ -15,19 +16,34 @@ import choo
 from choo.derivation import DerivationNode, format_tree, tree_of
 from choo.interp import ERROR_KINDS, UNCONSTRAINED, BudgetExhausted, EvalError, Outcome, execute
 from choo.oracle import (
+    _FAIL,
     _FUNCTIONS,
     _OPERATORS,
     EquivalenceReport,
     OracleRunError,
     OutOfBounds,
     _Enumerator,
+    _postfix,
+    _residual,
+    _run,
     check_equivalence,
     enumerate_solutions,
 )
 from choo.parser import parse_goal, parse_program
 from choo.shrink import shrink
-from choo.syntax import BinOp, Compare, Enum, IntLit, Seq, SourceProgram, TermLit, format_program
-from choo.terms import Atom, Compound, Int, Var
+from choo.syntax import (
+    BinOp,
+    Compare,
+    Enum,
+    FunCall,
+    IntLit,
+    Seq,
+    SourceProgram,
+    TermLit,
+    VarRef,
+    format_program,
+)
+from choo.terms import INT64_MAX, INT64_MIN, Atom, Compound, Int, Var
 from proggen import gen_program
 from test_interp import call_with_headroom, validate_shape
 
@@ -111,7 +127,7 @@ def test_a_choose_works_out_invariant_arithmetic_once_and_skips_failing_leaves(m
 @pytest.mark.parametrize("condition, specialised, found", [
     ("y + 0 == 3", 2, 5),  # each side is the same at all 5 visits of the choose of y
     ("x + y == 6", 5 + 1, 5),  # x + y reads x, which differs between visits
-    ("x * 2 == y + 1", 5 + 1, 3),  # x * 2 is a part, worked out per visit
+    ("x * 2 == y + 1", 5 + 1, 3),  # x * 2 reads x, so it is folded per visit
 ])
 def test_a_side_the_same_at_every_visit_is_specialised_once(monkeypatch, condition, specialised, found):
     calls = 0
@@ -150,11 +166,75 @@ def test_a_side_the_same_at_every_visit_is_specialised_once(monkeypatch, conditi
     # out ahead: here the failed read of s comes first, and there x raises
     ("main { choose(x in {f(1)}) choose(z in {1, 2}) (s + x + z == 3; s = 1) }", ["end"]),
     ("main { choose(x in {f(1), 2}) choose(z in {1..3}) x + z == 3 }", ["not-integer"]),
+    # the inner x hides the outer one, which a fold must not read
+    ("main { choose(y in {0}) choose(x in {1, 2}) choose(x in {5, 6}) x + y == 5 }",
+     [((("y", Int(0)), ("x", Int(1)), ("x", Int(5))), {}),
+      ((("y", Int(0)), ("x", Int(2)), ("x", Int(5))), {}), "end"]),
+    # 2**63 - 1 + y passes 64 bits, so it is not folded, and the first leaf raises
+    ("main { choose(y in {1}) choose(z in {1, 2}) 9223372036854775807 + y - 1 == z + 0 }", ["overflow"]),
 ])
 def test_working_arithmetic_out_once_moves_no_error(source, stream):
     report = check_equivalence(parse_program(source))
     assert report.matched
     assert report.engine == report.oracle == stream
+
+
+def _fold_expr(rng, depth=0):
+    """A random expression of literals at the edges of the built-ins and
+    of 64 bits, reads of the store names s and t, and reads of the
+    binders x, y and z or of a literal that is no integer."""
+    r = rng.random()
+    if depth < 4 and r < 0.45:
+        return BinOp(rng.choice("+-*/"), _fold_expr(rng, depth + 1), _fold_expr(rng, depth + 1))
+    if depth < 4 and r < 0.55:
+        return FunCall(rng.choice(("fib", "fact")), _fold_expr(rng, depth + 1))
+    r = rng.random()
+    if r < 0.45:
+        return IntLit(rng.choice((0, 1, 2, -1, 3, 20, 21, 93, 94, 3037000500,
+                                  INT64_MAX, INT64_MIN, INT64_MAX + 1, INT64_MIN - 1)))
+    if r < 0.6:
+        return VarRef(rng.choice("st"))
+    if r < 0.95:
+        return TermLit(Var(rng.choice("xyz")))
+    return TermLit(Atom("a"))
+
+
+def _outcome(code, store, env):
+    """The value of code, or of a residual that is one integer; _FAIL, or
+    the kind of the error it raises."""
+    if type(code) is int:
+        return code
+    try:
+        return _run(code, store, env)
+    except OracleRunError as e:
+        return e.kind
+
+
+def test_a_folded_expression_runs_as_its_code_does():
+    # the module docstring's exactness argument for the fold: a leaf whose
+    # environment differs from the visit's only in the chosen name, which
+    # may hide a binder of the visit, gets from the residual code the same
+    # integer, failed read or error kind as from the whole code; with no
+    # chosen name, as for a pin's side, the leaf's environment is the visit's
+    rng = random.Random(37)
+    held = (Int(2), Int(-1), Int(INT64_MAX), Atom("a"), Var("_G1"))  # what a binder may hold
+    stored = (Int(3), Int(0), Int(INT64_MIN), Atom("b"))
+    seen = collections.Counter()
+    for _ in range(20_000):
+        code = _postfix(_fold_expr(rng))
+        store = {n: rng.choice(stored) for n in "st" if rng.random() < 0.7}
+        env = {n: rng.choice(held) for n in "xyz" if rng.random() < 0.8}
+        name = rng.choice(("x", "y", None))
+        probe = dict(env)
+        if name is not None:
+            probe[name] = rng.choice(held)
+            seen["hidden"] += type(env.get(name)) is Int and probe[name] != env[name]
+        residual = _residual(code, env, name)  # raises nothing, whatever the code would
+        outcome = _outcome(code, store, probe)
+        assert _outcome(residual, store, probe) == outcome, (code, store, env, name, probe)
+        seen["int" if type(outcome) is int else "fail" if outcome is _FAIL else outcome] += 1
+        seen["folded" if type(residual) is int else "shorter" if len(residual) < len(code) else "kept"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 11, seen
 
 
 def test_a_call_examines_only_clauses_of_its_name_and_arity():
@@ -529,10 +609,10 @@ def test_expressions_are_evaluated_without_a_frame_per_level():
 
 
 @pytest.mark.parametrize("condition, found", [
-    # z at the bottom: no part, and every instruction runs at each leaf
+    # z at the bottom: nothing folds, and every instruction runs at each leaf
     ("1 + (" * 449 + "1 + z" + ")" * 449 + " == 451", {((("z", Int(1)),), frozenset())}),
     ("fib(" * 450 + "z" + ")" * 450 + " == 0", "domain"),
-    # z at the top: one part 449 deep, worked out once per visit or, where it raises, spliced in
+    # z at the top: 449 additions folded once per visit or, where fib raises, left to raise
     ("z + " + "(1 + " * 449 + "1" + ")" * 449 + " == 452", {((("z", Int(2)),), frozenset())}),
     ("fib(" * 450 + "2" + ")" * 450 + " + z == 0", "domain"),
 ])
